@@ -122,12 +122,6 @@ def distance(z: PointH, w: PointH) -> float:
     return d
 
 
-def distance_arrays(x1, y1, x2, y2):
-    """Vectorized distance for coordinate arrays (no range checks)."""
-    q = ((x2 - x1) ** 2 + (y2 - y1) ** 2) / (2.0 * y1 * y2)
-    return np.arccosh(1.0 + q)
-
-
 def mobius_apply(g: MobiusReal, z: PointH) -> PointH:
     """Apply (az + b) / (cz + d); the image has Im = Im(z) / |cz+d|^2 > 0."""
     den = complex(g.c * z.x + g.d, g.c * z.y)

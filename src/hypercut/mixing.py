@@ -21,7 +21,7 @@ from .geometry import PointH, ball_volume, sphere_step_arrays
 from .modular import (MODULAR_AREA, QuotientPoint, injectivity_radius,
                       modq_context, quotient_distances_from, quotient_R,
                       quotient_volume, reduce_points_arrays,
-                      sample_uniform_quotient, truncated_domain_fraction)
+                      sample_uniform_quotient)
 from .walks import map_blocks, stream
 
 TV_BLOCK = 1 << 16
@@ -455,13 +455,3 @@ def isoperimetric_check(q: int, region, r: float, p: float, n_mc: int,
             "inconclusive": bool(inconclusive),
             "truncated_fraction": trunc}
 
-
-def r_over_alpha(q: int, alpha: float, r1: float) -> float:
-    """The drift-normalized location scale R_X / (alpha r1)."""
-    return quotient_R(q) / (alpha * r1)
-
-
-def uniformity_reference(q: int, cusp_cap: float = 10.0) -> dict:
-    """Analytic bookkeeping shared by the experiments."""
-    return {"volume": quotient_volume(q), "R_X": quotient_R(q),
-            "truncated_fraction": truncated_domain_fraction(cusp_cap)}

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -166,63 +166,107 @@ def psl2q_order(q: int) -> int:
     return order // 2 if q > 2 else order
 
 
-def _ext_gcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    return old_r, old_s, old_t
+def _ext_gcd(a: np.ndarray, b: np.ndarray):
+    """Extended Euclid on int64 arrays: (g, s, t) with a*s + b*t = g,
+    floor-dividing as Python's // does."""
+    r0, r1 = a.copy(), b.copy()
+    s0, s1 = np.ones_like(a), np.zeros_like(a)
+    t0, t1 = np.zeros_like(a), np.ones_like(a)
+    live = np.flatnonzero(r1)
+    while live.size:
+        quo = r0[live] // r1[live]
+        r0[live], r1[live] = r1[live], r0[live] - quo * r1[live]
+        s0[live], s1[live] = s1[live], s0[live] - quo * s1[live]
+        t0[live], t1[live] = t1[live], t0[live] - quo * t1[live]
+        live = live[r1[live] != 0]
+    return r0, s0, t0
+
+
+def _mul(g, h):
+    """Matrix product g h of 2x2 integer matrices given as (a, b, c, d),
+    elementwise over arrays."""
+    a1, b1, c1, d1 = g
+    a2, b2, c2, d2 = h
+    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
+            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+
+
+def _inv(g):
+    a, b, c, d = g
+    return d, -b, -c, a
+
+
+def _coset_codes(q: int, a, b, c, d) -> np.ndarray:
+    """Base-q code of the canonical representative of each (a, b, c, d) mod
+    q.  Digits lie in [0, q), so code order is CosetModQ's lexicographic
+    key order and the canonical sign is the one with the smaller code."""
+    a, b, c, d = (np.asarray(v, dtype=np.int64) for v in (a, b, c, d))
+    pos = ((a % q * q + b % q) * q + c % q) * q + d % q
+    neg = ((-a % q * q + -b % q) * q + -c % q) * q + -d % q
+    return np.minimum(pos, neg)
 
 
 class ModQContext:
-    """Enumeration and multiplication tables for the level-q cover group."""
+    """Enumeration and multiplication tables for the level-q cover group.
+
+    The group is held as the sorted array ``codes`` of base-q codes of its
+    canonical representatives; element i is the one with code codes[i].
+    """
 
     def __init__(self, q: int):
         if not 1 <= q <= _Q_CAP:
             raise CapacityError(f"modulus {q} outside supported range "
                                 f"[1, {_Q_CAP}]")
         self.q = q
-        self.elements: list[CosetModQ] = self._enumerate(q)
-        self.index = {e.key(): i for i, e in enumerate(self.elements)}
-        self.size = len(self.elements)
+        self.codes = self._enumerate(q)
+        self.size = int(self.codes.size)
         self._t_pow = None
         self._s_right = None
 
     @staticmethod
-    def _enumerate(q: int) -> list[CosetModQ]:
-        if q == 1:
-            return [CosetModQ.identity(1)]
-        seen = set()
-        out = []
-        for a in range(q):
-            for c in range(q):
-                g = math.gcd(math.gcd(a, c), q)
-                if g != 1:
-                    continue
-                g0, x, y = _ext_gcd(a, c)
-                ginv = pow(g0 % q, -1, q)
-                d0 = (x * ginv) % q
-                b0 = (-y * ginv) % q
-                for t in range(q):
-                    b, d = (b0 + t * a) % q, (d0 + t * c) % q
-                    e = CosetModQ(q, a, b, c, d)
-                    k = e.key()
-                    if k not in seen:
-                        seen.add(k)
-                        out.append(e)
-        out.sort(key=lambda e: e.key())
-        return out
+    def _enumerate(q: int) -> np.ndarray:
+        """Codes of every coset: each first column (a, c) with
+        gcd(a, c, q) = 1, completed by all q points of its completion line."""
+        a, c = np.divmod(np.arange(q * q, dtype=np.int64), q)
+        keep = np.gcd(np.gcd(a, c), q) == 1
+        a, c = a[keep], c[keep]
+        g, x, y = _ext_gcd(a, c)
+        inverse = np.array([pow(k, -1, q) if math.gcd(k, q) == 1 else 0
+                            for k in range(q)], dtype=np.int64)
+        ginv = inverse[g % q]
+        t = np.arange(q, dtype=np.int64)[:, None]
+        return np.unique(_coset_codes(q, a, -y * ginv + t * a, c,
+                                      x * ginv + t * c))
+
+    def labels(self, a, b, c, d) -> np.ndarray:
+        """Coset index of each integer matrix (a, b, c, d), entries given
+        as arrays or ints of any sign; ValueError unless det = 1 mod q."""
+        code = _coset_codes(self.q, a, b, c, d)
+        idx = np.searchsorted(self.codes, code)
+        if not np.array_equal(self.codes[np.minimum(idx, self.size - 1)],
+                              code):
+            raise ValueError("determinant must be 1 mod q")
+        return idx
+
+    def rows(self, idx=slice(None)):
+        """(a, b, c, d) residue arrays of the elements at idx."""
+        code, q = self.codes[idx], self.q
+        return code // q ** 3, code // q ** 2 % q, code // q % q, code % q
+
+    @cached_property
+    def elements(self) -> list[CosetModQ]:
+        return [CosetModQ(self.q, *row)
+                for row in zip(*(r.tolist() for r in self.rows()))]
+
+    @cached_property
+    def index(self) -> dict:
+        return {e.key(): i for i, e in enumerate(self.elements)}
 
     def coset_of(self, a: int, b: int, c: int, d: int) -> int:
-        return self.index[CosetModQ(self.q, a, b, c, d).key()]
+        return int(self.labels(a, b, c, d))
 
-    def _right_mul_table(self, g: CosetModQ) -> np.ndarray:
-        return np.array([self.index[e.mul(g).key()] for e in self.elements],
-                        dtype=np.int64)
+    def _right_mul_table(self, g) -> np.ndarray:
+        return self.labels(*_mul(self.rows(), g))
 
     @property
     def t_pow_tables(self) -> np.ndarray:
@@ -230,7 +274,7 @@ class ModQContext:
         if self._t_pow is None:
             tables = np.empty((self.q, self.size), dtype=np.int64)
             tables[0] = np.arange(self.size)
-            t1 = self._right_mul_table(CosetModQ(self.q, 1, 1, 0, 1))
+            t1 = self._right_mul_table((1, 1, 0, 1))
             for n in range(1, self.q):
                 tables[n] = t1[tables[n - 1]]
             self._t_pow = tables
@@ -240,8 +284,7 @@ class ModQContext:
     def s_right_table(self) -> np.ndarray:
         """s_right_table[i] = index of elements[i] * S."""
         if self._s_right is None:
-            self._s_right = self._right_mul_table(
-                CosetModQ(self.q, 0, -1, 1, 0))
+            self._s_right = self._right_mul_table((0, -1, 1, 0))
         return self._s_right
 
 
@@ -344,6 +387,15 @@ def reduce_points_arrays(x, y, sheets, ctx: ModQContext, max_iter: int = 400):
     raise DegeneracyError("vectorized reduction hit iteration cap")
 
 
+def _ragged_ranges(starts: np.ndarray, counts: np.ndarray):
+    """(row, value) pairs of the concatenated ranges
+    starts[row] .. starts[row] + counts[row] - 1."""
+    row = np.repeat(np.arange(counts.size), counts)
+    offset = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts,
+                                             counts)
+    return row, starts[row] + offset
+
+
 class PSLZEnumeration:
     """All projective integer matrices with Frobenius norm^2 <= 2 cosh(bound),
     i.e. all g with d(i, g i) <= bound, as flat int arrays.
@@ -359,60 +411,57 @@ class PSLZEnumeration:
                 " (element count grows like e^bound)")
         self.bound = bound
         cap = 2.0 * math.cosh(bound)
-        rows = set()
-        amax = int(math.isqrt(int(cap)))
-        for a in range(0, amax + 1):
-            c_cap = int(math.isqrt(int(cap - a * a)))
-            for c in range(-c_cap, c_cap + 1):
-                if a == 0 and c <= 0:
-                    continue
-                if math.gcd(a, abs(c)) != 1:
-                    continue
-                g0, xx, yy = _ext_gcd(a, c)
-                # a*d - c*b = 1 with (d, b) = (xx, -yy) scaled by 1/g0 = +-1
-                d0, b0 = xx * g0, -yy * g0
-                rest = cap - a * a - c * c
-                aa = a * a + c * c
-                beta = a * b0 + c * d0
-                disc = beta * beta - aa * (b0 * b0 + d0 * d0 - rest)
-                if disc < 0:
-                    continue
-                sq = math.sqrt(disc)
-                t_lo = math.ceil((-beta - sq) / aa)
-                t_hi = math.floor((-beta + sq) / aa)
-                for t in range(t_lo, t_hi + 1):
-                    b, d = b0 + t * a, d0 + t * c
-                    if b * b + d * d + aa > cap:
-                        continue
-                    rows.add(_canonical_sign(a, b, c, d))
-        ordered = sorted(rows)
-        mat = np.array(ordered, dtype=np.int64).reshape(len(ordered), 4)
-        self.a, self.b, self.c, self.d = (mat[:, j] for j in range(4))
-        self.size = len(ordered)
-        self._coset_labels: dict[int, np.ndarray] = {}
-        self._coset_members: dict[int, dict[int, np.ndarray]] = {}
+        # every first column (a, c) with a >= 0 inside the disc, one sign
+        # of (0, +-1), coprime
+        c_caps = np.array([math.isqrt(int(cap - a * a))
+                           for a in range(math.isqrt(int(cap)) + 1)],
+                          dtype=np.int64)
+        a, c = _ragged_ranges(-c_caps, 2 * c_caps + 1)
+        keep = ((a > 0) | (c > 0)) & (np.gcd(a, c) == 1)
+        a, c = a[keep], c[keep]
+        g, x, y = _ext_gcd(a, c)
+        # a*d - c*b = 1 with (d, b) = (x, -y) scaled by 1/g = +-1; the
+        # completions (b0 + t a, d0 + t c) have norm quadratic in t
+        d0, b0 = x * g, -y * g
+        aa = a * a + c * c
+        beta = a * b0 + c * d0
+        disc = beta * beta - aa * (b0 * b0 + d0 * d0 - (cap - aa))
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        # one spare t on each side absorbs rounding in the roots; the exact
+        # integer norm test below decides membership
+        t_lo = np.ceil((-beta - sq) / aa).astype(np.int64) - 1
+        t_hi = np.floor((-beta + sq) / aa).astype(np.int64) + 1
+        col, t = _ragged_ranges(t_lo, t_hi - t_lo + 1)
+        a, c = a[col], c[col]
+        b, d = b0[col] + t * a, d0[col] + t * c
+        norm2 = a * a + b * b + c * c + d * d
+        keep = norm2 <= cap
+        a, b, c, d, norm2 = a[keep], b[keep], c[keep], d[keep], norm2[keep]
+        # canonical sign: first nonzero entry positive (a >= 0 already)
+        flip = np.where((a == 0) & (b < 0), -1, 1)
+        a, b, c, d = a * flip, b * flip, c * flip, d * flip
+        order = np.lexsort((d, c, b, a))
+        self.a, self.b, self.c, self.d = a[order], b[order], c[order], d[order]
+        self.norm2 = norm2[order]
+        self.size = int(order.size)
+        self._members: dict[int, tuple[np.ndarray, ...]] = {}
 
     def coset_labels(self, q: int) -> np.ndarray:
-        if q not in self._coset_labels:
+        """Coset index mod q of every element; also files each coset's
+        members in ascending Frobenius norm for members_of."""
+        if q not in self._members:
             ctx = modq_context(q)
-            labels = np.empty(self.size, dtype=np.int64)
-            for i in range(self.size):
-                labels[i] = ctx.coset_of(int(self.a[i]), int(self.b[i]),
-                                         int(self.c[i]), int(self.d[i]))
-            self._coset_labels[q] = labels
-            members = {}
-            order = np.argsort(labels, kind="stable")
-            sorted_labels = labels[order]
-            starts = np.searchsorted(sorted_labels, np.arange(ctx.size))
-            ends = np.searchsorted(sorted_labels, np.arange(ctx.size), "right")
-            for cid in range(ctx.size):
-                members[cid] = order[starts[cid]:ends[cid]]
-            self._coset_members[q] = members
-        return self._coset_labels[q]
+            labels = ctx.labels(self.a, self.b, self.c, self.d)
+            order = np.lexsort((self.norm2, labels))
+            starts = np.searchsorted(labels[order], np.arange(ctx.size + 1))
+            self._members[q] = (labels, order, starts)
+        return self._members[q][0]
 
     def members_of(self, q: int, coset_id: int) -> np.ndarray:
+        """Indices of the coset's members, in ascending Frobenius norm."""
         self.coset_labels(q)
-        return self._coset_members[q][coset_id]
+        _, order, starts = self._members[q]
+        return order[starts[coset_id]:starts[coset_id + 1]]
 
 
 @lru_cache(maxsize=8)
@@ -426,15 +475,76 @@ def get_enumeration(bound: float) -> PSLZEnumeration:
     return _enumeration(math.ceil(bound * 4.0))
 
 
-def _distances_to_images(z1: PointH, z2: PointH, enum: PSLZEnumeration,
-                         idx: np.ndarray) -> np.ndarray:
-    a, b = enum.a[idx], enum.b[idx]
-    c, d = enum.c[idx], enum.d[idx]
-    den2 = (c * z2.x + d) ** 2 + (c * z2.y) ** 2
-    wx = ((a * z2.x + b) * (c * z2.x + d) + a * c * z2.y * z2.y) / den2
-    wy = z2.y / den2
-    qarg = ((wx - z1.x) ** 2 + (wy - z1.y) ** 2) / (2.0 * z1.y * wy)
-    return np.arccosh(1.0 + qarg)
+# members x samples cells per block of the distance kernel
+_BLOCK_CELLS = 1 << 12
+# distance slack covering rounding in the pruning bound
+_PRUNE_SLACK = 1e-6
+
+
+def _qarg(a, b, c, d, x1, y1, x2, y2):
+    """cosh d(z1, g z2) - 1 for g = (a, b, c, d); broadcasts."""
+    den2 = (c * x2 + d) ** 2 + (c * y2) ** 2
+    wx = ((a * x2 + b) * (c * x2 + d) + a * c * y2 * y2) / den2
+    wy = y2 / den2
+    return ((wx - x1) ** 2 + (wy - y1) ** 2) / (2.0 * y1 * wy)
+
+
+def _origin_distance(x, y) -> np.ndarray:
+    return np.arccosh(1.0 + (x ** 2 + (y - 1.0) ** 2) / (2.0 * y))
+
+
+def _quotient_distances(q: int, x1, y1, sheet1, x2, y2, sheet2, r_max: float,
+                        enum: PSLZEnumeration | None) -> np.ndarray:
+    """The one quotient-distance kernel.
+
+    Pair j joins (x1, y1) on sheet1 to (x2, y2) on sheet2; coordinates are
+    arrays or scalars and sheets are (a, b, c, d) residues, broadcast
+    together.  Its distance is acosh(1 + min qarg) over the enumerated
+    members of the relative coset sheet1^-1 sheet2, or inf beyond r_max.
+
+    Samples are grouped by relative coset, and each coset's members are
+    walked in ascending Frobenius norm in (members x samples) blocks of at
+    most _BLOCK_CELLS cells.  A sample drops out once the next member's
+    norm exceeds 2 cosh(D + d(i, z1) + d(i, z2) + slack), D its running
+    minimum distance capped at r_max: by the triangle inequality
+    d(z1, g z2) >= d(i, g i) - d(i, z1) - d(i, z2), so no later member
+    beats the minimum, and none comes within r_max.
+    """
+    ctx = modq_context(q)
+    x1, y1, x2, y2 = np.broadcast_arrays(
+        *(np.array(v, dtype=float, ndmin=1) for v in (x1, y1, x2, y2)))
+    best = np.full(x1.shape, math.inf)
+    if best.size == 0:
+        return best
+    targets = np.broadcast_to(ctx.labels(*_mul(_inv(sheet1), sheet2)),
+                              best.shape)
+    dorig1, dorig2 = _origin_distance(x1, y1), _origin_distance(x2, y2)
+    need = r_max + float(dorig1.max()) + float(dorig2.max())
+    if enum is None or enum.bound < need:
+        enum = get_enumeration(need)
+    reach = dorig1 + dorig2 + _PRUNE_SLACK
+    order = np.argsort(targets, kind="stable")
+    cuts = np.flatnonzero(np.diff(targets[order])) + 1
+    for group in np.split(order, cuts):
+        members = enum.members_of(q, int(targets[group[0]]))
+        norms = enum.norm2[members]
+        active, lo = group, 0
+        while lo < members.size:
+            dmin = np.minimum(np.arccosh(1.0 + best[active]), r_max)
+            limit = 2.0 * np.cosh(dmin + reach[active])
+            keep = norms[lo] <= limit
+            active, limit = active[keep], limit[keep]
+            if active.size == 0:
+                break
+            hi = min(int(np.searchsorted(norms, limit.max(), "right")),
+                     lo + max(1, _BLOCK_CELLS // active.size))
+            g = members[lo:hi, None]
+            qarg = _qarg(enum.a[g], enum.b[g], enum.c[g], enum.d[g],
+                         x1[active], y1[active], x2[active], y2[active])
+            best[active] = np.minimum(best[active], qarg.min(axis=0))
+            lo = hi
+    dist = np.array([math.acosh(1.0 + v) for v in best.ravel().tolist()])
+    return np.where(dist <= r_max, dist, math.inf).reshape(best.shape)
 
 
 def quotient_distance(p1: QuotientPoint, p2: QuotientPoint, r_max: float,
@@ -448,58 +558,19 @@ def quotient_distance(p1: QuotientPoint, p2: QuotientPoint, r_max: float,
         raise ValueError("points live on different quotients")
     if r_max > 30.0:
         raise ValueError("r_max above 30 is not supported")
-    origin = PointH(0.0, 1.0)
-    need = r_max + distance(origin, p1.base) + distance(origin, p2.base)
-    if enum is None or enum.bound < need:
-        enum = get_enumeration(need)
-    target = p1.sheet.inv().mul(p2.sheet)
-    ctx = modq_context(p1.q)
-    idx = enum.members_of(p1.q, ctx.index[target.key()])
-    if idx.size == 0:
-        return math.inf
-    dmin = float(_distances_to_images(p1.base, p2.base, enum, idx).min())
-    return dmin if dmin <= r_max else math.inf
+    return float(_quotient_distances(
+        p1.q, p1.base.x, p1.base.y, p1.sheet.key(),
+        p2.base.x, p2.base.y, p2.sheet.key(), r_max, enum)[0])
 
 
 def quotient_distances_from(p0: QuotientPoint, xs, ys, sheet_ids, r_max: float,
                             enum: PSLZEnumeration | None = None) -> np.ndarray:
     """Distances from a fixed point to many (x, y, sheet-index) samples;
     entries beyond r_max come back as inf."""
-    q = p0.q
-    ctx = modq_context(q)
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    sheet_ids = np.asarray(sheet_ids, dtype=np.int64)
-    origin = PointH(0.0, 1.0)
-    d0 = distance(origin, p0.base)
-    dmax_samples = float(np.max(np.arccosh(
-        1.0 + (xs ** 2 + (ys - 1.0) ** 2) / (2.0 * ys))))
-    need = r_max + d0 + dmax_samples
-    if enum is None or enum.bound < need:
-        enum = get_enumeration(need)
-    inv0 = p0.sheet.inv()
-    target_of_sheet = np.array(
-        [ctx.index[inv0.mul(e).key()] for e in ctx.elements], dtype=np.int64)
-    out = np.full(xs.shape, math.inf)
-    targets = target_of_sheet[sheet_ids]
-    for cid in np.unique(targets):
-        members = enum.members_of(q, int(cid))
-        if members.size == 0:
-            continue
-        a, b = enum.a[members], enum.b[members]
-        c, d = enum.c[members], enum.d[members]
-        sel = np.nonzero(targets == cid)[0]
-        for j in sel:
-            x2, y2 = xs[j], ys[j]
-            den2 = (c * x2 + d) ** 2 + (c * y2) ** 2
-            wx = ((a * x2 + b) * (c * x2 + d) + a * c * y2 * y2) / den2
-            wy = y2 / den2
-            qarg = ((wx - p0.base.x) ** 2 + (wy - p0.base.y) ** 2) \
-                / (2.0 * p0.base.y * wy)
-            dmin = math.acosh(1.0 + float(np.min(qarg)))
-            if dmin <= r_max:
-                out[j] = dmin
-    return out
+    ctx = modq_context(p0.q)
+    return _quotient_distances(
+        p0.q, p0.base.x, p0.base.y, p0.sheet.key(), xs, ys,
+        ctx.rows(np.asarray(sheet_ids, dtype=np.int64)), r_max, enum)
 
 
 def quotient_distance_pairs(q: int, xs1, ys1, sheets1, xs2, ys2, sheets2,
@@ -508,41 +579,9 @@ def quotient_distance_pairs(q: int, xs1, ys1, sheets1, xs2, ys2, sheets2,
     """Distances between aligned arrays of (x, y, sheet-index) pairs on the
     level-q quotient; entries beyond r_max come back as inf."""
     ctx = modq_context(q)
-    xs1, ys1 = np.asarray(xs1, float), np.asarray(ys1, float)
-    xs2, ys2 = np.asarray(xs2, float), np.asarray(ys2, float)
-    sheets1 = np.asarray(sheets1, np.int64)
-    sheets2 = np.asarray(sheets2, np.int64)
-    dorig1 = np.arccosh(1.0 + (xs1 ** 2 + (ys1 - 1.0) ** 2) / (2.0 * ys1))
-    dorig2 = np.arccosh(1.0 + (xs2 ** 2 + (ys2 - 1.0) ** 2) / (2.0 * ys2))
-    need = r_max + float(dorig1.max()) + float(dorig2.max())
-    if enum is None or enum.bound < need:
-        enum = get_enumeration(need)
-    inv_table = np.array([ctx.index[e.inv().key()] for e in ctx.elements],
-                         dtype=np.int64)
-    mul = np.empty((ctx.size, ctx.size), dtype=np.int64)
-    for i, e in enumerate(ctx.elements):
-        for j, f in enumerate(ctx.elements):
-            mul[i, j] = ctx.index[e.mul(f).key()]
-    targets = mul[inv_table[sheets1], sheets2]
-    out = np.full(xs1.shape, math.inf)
-    for cid in np.unique(targets):
-        members = enum.members_of(q, int(cid))
-        if members.size == 0:
-            continue
-        a, b = enum.a[members], enum.b[members]
-        c, d = enum.c[members], enum.d[members]
-        sel = np.nonzero(targets == cid)[0]
-        for j in sel:
-            x2, y2 = xs2[j], ys2[j]
-            den2 = (c * x2 + d) ** 2 + (c * y2) ** 2
-            wx = ((a * x2 + b) * (c * x2 + d) + a * c * y2 * y2) / den2
-            wy = y2 / den2
-            qarg = ((wx - xs1[j]) ** 2 + (wy - ys1[j]) ** 2) \
-                / (2.0 * ys1[j] * wy)
-            dmin = math.acosh(1.0 + float(np.min(qarg)))
-            if dmin <= r_max:
-                out[j] = dmin
-    return out
+    return _quotient_distances(
+        q, xs1, ys1, ctx.rows(np.asarray(sheets1, dtype=np.int64)),
+        xs2, ys2, ctx.rows(np.asarray(sheets2, dtype=np.int64)), r_max, enum)
 
 
 class InjectivityRadius(NamedTuple):
@@ -568,13 +607,14 @@ def injectivity_radius(p: QuotientPoint, r_max: float = 8.0,
         enum = get_enumeration(need)
     q = p.q
     ctx = modq_context(q)
-    idx = enum.members_of(q, ctx.index[CosetModQ.identity(q).key()])
+    idx = enum.members_of(q, ctx.coset_of(1, 0, 0, 1))
     keep = ~((enum.a[idx] == 1) & (enum.b[idx] == 0)
              & (enum.c[idx] == 0) & (enum.d[idx] == 1))
     idx = idx[keep]
     if idx.size == 0:
         return InjectivityRadius(math.inf, 1)
-    dists = _distances_to_images(z, z, enum, idx)
+    dists = np.arccosh(1.0 + _qarg(enum.a[idx], enum.b[idx], enum.c[idx],
+                                   enum.d[idx], z.x, z.y, z.x, z.y))
     fixing = dists < 1e-9
     stab = int(np.count_nonzero(fixing)) + 1
     moving = dists[~fixing]

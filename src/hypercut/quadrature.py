@@ -31,49 +31,6 @@ def panel_nodes(a: float, b: float, n_panels: int, n_nodes: int = 16):
     return nodes, weights
 
 
-def integrate_refining(f, a: float, b: float, *, tol: float = 1e-10,
-                       n_panels: int = 16, max_doublings: int = 9):
-    """Integrate ``f`` (vectorized) on [a, b], doubling panels until the
-    change between successive levels is below ``tol``.
-
-    Returns ``(value, err_estimate)``; raises QuadratureError if the grid
-    cap is reached first.
-    """
-    nodes, weights = panel_nodes(a, b, n_panels)
-    prev = float(np.dot(f(nodes), weights))
-    for _ in range(max_doublings):
-        n_panels *= 2
-        nodes, weights = panel_nodes(a, b, n_panels)
-        cur = float(np.dot(f(nodes), weights))
-        err = abs(cur - prev)
-        if err <= tol:
-            return cur, err
-        prev = cur
-    raise QuadratureError(
-        f"integral on [{a}, {b}] did not converge to {tol:g}", achieved=err)
-
-
-def integrate_grid_refining(f, a: float, b: float, *, tol: float = 1e-10,
-                            n_panels: int = 16, max_doublings: int = 9):
-    """Like :func:`integrate_refining` for an ``f`` returning one row per
-    output component, shape (m, n_nodes).  Convergence is in the sup norm
-    over components.  Returns ``(values, err_estimate)``.
-    """
-    nodes, weights = panel_nodes(a, b, n_panels)
-    prev = f(nodes) @ weights
-    for _ in range(max_doublings):
-        n_panels *= 2
-        nodes, weights = panel_nodes(a, b, n_panels)
-        cur = f(nodes) @ weights
-        err = float(np.max(np.abs(cur - prev)))
-        if err <= tol:
-            return cur, err
-        prev = cur
-    raise QuadratureError(
-        f"grid integral on [{a}, {b}] did not converge to {tol:g}",
-        achieved=err)
-
-
 def trapezoid_doubling(f, a: float, b: float, *, tol: float = 1e-12,
                        n0: int = 64, max_doublings: int = 16):
     """Trapezoid rule with interval doubling; converges geometrically for

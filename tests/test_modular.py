@@ -9,9 +9,10 @@ from hypercut.errors import CapacityError
 from hypercut.geometry import PointH, distance
 from hypercut.modular import (GEN_A, GEN_B, CosetModQ, GroupElement,
                               QuotientPoint, RandomCover, coset_index,
-                              get_enumeration, injectivity_radius,
-                              in_fundamental_domain, modq_context,
-                              psl2q_order, quotient_R, quotient_distance,
+                              PSLZEnumeration, get_enumeration,
+                              injectivity_radius, in_fundamental_domain,
+                              modq_context, psl2q_order, quotient_R,
+                              quotient_distance, quotient_distance_pairs,
                               quotient_distances_from, quotient_volume,
                               random_cover, reduce_fundamental,
                               reduce_points_arrays, sample_uniform_quotient,
@@ -104,6 +105,35 @@ class TestCosetModQ:
         with pytest.raises(CapacityError):
             coset_index(102)
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 7])
+    def test_elements_match_brute_force(self, q):
+        # every 2x2 matrix mod q with det 1, canonicalized, in key order
+        keys = sorted({CosetModQ(q, *m).key()
+                       for m in itertools.product(range(q), repeat=4)
+                       if (m[0] * m[3] - m[1] * m[2]) % q == 1 % q})
+        assert [e.key() for e in modq_context(q).elements] == keys
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 7])
+    def test_coset_labels_match_per_element(self, q):
+        enum = get_enumeration(6.0)
+        ctx = modq_context(q)
+        rows = list(zip(enum.a.tolist(), enum.b.tolist(),
+                        enum.c.tolist(), enum.d.tolist()))
+        expected = np.array([ctx.index[CosetModQ(q, *g).key()]
+                             for g in rows])
+        assert np.array_equal(enum.coset_labels(q), expected)
+        for i in range(0, len(rows), 97):
+            assert ctx.coset_of(*rows[i]) == expected[i]
+        for cid in range(ctx.size):
+            members = enum.members_of(q, cid)
+            assert np.array_equal(np.sort(members),
+                                  np.flatnonzero(expected == cid))
+            assert np.all(np.diff(enum.norm2[members]) >= 0)
+
+    def test_labels_reject_determinant_off_one(self):
+        with pytest.raises(ValueError):
+            modq_context(5).coset_of(1, 0, 0, 2)
+
 
 def brute_force_reduce(z: PointH, depth: int = 40):
     """Independent reduction: greedy alternation of translation and
@@ -182,6 +212,36 @@ class TestEnumeration:
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             get_enumeration(20.0)
+
+    def test_arrays_match_sorted_brute_force_at_bound_8(self):
+        # solve a d - b c = 1 for d over every (a, b, c) in the norm ball;
+        # shares nothing with the coprime-column construction
+        enum = PSLZEnumeration(8.0)
+        cap = 2.0 * math.cosh(8.0)
+        lim = math.isqrt(int(cap))
+        rows = set()
+        for a, b in itertools.product(range(-lim, lim + 1), repeat=2):
+            if a * a + b * b > cap:
+                continue
+            for c in range(-lim, lim + 1):
+                s = a * a + b * b + c * c
+                if s > cap:
+                    continue
+                if a == 0:
+                    ds = range(-lim, lim + 1) if b * c == -1 else ()
+                elif (1 + b * c) % a == 0:
+                    ds = ((1 + b * c) // a,)
+                else:
+                    ds = ()
+                for d in ds:
+                    if s + d * d <= cap:
+                        e = GroupElement(a, b, c, d)
+                        rows.add((e.a, e.b, e.c, e.d))
+        expected = np.array(sorted(rows), dtype=np.int64)
+        got = np.stack([enum.a, enum.b, enum.c, enum.d], axis=1)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+        assert np.array_equal(enum.norm2, (expected ** 2).sum(axis=1))
 
 
 class TestQuotientDistance:
@@ -279,6 +339,83 @@ class TestQuotientDistance:
                               ctx.elements[int(sheets[j])])
             assert batch[j] == pytest.approx(
                 quotient_distance(x0, p, 8.0), abs=1e-10)
+
+
+def reference_distance_pairs(q, xs1, ys1, sheets1, xs2, ys2, sheets2,
+                             r_max, enum):
+    """The per-sample loop the block kernel replaced: every member of the
+    relative coset, one sample at a time, with Python coset arithmetic."""
+    ctx = modq_context(q)
+    labels = np.array([ctx.index[CosetModQ(q, *g).key()] for g in zip(
+        enum.a.tolist(), enum.b.tolist(), enum.c.tolist(), enum.d.tolist())])
+    out = np.full(len(xs1), math.inf)
+    for j in range(len(xs1)):
+        target = ctx.elements[sheets1[j]].inv().mul(ctx.elements[sheets2[j]])
+        members = np.flatnonzero(labels == ctx.index[target.key()])
+        if members.size == 0:
+            continue
+        a, b = enum.a[members], enum.b[members]
+        c, d = enum.c[members], enum.d[members]
+        x2, y2 = xs2[j], ys2[j]
+        den2 = (c * x2 + d) ** 2 + (c * y2) ** 2
+        wx = ((a * x2 + b) * (c * x2 + d) + a * c * y2 * y2) / den2
+        wy = y2 / den2
+        qarg = ((wx - xs1[j]) ** 2 + (wy - ys1[j]) ** 2) \
+            / (2.0 * ys1[j] * wy)
+        dmin = math.acosh(1.0 + float(np.min(qarg)))
+        if dmin <= r_max:
+            out[j] = dmin
+    return out
+
+
+class TestDistanceKernel:
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+    def test_matches_per_sample_reference(self, q):
+        n = 150
+        rng = np.random.default_rng(100 + q)
+        (x, y, s), _ = sample_uniform_quotient(q, 3.0, rng, 2 * n)
+        enum = get_enumeration(7.5)
+        a, b = slice(0, n), slice(n, 2 * n)
+        args = (x[a], y[a], s[a], x[b], y[b], s[b])
+        wide = reference_distance_pairs(q, *args, 5.0, enum)
+        finite = np.sort(wide[np.isfinite(wide)])
+        # r_max landing exactly on a distance, one ulp below it, and one
+        # that leaves about half the pairs at inf
+        r_edge = float(finite[len(finite) // 2])
+        below = math.nextafter(r_edge, 0.0)
+        refs = {}
+        for r_max in (5.0, r_edge, below, 0.5):
+            refs[r_max] = reference_distance_pairs(q, *args, r_max, enum)
+            got = quotient_distance_pairs(q, *args, r_max, enum=enum)
+            assert np.array_equal(got, refs[r_max])
+        assert r_edge in refs[r_edge] and r_edge not in refs[below]
+        assert np.isinf(refs[r_edge]).any()
+        assert np.array_equal(quotient_distance_pairs(q, *args, r_edge),
+                              refs[r_edge])
+        ctx = modq_context(q)
+        p0 = QuotientPoint(PointH(float(x[0]), float(y[0])),
+                           ctx.elements[int(s[0])])
+        from_ref = reference_distance_pairs(
+            q, np.full(n, x[0]), np.full(n, y[0]), np.full(n, s[0]),
+            x[b], y[b], s[b], 4.0, enum)
+        assert np.array_equal(
+            quotient_distances_from(p0, x[b], y[b], s[b], 4.0, enum=enum),
+            from_ref)
+        for j in range(0, n, 13):
+            p = QuotientPoint(PointH(float(x[n + j]), float(y[n + j])),
+                              ctx.elements[int(s[n + j])])
+            d = quotient_distance(p0, p, 4.0, enum=enum)
+            assert d == from_ref[j] or (math.isinf(d)
+                                        and math.isinf(from_ref[j]))
+
+    def test_empty_input(self):
+        p0 = qpoint(0.0, 1.0, q=5)
+        empty = np.array([])
+        got = quotient_distances_from(p0, empty, empty, empty, 8.0)
+        assert got.shape == (0,) and got.dtype == np.float64
+        got = quotient_distance_pairs(5, empty, empty, empty,
+                                      empty, empty, empty, 8.0)
+        assert got.shape == (0,) and got.dtype == np.float64
 
 
 class TestInjectivityRadius:
