@@ -12,6 +12,7 @@ measure has a closed form through asin.  A cell of the quotient is a
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,8 @@ from .modular import (MODULAR_AREA, QuotientPoint, injectivity_radius,
 from .walks import map_blocks, stream
 
 TV_BLOCK = 1 << 16
+# bootstrap resamples per multinomial call; bounds the bootstrap's memory
+BOOT_ROWS = 32
 EPS_GRID = (1.9, 1.5, 1.0, 0.5, 0.1)
 U_TOP = 2.0 / math.sqrt(3.0)
 
@@ -179,37 +182,46 @@ class TVProfile:
     seed: int
 
 
-def _walk_histograms(q, x0, r1, k_grid, n_walkers, partition, seed, workers):
+def _walk_histograms(q, x0, r1, k_grid, n_walkers, partition, seed, threads,
+                     emit):
+    """Advance every walker block one step at a time, on ``threads()``
+    block threads per step, and pass each grid step's cell counts, summed
+    over blocks, to ``emit`` as soon as that step ends.  Block b draws from
+    stream(seed, 2, b) in step order, so the counts do not depend on the
+    thread counts.  Returns the sorted grid."""
     ctx = modq_context(q)
     start_sheet = ctx.index[x0.sheet.key()]
     k_grid = sorted(set(int(k) for k in k_grid))
-    k_max = k_grid[-1] if k_grid else 0
+    grid = set(k_grid)
     n_cells = partition.n_cells
+    states = []
+    for b, lo in enumerate(range(0, n_walkers, TV_BLOCK)):
+        m = min(TV_BLOCK, n_walkers - lo)
+        states.append((stream(seed, tag=2, block=b), np.full(m, x0.base.x),
+                       np.full(m, x0.base.y),
+                       np.full(m, start_sheet, dtype=np.int64)))
 
-    def run_block(b, lo, hi):
-        rng = stream(seed, tag=2, block=b)
-        m = hi - lo
-        x = np.full(m, x0.base.x)
-        y = np.full(m, x0.base.y)
-        sheets = np.full(m, start_sheet, dtype=np.int64)
-        counts = np.zeros((len(k_grid), n_cells), dtype=np.int64)
-        slot = 0
-        if k_grid and k_grid[0] == 0:
-            cells = partition.cells_of(x, y, sheets)
-            counts[0] = np.bincount(cells, minlength=n_cells)
-            slot = 1
-        for step in range(1, k_max + 1):
-            theta = rng.uniform(0.0, math.pi, m)
-            x, y = sphere_step_arrays(x, y, r1, theta)
-            x, y, sheets = reduce_points_arrays(x, y, sheets, ctx)
-            if slot < len(k_grid) and k_grid[slot] == step:
-                cells = partition.cells_of(x, y, sheets)
-                counts[slot] = np.bincount(cells, minlength=n_cells)
-                slot += 1
-        return counts
+    def histogram(b):
+        _, x, y, sheets = states[b]
+        return np.bincount(partition.cells_of(x, y, sheets),
+                           minlength=n_cells)
 
-    parts = map_blocks(run_block, n_walkers, workers, block=TV_BLOCK)
-    return k_grid, np.sum(parts, axis=0)
+    def advance(b, lo, hi, record):
+        rng, x, y, sheets = states[b]
+        theta = rng.uniform(0.0, math.pi, hi - lo)
+        x, y = sphere_step_arrays(x, y, r1, theta)
+        states[b] = (rng, *reduce_points_arrays(x, y, sheets, ctx))
+        return histogram(b) if record else None
+
+    if 0 in grid:
+        emit(np.sum([histogram(b) for b in range(len(states))], axis=0))
+    for step in range(1, max(k_grid, default=0) + 1):
+        record = step in grid
+        parts = map_blocks(lambda b, lo, hi: advance(b, lo, hi, record),
+                           n_walkers, threads(), block=TV_BLOCK)
+        if record:
+            emit(np.sum(parts, axis=0))
+    return k_grid
 
 
 def tv_profile(q: int, x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
@@ -219,9 +231,17 @@ def tv_profile(q: int, x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
     """Plug-in estimate of || walk law at step k - uniform ||_1 on the
     level-q quotient, with a walker bootstrap CI per grid point.
 
+    The bootstrap of each grid point runs on one extra thread while the
+    walk goes on: with ``workers`` block threads while the bootstrap keeps
+    up, with max(1, workers - 1) once two of its jobs wait.  Its stream
+    stream(seed, 3) is drawn in grid order, so the result does not depend
+    on ``workers``.
+
     Preconditions enforced: the start point has injectivity radius at least
     r0_floor, and no cell exceeds mu(X)/1000.
     """
+    if n_walkers < 1 or n_boot < 1:
+        raise ConfigError("need n_walkers >= 1 and n_boot >= 1")
     if x0.q != q:
         raise ConfigError("start point lives on a different quotient")
     inj = injectivity_radius(x0, r_max=max(4.0, 2.5 * r0_floor))
@@ -232,19 +252,39 @@ def tv_profile(q: int, x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
         partition = default_partition(q)
     if partition.max_cell_fraction() > 1.0 / 1000.0 + 1e-12:
         raise ResolutionError("partition has a cell above mu(X)/1000")
-    ks, counts = _walk_histograms(q, x0, r1, k_grid, n_walkers, partition,
-                                  seed, workers)
     pi = partition.cell_probabilities()
     n = n_walkers
-    tv = np.abs(counts / n - pi).sum(axis=1)
     boot_rng = stream(seed, tag=3)
-    lo = np.empty_like(tv)
-    hi = np.empty_like(tv)
-    for i in range(len(ks)):
-        p_hat = counts[i] / n
-        resampled = boot_rng.multinomial(n, p_hat, size=n_boot)
-        tv_boot = np.abs(resampled / n - pi).sum(axis=1)
-        lo[i], hi[i] = np.percentile(tv_boot, [2.5, 97.5])
+
+    def bootstrap(counts):
+        # the rows of chunked draws come out of the stream exactly as from
+        # one size=n_boot draw
+        p_hat = counts / n
+        tv_boot = np.concatenate([
+            np.abs(boot_rng.multinomial(n, p_hat,
+                                        size=min(BOOT_ROWS, n_boot - i))
+                   / n - pi).sum(axis=1)
+            for i in range(0, n_boot, BOOT_ROWS)])
+        lo, hi = np.percentile(tv_boot, [2.5, 97.5])
+        return np.abs(p_hat - pi).sum(), lo, hi
+
+    pool = ThreadPoolExecutor(max_workers=1)
+    futures = []
+
+    def walker_threads():
+        # once the bootstrap lags, its serial chain sets the wall time:
+        # leave it a core of its own
+        backlog = sum(not f.done() for f in futures)
+        return workers if backlog <= 1 else max(1, workers - 1)
+
+    try:
+        ks = _walk_histograms(
+            q, x0, r1, k_grid, n_walkers, partition, seed, walker_threads,
+            lambda counts: futures.append(pool.submit(bootstrap, counts)))
+        rows = [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    tv, lo, hi = np.array(rows, dtype=float).reshape(-1, 3).T
     expected = n * pi
     starved = int(np.count_nonzero((expected < 5.0) & (pi > 0)))
     bias = float(np.sum(np.sqrt(2.0 * pi * (1.0 - pi) / (math.pi * n))))

@@ -33,6 +33,13 @@ MODULAR_AREA = math.pi / 3.0
 _Q_CAP = 101
 _ENUM_BOUND_CAP = 14.5
 _REDUCE_CAP = 1_000_000
+# An enumerated entry is at most sqrt(2 cosh(_ENUM_BOUND_CAP)) in absolute
+# value; offset by _ENTRY_OFFSET it fits in _ENTRY_BITS bits, so the four
+# entries pack into one int64 sort key that orders rows like np.lexsort.
+_ENTRY_OFFSET = math.isqrt(int(2.0 * math.cosh(_ENUM_BOUND_CAP))) + 1
+_ENTRY_BITS = (2 * _ENTRY_OFFSET).bit_length()
+if 4 * _ENTRY_BITS > 63:
+    raise CapacityError("packed enumeration sort key needs over 63 bits")
 
 
 def _canonical_sign(a: int, b: int, c: int, d: int):
@@ -440,7 +447,10 @@ class PSLZEnumeration:
         # canonical sign: first nonzero entry positive (a >= 0 already)
         flip = np.where((a == 0) & (b < 0), -1, 1)
         a, b, c, d = a * flip, b * flip, c * flip, d * flip
-        order = np.lexsort((d, c, b, a))
+        key = a + _ENTRY_OFFSET
+        for v in (b, c, d):
+            key = (key << _ENTRY_BITS) | (v + _ENTRY_OFFSET)
+        order = np.argsort(key)
         self.a, self.b, self.c, self.d = a[order], b[order], c[order], d[order]
         self.norm2 = norm2[order]
         self.size = int(order.size)
@@ -452,7 +462,11 @@ class PSLZEnumeration:
         if q not in self._members:
             ctx = modq_context(q)
             labels = ctx.labels(self.a, self.b, self.c, self.d)
-            order = np.lexsort((self.norm2, labels))
+            # labels < |PSL2(Z/_Q_CAP)| < 2^19 and norm2 < 2^21 under the
+            # caps, so the key fits easily; a stable sort keeps lexsort's
+            # order among equal (label, norm2)
+            span = int(self.norm2.max(initial=0)) + 1
+            order = np.argsort(labels * span + self.norm2, kind="stable")
             starts = np.searchsorted(labels[order], np.arange(ctx.size + 1))
             self._members[q] = (labels, order, starts)
         return self._members[q][0]

@@ -1,9 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from hypercut.cli import main
+from hypercut.cli import _trajectory_rows, main
+from hypercut.walks import BLOCK, WalkConfig, walk_discrete
 
 
 def csv_body(path):
@@ -110,6 +112,30 @@ class TestExitCodes:
 
     def test_numeric_error(self, tmp_path):
         assert main(["heat", "--t", "0.0001", "--out", str(tmp_path)]) == 4
+
+    @pytest.mark.parametrize("flag,value", [("--n-boot", "0"), ("--n", "0")])
+    def test_tv_bad_counts_are_config_errors(self, tmp_path, capsys, flag,
+                                             value):
+        assert main(["tv", "--q", "2", "--k-max", "2", "--n", "1000",
+                     flag, value, "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
+class TestTrajectoryDump:
+    def test_last_step_matches_walk_discrete(self):
+        # the dump replays block 0 by hand; a second block makes sure the
+        # replay draws a full block's directions per step
+        wcfg = WalkConfig(r1=1.0, k=7, n_walkers=BLOCK + 500, seed=13)
+        n_dump = 40
+        rows = _trajectory_rows(wcfg, n_dump)
+        last = [row for row in rows if row[1] == wcfg.k]
+        assert [row[0] for row in last] == list(range(n_dump))
+        stats = walk_discrete(wcfg, workers=2)
+        np.testing.assert_allclose([row[2] for row in last],
+                                   stats.final_x[:n_dump], rtol=1e-12)
+        np.testing.assert_allclose([row[3] for row in last],
+                                   np.exp(stats.final_lny[:n_dump]),
+                                   rtol=1e-12)
 
 
 class TestDeterminism:

@@ -1,18 +1,23 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from hypercut import mixing
 from hypercut.errors import ConfigError
-from hypercut.geometry import PointH, ball_volume
+from hypercut.geometry import PointH, ball_volume, sphere_step_arrays
 from hypercut.mixing import (CellPartition, ConcentrationReport,
                              concentration_fit, cutoff_locator,
                              default_partition, distance_histogram,
                              isoperimetric_check, kappa, tv_profile)
 from hypercut.modular import (CosetModQ, QuotientPoint, modq_context,
-                              quotient_R, quotient_volume)
+                              quotient_R, quotient_volume,
+                              reduce_points_arrays)
 from hypercut.spectral import clt_constants
 from hypercut.torus import TorusConfig, torus_l1
+from hypercut.walks import map_blocks, stream
 
 MOD_AREA = math.pi / 3.0
 
@@ -72,6 +77,152 @@ class TestCellPartition:
         assert np.all(cells == ids[0])
 
 
+def reference_tv_profile(q, x0, r1, k_grid, n_walkers, seed, n_boot=200):
+    """The earlier tv_profile core: each block runs all its steps into a
+    (grid points x cells) count array, then the bootstrap runs serially."""
+    partition = default_partition(q)
+    ctx = modq_context(q)
+    start_sheet = ctx.index[x0.sheet.key()]
+    k_grid = sorted(set(int(k) for k in k_grid))
+    n_cells = partition.n_cells
+
+    def run_block(b, lo, hi):
+        rng = stream(seed, tag=2, block=b)
+        m = hi - lo
+        x = np.full(m, x0.base.x)
+        y = np.full(m, x0.base.y)
+        sheets = np.full(m, start_sheet, dtype=np.int64)
+        counts = np.zeros((len(k_grid), n_cells), dtype=np.int64)
+        slot = 0
+        if k_grid[0] == 0:
+            counts[0] = np.bincount(partition.cells_of(x, y, sheets),
+                                    minlength=n_cells)
+            slot = 1
+        for step in range(1, k_grid[-1] + 1):
+            theta = rng.uniform(0.0, math.pi, m)
+            x, y = sphere_step_arrays(x, y, r1, theta)
+            x, y, sheets = reduce_points_arrays(x, y, sheets, ctx)
+            if slot < len(k_grid) and k_grid[slot] == step:
+                counts[slot] = np.bincount(partition.cells_of(x, y, sheets),
+                                           minlength=n_cells)
+                slot += 1
+        return counts
+
+    counts = np.sum(map_blocks(run_block, n_walkers, 1,
+                               block=mixing.TV_BLOCK), axis=0)
+    pi = partition.cell_probabilities()
+    n = n_walkers
+    tv = np.abs(counts / n - pi).sum(axis=1)
+    boot_rng = stream(seed, tag=3)
+    lo = np.empty_like(tv)
+    hi = np.empty_like(tv)
+    for i in range(len(k_grid)):
+        resampled = boot_rng.multinomial(n, counts[i] / n, size=n_boot)
+        tv_boot = np.abs(resampled / n - pi).sum(axis=1)
+        lo[i], hi[i] = np.percentile(tv_boot, [2.5, 97.5])
+    return tv, lo, hi
+
+
+# more than two full walker blocks plus a partial one
+PIPELINE_N = 140_000
+PIPELINE_KS = (0, 1, 3, 6)
+
+
+@pytest.fixture(scope="module")
+def reference_profile():
+    assert PIPELINE_N > 2 * mixing.TV_BLOCK
+    assert PIPELINE_N % mixing.TV_BLOCK
+    return reference_tv_profile(2, origin(2), 1.0, PIPELINE_KS, PIPELINE_N,
+                                seed=21)
+
+
+def assert_same_profile(prof, reference):
+    tv, lo, hi = reference
+    assert np.array_equal(prof.tv, tv)
+    assert np.array_equal(prof.ci_lo, lo)
+    assert np.array_equal(prof.ci_hi, hi)
+
+
+class TestTvPipeline:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bit_identical_to_reference(self, workers, reference_profile):
+        prof = tv_profile(2, origin(2), 1.0, PIPELINE_KS, PIPELINE_N,
+                          seed=21, workers=workers)
+        assert list(prof.ks) == list(PIPELINE_KS)
+        assert_same_profile(prof, reference_profile)
+
+    def test_stress_with_short_switch_interval(self, reference_profile):
+        # frequent thread switches between the walker blocks and the
+        # bootstrap thread must not change a byte; a deadlock fails the
+        # join instead of hanging the suite
+        result = {}
+
+        def run():
+            try:
+                result["prof"] = tv_profile(2, origin(2), 1.0, PIPELINE_KS,
+                                            PIPELINE_N, seed=21, workers=4)
+            except BaseException as exc:
+                result["error"] = exc
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            worker = threading.Thread(target=run, daemon=True)
+            worker.start()
+            worker.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not worker.is_alive(), "tv_profile did not finish in 120 s"
+        assert "error" not in result, result.get("error")
+        assert_same_profile(result["prof"], reference_profile)
+
+    def test_queued_bootstraps_share_one_thread(self, monkeypatch,
+                                                reference_profile):
+        # hold every histogram back until the walk ends, so all bootstrap
+        # jobs are queued at once, and record which thread draws each
+        threads = []
+        real_stream, real_walk = mixing.stream, mixing._walk_histograms
+
+        class Recorder:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def multinomial(self, *args, **kwargs):
+                threads.append(threading.get_ident())
+                return self.rng.multinomial(*args, **kwargs)
+
+        def recording_stream(seed, tag, block=0):
+            rng = real_stream(seed, tag, block)
+            return Recorder(rng) if tag == 3 else rng
+
+        def walk_then_emit(*args):
+            *head, emit = args
+            held = []
+            ks = real_walk(*head, held.append)
+            for counts in held:
+                emit(counts)
+            return ks
+
+        monkeypatch.setattr(mixing, "stream", recording_stream)
+        monkeypatch.setattr(mixing, "_walk_histograms", walk_then_emit)
+        prof = tv_profile(2, origin(2), 1.0, PIPELINE_KS, PIPELINE_N,
+                          seed=21, workers=2)
+        assert len(set(threads)) == 1
+        assert threading.get_ident() not in threads
+        assert_same_profile(prof, reference_profile)
+
+    @pytest.mark.parametrize("n_walkers,n_boot", [(0, 200), (-5, 200),
+                                                  (1000, 0), (1000, -1)])
+    def test_bad_counts_refused_before_any_thread(self, monkeypatch,
+                                                  n_walkers, n_boot):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(mixing, "ThreadPoolExecutor", no_threads)
+        with pytest.raises(ConfigError):
+            tv_profile(2, origin(2), 1.0, [0, 1], n_walkers, n_boot=n_boot)
+
+
 class TestTvProfile:
     def test_initial_tv_is_point_mass_value(self):
         part = default_partition(2)
@@ -97,6 +248,7 @@ class TestTvProfile:
                        workers=3)
         assert np.array_equal(a.tv, b.tv)
         assert np.array_equal(a.ci_lo, b.ci_lo)
+        assert np.array_equal(a.ci_hi, b.ci_hi)
 
     def test_cover_group_start_invariance(self):
         # moving the start sheet by a deck transformation relabels cells

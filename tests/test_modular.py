@@ -243,6 +243,16 @@ class TestEnumeration:
         assert np.array_equal(got, expected)
         assert np.array_equal(enum.norm2, (expected ** 2).sum(axis=1))
 
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_packed_key_orders_match_lexsort_at_bound_8(self, q):
+        enum = PSLZEnumeration(8.0)
+        rows = np.lexsort((enum.d, enum.c, enum.b, enum.a))
+        assert np.array_equal(rows, np.arange(enum.size))
+        labels = enum.coset_labels(q)
+        members = np.concatenate([enum.members_of(q, i)
+                                  for i in range(modq_context(q).size)])
+        assert np.array_equal(members, np.lexsort((enum.norm2, labels)))
+
 
 class TestQuotientDistance:
     def test_zero_at_same_point(self):
