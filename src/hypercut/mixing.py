@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ResolutionError
+from .errors import CapacityError, ConfigError, ResolutionError
 from .geometry import PointH, ball_volume, sphere_step_arrays
 from .modular import (MODULAR_AREA, QuotientPoint, injectivity_radius,
                       modq_context, quotient_distances_from, quotient_R,
@@ -26,6 +26,9 @@ from .modular import (MODULAR_AREA, QuotientPoint, injectivity_radius,
 from .walks import map_blocks, stream
 
 TV_BLOCK = 1 << 16
+# tv_profile keeps every walker's x, y and sheet (24 bytes) for the whole walk
+TV_WALKER_BYTES = 24
+TV_STATE_CAP_BYTES = 1 << 30
 # bootstrap resamples per multinomial call; bounds the bootstrap's memory
 BOOT_ROWS = 32
 EPS_GRID = (1.9, 1.5, 1.0, 0.5, 0.1)
@@ -182,13 +185,13 @@ class TVProfile:
     seed: int
 
 
-def _walk_histograms(q, x0, r1, k_grid, n_walkers, partition, seed, threads,
+def _walk_histograms(q, x0, r1, k_grid, n_walkers, partition, seed, workers,
                      emit):
-    """Advance every walker block one step at a time, on ``threads()``
-    block threads per step, and pass each grid step's cell counts, summed
-    over blocks, to ``emit`` as soon as that step ends.  Block b draws from
-    stream(seed, 2, b) in step order, so the counts do not depend on the
-    thread counts.  Returns the sorted grid."""
+    """Advance every walker block one step at a time, on ``workers``
+    block threads, and pass each grid step's cell counts, summed over
+    blocks, to ``emit`` as soon as that step ends.  Block b draws from
+    stream(seed, 2, b) in step order, so the counts do not depend on
+    ``workers``.  Returns the sorted grid."""
     ctx = modq_context(q)
     start_sheet = ctx.index[x0.sheet.key()]
     k_grid = sorted(set(int(k) for k in k_grid))
@@ -218,7 +221,7 @@ def _walk_histograms(q, x0, r1, k_grid, n_walkers, partition, seed, threads,
     for step in range(1, max(k_grid, default=0) + 1):
         record = step in grid
         parts = map_blocks(lambda b, lo, hi: advance(b, lo, hi, record),
-                           n_walkers, threads(), block=TV_BLOCK)
+                           n_walkers, workers, block=TV_BLOCK)
         if record:
             emit(np.sum(parts, axis=0))
     return k_grid
@@ -231,17 +234,21 @@ def tv_profile(q: int, x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
     """Plug-in estimate of || walk law at step k - uniform ||_1 on the
     level-q quotient, with a walker bootstrap CI per grid point.
 
-    The bootstrap of each grid point runs on one extra thread while the
-    walk goes on: with ``workers`` block threads while the bootstrap keeps
-    up, with max(1, workers - 1) once two of its jobs wait.  Its stream
+    The walk runs on ``workers`` block threads, and the bootstrap of each
+    grid point on one extra thread while the walk goes on.  Its stream
     stream(seed, 3) is drawn in grid order, so the result does not depend
     on ``workers``.
 
-    Preconditions enforced: the start point has injectivity radius at least
-    r0_floor, and no cell exceeds mu(X)/1000.
+    Preconditions enforced: the walker state fits in TV_STATE_CAP_BYTES,
+    the start point has injectivity radius at least r0_floor, and no cell
+    exceeds mu(X)/1000.
     """
     if n_walkers < 1 or n_boot < 1:
         raise ConfigError("need n_walkers >= 1 and n_boot >= 1")
+    if n_walkers * TV_WALKER_BYTES > TV_STATE_CAP_BYTES:
+        raise CapacityError(
+            f"{n_walkers} walkers need {n_walkers * TV_WALKER_BYTES} bytes of"
+            f" walker state, over the cap of {TV_STATE_CAP_BYTES}")
     if x0.q != q:
         raise ConfigError("start point lives on a different quotient")
     inj = injectivity_radius(x0, r_max=max(4.0, 2.5 * r0_floor))
@@ -271,15 +278,9 @@ def tv_profile(q: int, x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
     pool = ThreadPoolExecutor(max_workers=1)
     futures = []
 
-    def walker_threads():
-        # once the bootstrap lags, its serial chain sets the wall time:
-        # leave it a core of its own
-        backlog = sum(not f.done() for f in futures)
-        return workers if backlog <= 1 else max(1, workers - 1)
-
     try:
         ks = _walk_histograms(
-            q, x0, r1, k_grid, n_walkers, partition, seed, walker_threads,
+            q, x0, r1, k_grid, n_walkers, partition, seed, workers,
             lambda counts: futures.append(pool.submit(bootstrap, counts)))
         rows = [f.result() for f in futures]
     finally:

@@ -120,6 +120,10 @@ class TestExitCodes:
                      flag, value, "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_tv_walker_state_over_cap_is_capacity_error(self, tmp_path):
+        assert main(["tv", "--q", "2", "--k-max", "2", "--n", "50000000",
+                     "--out", str(tmp_path)]) == 3
+
 
 class TestTrajectoryDump:
     def test_last_step_matches_walk_discrete(self):

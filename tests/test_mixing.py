@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hypercut import mixing
-from hypercut.errors import ConfigError
+from hypercut.errors import CapacityError, ConfigError
 from hypercut.geometry import PointH, ball_volume, sphere_step_arrays
 from hypercut.mixing import (CellPartition, ConcentrationReport,
                              concentration_fit, cutoff_locator,
@@ -221,6 +221,19 @@ class TestTvPipeline:
         monkeypatch.setattr(mixing, "ThreadPoolExecutor", no_threads)
         with pytest.raises(ConfigError):
             tv_profile(2, origin(2), 1.0, [0, 1], n_walkers, n_boot=n_boot)
+
+    def test_walker_state_over_cap_refused_before_allocating(self,
+                                                              monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("tv_profile went past its capacity check")
+
+        monkeypatch.setattr(mixing, "injectivity_radius", no_allocation)
+        monkeypatch.setattr(mixing, "ThreadPoolExecutor", no_allocation)
+        n_max = mixing.TV_STATE_CAP_BYTES // mixing.TV_WALKER_BYTES
+        with pytest.raises(CapacityError):
+            tv_profile(2, origin(2), 1.0, [0, 1], n_max + 1)
+        with pytest.raises(AssertionError, match="capacity check"):
+            tv_profile(2, origin(2), 1.0, [0, 1], n_max)
 
 
 class TestTvProfile:
