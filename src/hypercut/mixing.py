@@ -28,6 +28,7 @@ from .walks import map_blocks, stream
 TV_BLOCK = 1 << 16
 # tv_profile keeps every walker's x, y and sheet (24 bytes) for the whole walk
 TV_WALKER_BYTES = 24
+# cap on all tv_profile may hold at once (see _tv_held_bytes)
 TV_STATE_CAP_BYTES = 1 << 30
 # bootstrap resamples per multinomial call; bounds the bootstrap's memory
 BOOT_ROWS = 32
@@ -227,6 +228,26 @@ def _walk_histograms(q, x0, r1, k_grid, n_walkers, partition, seed, workers,
     return k_grid
 
 
+def _tv_held_bytes(n_walkers: int, n_grid: int = 0, n_cells: int = 0) -> int:
+    """Upper bound on what tv_profile holds at once: every walker's state;
+    one step's per-block int64 histograms and their stacked sum; every grid
+    step's histogram, which may all wait for the bootstrap; and one
+    bootstrap chunk of BOOT_ROWS resamples, drawn as int64 and scaled
+    through three float64 temporaries."""
+    n_blocks = -(-n_walkers // TV_BLOCK)
+    return (n_walkers * TV_WALKER_BYTES
+            + 8 * n_cells * (2 * n_blocks + n_grid + 4 * BOOT_ROWS))
+
+
+def _check_tv_capacity(n_walkers: int, n_grid: int = 0,
+                       n_cells: int = 0) -> None:
+    held = _tv_held_bytes(n_walkers, n_grid, n_cells)
+    if held > TV_STATE_CAP_BYTES:
+        raise CapacityError(
+            f"{n_walkers} walkers, {n_grid} grid points and {n_cells} cells"
+            f" need {held} bytes, over the cap of {TV_STATE_CAP_BYTES}")
+
+
 def tv_profile(q: int, x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
                partition: CellPartition | None = None, seed: int = 0,
                workers: int = 1, n_boot: int = 200,
@@ -239,16 +260,14 @@ def tv_profile(q: int, x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
     stream(seed, 3) is drawn in grid order, so the result does not depend
     on ``workers``.
 
-    Preconditions enforced: the walker state fits in TV_STATE_CAP_BYTES,
-    the start point has injectivity radius at least r0_floor, and no cell
-    exceeds mu(X)/1000.
+    Preconditions enforced: the walker state, and then the walker state
+    with the histograms and bootstrap chunks of the partition, fit in
+    TV_STATE_CAP_BYTES; the start point has injectivity radius at least
+    r0_floor; and no cell exceeds mu(X)/1000.
     """
     if n_walkers < 1 or n_boot < 1:
         raise ConfigError("need n_walkers >= 1 and n_boot >= 1")
-    if n_walkers * TV_WALKER_BYTES > TV_STATE_CAP_BYTES:
-        raise CapacityError(
-            f"{n_walkers} walkers need {n_walkers * TV_WALKER_BYTES} bytes of"
-            f" walker state, over the cap of {TV_STATE_CAP_BYTES}")
+    _check_tv_capacity(n_walkers)
     if x0.q != q:
         raise ConfigError("start point lives on a different quotient")
     inj = injectivity_radius(x0, r_max=max(4.0, 2.5 * r0_floor))
@@ -257,6 +276,8 @@ def tv_profile(q: int, x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
             f"start point has injectivity radius {inj.value:.3g} < {r0_floor}")
     if partition is None:
         partition = default_partition(q)
+    k_grid = sorted(set(int(k) for k in k_grid))
+    _check_tv_capacity(n_walkers, len(k_grid), partition.n_cells)
     if partition.max_cell_fraction() > 1.0 / 1000.0 + 1e-12:
         raise ResolutionError("partition has a cell above mu(X)/1000")
     pi = partition.cell_probabilities()

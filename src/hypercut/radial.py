@@ -135,6 +135,29 @@ class RadialMeasure:
         return cls(grid, d * width)
 
 
+# rows of the kernel CDF evaluated per pass of in-place ufuncs, so that each
+# pass works on a cache-resident tile instead of a whole block
+KERNEL_TILE_ROWS = 64
+
+
+def _kernel_cdf(out, num_old, cosh_new, den_old):
+    """The law-of-cosines kernel CDF written into ``out`` in place:
+    acos(clip((num_old - cosh_new) / den_old, -1, 1)) / pi, with
+    num_old = cosh r_old cosh r_step and den_old = sinh r_old sinh r_step
+    broadcast against cosh_new = cosh r_new.  Where den_old is not positive
+    the argument is +-2 by the sign of the numerator, a step function."""
+    np.subtract(num_old, cosh_new, out=out)
+    pos = den_old > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(out, np.where(pos, den_old, 1.0), out=out)
+    if not np.all(pos):
+        np.copyto(out, np.where(out > 0.0, 2.0, -2.0), where=~pos)
+    np.clip(out, -1.0, 1.0, out=out)
+    np.arccos(out, out=out)
+    np.divide(out, math.pi, out=out)
+    return out
+
+
 def step_kernel_cdf(r_new, r_old, r_step):
     """P(distance after one step of length r_step from radius r_old <= r_new)
     for a uniform direction angle; vectorized over r_new and r_old.
@@ -144,12 +167,9 @@ def step_kernel_cdf(r_new, r_old, r_step):
     """
     r_new = np.asarray(r_new, dtype=float)
     r_old = np.asarray(r_old, dtype=float)
-    den = np.sinh(r_old) * np.sinh(r_step)
-    num = np.cosh(r_old) * math.cosh(r_step) - np.cosh(r_new)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        arg = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
-                       np.where(num > 0.0, 2.0, -2.0))
-    return np.arccos(np.clip(arg, -1.0, 1.0)) / math.pi
+    out = np.empty(np.broadcast_shapes(r_new.shape, r_old.shape))
+    return _kernel_cdf(out, np.cosh(r_old) * math.cosh(r_step),
+                       np.cosh(r_new), np.sinh(r_old) * np.sinh(r_step))[()]
 
 
 def convolve_step(measure: RadialMeasure, r_step: float,
@@ -158,17 +178,28 @@ def convolve_step(measure: RadialMeasure, r_step: float,
     measure.  The new CDF at each edge is the mass-weighted kernel CDF; the
     midpoint rule over cells is exact in the masses and second order in the
     smooth kernel.
+
+    The kernel rows of one block fill a single buffer, KERNEL_TILE_ROWS at a
+    time, and each block is reduced by one product, so the sums round as a
+    whole-block evaluation would.
     """
     if out_grid is None:
         out_grid = default_grid(measure.grid.r_max + r_step)
     edges = out_grid.edges
     centers = measure.grid.centers
+    cosh_edges = np.cosh(edges)
+    num = np.cosh(centers) * math.cosh(r_step)
+    den = np.sinh(centers) * np.sinh(r_step)
     cdf = np.zeros_like(edges)
     block = max(1, 20_000_000 // max(len(edges), 1))
+    buf = np.empty((min(block, len(centers)), len(edges)))
     for lo in range(0, len(centers), block):
-        sl = slice(lo, lo + block)
-        k = step_kernel_cdf(edges[None, :], centers[sl, None], r_step)
-        cdf += measure.masses[sl] @ k
+        hi = min(lo + block, len(centers))
+        for t in range(lo, hi, KERNEL_TILE_ROWS):
+            u = min(t + KERNEL_TILE_ROWS, hi)
+            _kernel_cdf(buf[t - lo:u - lo], num[t:u, None], cosh_edges,
+                        den[t:u, None])
+        cdf += measure.masses[lo:hi] @ buf[:hi - lo]
     total = measure.total_mass()
     if total > 0:
         cdf /= total

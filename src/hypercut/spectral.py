@@ -30,6 +30,8 @@ from .quadrature import panel_nodes, trapezoid_doubling
 from .radial import RadialGrid, RadialMeasure, convolve_step, default_grid
 
 _R_CAP = 600.0
+# radii per chunk of the heat-density integrand (x 768 quadrature nodes)
+HEAT_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -342,6 +344,16 @@ def heat_envelope(t: float, r):
     return r / (t * np.sqrt(1.0 + r + t)) * np.exp(-((r - t) ** 2) / (4.0 * t))
 
 
+def _row_chunks(n: int, size: int):
+    """(lo, hi) chunks of at most ``size`` rows, except that a lone last row
+    joins the chunk before it: numpy reduces a one-row matrix-vector product
+    through a dot routine that rounds differently."""
+    bounds = list(range(0, n, size)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds[:-1], bounds[1:])
+
+
 def _heat_density_exact(t: float, r: np.ndarray) -> np.ndarray:
     """Radial density of the time-t heat flow, through the classical
     integral form
@@ -350,7 +362,8 @@ def _heat_density_exact(t: float, r: np.ndarray) -> np.ndarray:
                   * int_r^inf s e^{-s^2/4t} / sqrt(cosh s - cosh r) ds,
 
     regularized by s = r + v^2.  Exactly normalized; the discretization is
-    renormalized downstream anyway.
+    renormalized downstream anyway.  The (radii x nodes) integrand is built
+    HEAT_CHUNK_ROWS radii at a time.
     """
     r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)
@@ -358,14 +371,17 @@ def _heat_density_exact(t: float, r: np.ndarray) -> np.ndarray:
     rp = r[pos]
     v_hi = np.sqrt(np.sqrt(rp * rp + 220.0 * t) + 4.0 * math.sqrt(t) - rp)
     u, w = panel_nodes(0.0, 1.0, 48)
-    v = v_hi[:, None] * u[None, :]
-    s = rp[:, None] + v * v
-    den = np.sqrt(2.0 * np.sinh((s + rp[:, None]) / 2.0)
-                  * np.sinh(np.maximum((s - rp[:, None]) / 2.0, 0.0)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integrand = np.where(den > 0.0, 2.0 * v * s
-                             * np.exp(-s * s / (4.0 * t)) / den, 0.0)
-    integral = (integrand @ w) * v_hi
+    integral = np.empty_like(rp)
+    for lo, hi in _row_chunks(len(rp), HEAT_CHUNK_ROWS):
+        rc = rp[lo:hi, None]
+        v = v_hi[lo:hi, None] * u[None, :]
+        s = rc + v * v
+        den = np.sqrt(2.0 * np.sinh((s + rc) / 2.0)
+                      * np.sinh(np.maximum((s - rc) / 2.0, 0.0)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            integrand = np.where(den > 0.0, 2.0 * v * s
+                                 * np.exp(-s * s / (4.0 * t)) / den, 0.0)
+        integral[lo:hi] = (integrand @ w) * v_hi[lo:hi]
     const = math.exp(-t / 4.0) / (2.0 ** 1.5 * math.sqrt(math.pi) * t ** 1.5)
     out[pos] = np.sinh(rp) * const * integral
     return out

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import NumericRangeError
 
@@ -109,6 +107,9 @@ def torus_l1(cfg: TorusConfig, via_quadrature: bool = True) -> float:
     Fourier antiderivative gives the same value in closed form and is used
     as the cross-check (and the fallback for extreme rates).
     """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     dev = lambda x: torus_density(cfg, x) - 1.0
     hi = dev(0.0)
     if hi <= 0.0:  # numerically flat already
@@ -143,6 +144,8 @@ def mixing_time(lam: float, eps: float) -> float:
 
     The sandwich brackets the root: rate in [ln(1/eps) - 1, ln(1/eps) + 2].
     """
+    from scipy.optimize import brentq
+
     if not 0.0 < eps < 2.0:
         raise ValueError("eps must lie in (0, 2)")
     f = lambda rate: torus_l1(TorusConfig(1.0, rate), via_quadrature=False) - eps

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hypercut
+from hypercut import mixing
 from hypercut.cli import _trajectory_rows, main
 from hypercut.walks import BLOCK, WalkConfig, walk_discrete
 
@@ -123,6 +127,28 @@ class TestExitCodes:
     def test_tv_walker_state_over_cap_is_capacity_error(self, tmp_path):
         assert main(["tv", "--q", "2", "--k-max", "2", "--n", "50000000",
                      "--out", str(tmp_path)]) == 3
+
+    def test_tv_histograms_over_cap_is_capacity_error(self, tmp_path,
+                                                      monkeypatch):
+        # 1000 walkers take 24 kB; the 1890 cells' histograms and bootstrap
+        # chunks do not fit in 1 MB
+        monkeypatch.setattr(mixing, "TV_STATE_CAP_BYTES", 1 << 20)
+        assert main(["tv", "--q", "2", "--k-max", "2", "--n", "1000",
+                     "--out", str(tmp_path)]) == 3
+        assert not (tmp_path / "tv.csv").exists()
+
+
+class TestColdStart:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is imported where it is used, so subcommands that never
+        # reach it do not pay for loading it
+        code = ("import sys, hypercut.cli; print(sorted(m for m in "
+                "sys.modules if m.split('.')[0] == 'scipy'))")
+        src = os.path.dirname(os.path.dirname(hypercut.__file__))
+        done = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.stdout.strip() == "[]"
 
 
 class TestTrajectoryDump:

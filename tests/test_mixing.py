@@ -235,6 +235,42 @@ class TestTvPipeline:
         with pytest.raises(AssertionError, match="capacity check"):
             tv_profile(2, origin(2), 1.0, [0, 1], n_max)
 
+    def test_histograms_and_bootstrap_over_cap_refused_before_allocating(
+            self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("tv_profile went past its capacity check")
+
+        monkeypatch.setattr(mixing, "_walk_histograms", no_allocation)
+        monkeypatch.setattr(mixing, "ThreadPoolExecutor", no_allocation)
+        n_cells = default_partition(2).n_cells
+        ks, n = range(0, 41), 1000
+        held = mixing._tv_held_bytes(n, len(ks), n_cells)
+        # each queued k-histogram, and one bootstrap chunk of int64 draws,
+        # count on top of the walker state
+        assert (mixing._tv_held_bytes(n, len(ks) + 1, n_cells) - held
+                == 8 * n_cells)
+        assert (mixing._tv_held_bytes(n, 0, n_cells)
+                - n * mixing.TV_WALKER_BYTES
+                >= 8 * n_cells * mixing.BOOT_ROWS)
+        monkeypatch.setattr(mixing, "TV_STATE_CAP_BYTES", held - 1)
+        with pytest.raises(CapacityError):
+            tv_profile(2, origin(2), 1.0, ks, n)
+        monkeypatch.setattr(mixing, "TV_STATE_CAP_BYTES", held)
+        with pytest.raises(AssertionError, match="capacity check"):
+            tv_profile(2, origin(2), 1.0, ks, n)
+
+    def test_capacity_estimate_at_benchmark_and_cap_sizes(self):
+        cap = mixing.TV_STATE_CAP_BYTES
+        n_cells = default_partition(5).n_cells
+        assert n_cells == 3000
+        # the tv_cutoff benchmark run (2e5 walkers, 43 grid points) and
+        # criterion 10's 1e6 walkers sit far below the cap
+        assert mixing._tv_held_bytes(200_000, 43, n_cells) < cap / 100
+        assert mixing._tv_held_bytes(1_000_000, 43, n_cells) < cap / 20
+        # at q = 101: |PSL2(Z/101)| = 515100 sheets of at least 9 base
+        # cells; one bootstrap chunk alone is over the cap
+        assert mixing._tv_held_bytes(1, 1, 515_100 * 9) > cap
+
 
 class TestTvProfile:
     def test_initial_tv_is_point_mass_value(self):

@@ -6,6 +6,7 @@ import pytest
 from hypercut.errors import ResolutionError
 from hypercut.radial import (RadialGrid, RadialMeasure, convolve,
                              convolve_step, default_grid, step_kernel_cdf)
+from hypercut.spectral import radial_mixture, two_step_cdf
 
 
 def test_grid_validation():
@@ -102,3 +103,81 @@ def test_sup_cdf_gap_metric():
     g = RadialGrid(0.0, 1.0, 100)
     a = RadialMeasure.from_cdf(g, lambda r: np.clip(r, 0, 1))
     assert a.sup_cdf_gap(a) == 0.0
+
+
+# Reference copies of the kernel and of convolve_step as whole-block array
+# expressions, before the tiled in-place evaluation.  The tiled path must
+# give the same bits.
+def reference_step_kernel_cdf(r_new, r_old, r_step):
+    r_new = np.asarray(r_new, dtype=float)
+    r_old = np.asarray(r_old, dtype=float)
+    den = np.sinh(r_old) * np.sinh(r_step)
+    num = np.cosh(r_old) * math.cosh(r_step) - np.cosh(r_new)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
+                       np.where(num > 0.0, 2.0, -2.0))
+    return np.arccos(np.clip(arg, -1.0, 1.0)) / math.pi
+
+
+def reference_convolve_step(measure, r_step, out_grid=None):
+    if out_grid is None:
+        out_grid = default_grid(measure.grid.r_max + r_step)
+    edges = out_grid.edges
+    centers = measure.grid.centers
+    cdf = np.zeros_like(edges)
+    block = max(1, 20_000_000 // max(len(edges), 1))
+    for lo in range(0, len(centers), block):
+        sl = slice(lo, lo + block)
+        k = reference_step_kernel_cdf(edges[None, :], centers[sl, None],
+                                      r_step)
+        cdf += measure.masses[sl] @ k
+    total = measure.total_mass()
+    if total > 0:
+        cdf /= total
+    cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
+    return RadialMeasure(out_grid, np.diff(cdf) * total)
+
+
+def reference_mixture_masses(k_max, r1):
+    """Masses of the k-step radial laws, k = 3..k_max, built on the default
+    grids as radial_mixture builds them, with reference_convolve_step."""
+    measure = RadialMeasure.from_cdf(default_grid(2.0 * r1),
+                                     lambda r: two_step_cdf(r, r1))
+    laws = {}
+    for j in range(3, k_max + 1):
+        measure = reference_convolve_step(measure, r1, default_grid(j * r1))
+        laws[j] = measure.masses
+    return laws
+
+
+@pytest.mark.parametrize("r_step", [0.0, 0.7])
+def test_step_kernel_cdf_matches_reference(r_step):
+    # includes r_old = 0 and r_step = 0, where the kernel is a step function
+    r_new = np.linspace(0.0, 4.0, 301)[None, :]
+    r_old = np.linspace(0.0, 3.0, 97)[:, None]
+    assert np.array_equal(step_kernel_cdf(r_new, r_old, r_step),
+                          reference_step_kernel_cdf(r_new, r_old, r_step))
+    for a, b in ((0.69, 0.0), (1.8, 1.5), (0.1, 2.0)):
+        got = step_kernel_cdf(a, b, r_step)
+        assert np.ndim(got) == 0
+        assert got == reference_step_kernel_cdf(a, b, r_step)
+
+
+@pytest.mark.parametrize("r_step", [0.0, 0.6])
+def test_convolve_step_matches_reference_across_blocks(r_step):
+    # 5001 edges make blocks of 3999 rows, so 7999 cells run two full
+    # blocks and a one-row partial block, each with a partial last tile
+    m = RadialMeasure.from_cdf(RadialGrid(0.0, 2.0, 7999),
+                               lambda r: (r / 2.0) ** 2)
+    out_grid = RadialGrid(0.0, 2.0 + r_step, 5000)
+    assert 20_000_000 // len(out_grid.edges) == 3999
+    got = convolve_step(m, r_step, out_grid)
+    assert np.array_equal(got.masses,
+                          reference_convolve_step(m, r_step, out_grid).masses)
+
+
+@pytest.mark.parametrize("r1", [0.3, 1.0, 2.5])
+def test_radial_mixture_matches_reference(r1):
+    laws = reference_mixture_masses(6, r1)
+    for k in range(3, 7):
+        assert np.array_equal(radial_mixture(k, r1).masses, laws[k])

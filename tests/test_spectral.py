@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
+import hypercut
+from hypercut import spectral
 from hypercut.errors import ResolutionError
+from hypercut.quadrature import panel_nodes
 from hypercut.radial import RadialGrid, RadialMeasure, convolve
 from hypercut.spectral import (CltConstants, SphericalParam, clt_constants,
                                complementary_lower_envelope,
@@ -241,6 +247,76 @@ class TestRadialMixture:
         assert m4.sup_cdf_gap(paired) <= 1e-3
 
 
+# Reference copy of the heat density as one (radii x nodes) array
+# expression, before the chunked evaluation.  The chunked path must give the
+# same bits.
+def reference_heat_density_exact(t, r):
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    pos = r > 0.0
+    rp = r[pos]
+    v_hi = np.sqrt(np.sqrt(rp * rp + 220.0 * t) + 4.0 * math.sqrt(t) - rp)
+    u, w = panel_nodes(0.0, 1.0, 48)
+    v = v_hi[:, None] * u[None, :]
+    s = rp[:, None] + v * v
+    den = np.sqrt(2.0 * np.sinh((s + rp[:, None]) / 2.0)
+                  * np.sinh(np.maximum((s - rp[:, None]) / 2.0, 0.0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        integrand = np.where(den > 0.0, 2.0 * v * s
+                             * np.exp(-s * s / (4.0 * t)) / den, 0.0)
+    integral = (integrand @ w) * v_hi
+    const = math.exp(-t / 4.0) / (2.0 ** 1.5 * math.sqrt(math.pi) * t ** 1.5)
+    out[pos] = np.sinh(rp) * const * integral
+    return out
+
+
+HEAT_TIMES = (0.01, 0.5, 4.0, 25.0)
+SWEEP_T = 2.0
+
+
+def sweep_radii():
+    """Sorted radius arrays of every length from 1 to 600; every seventh
+    starts at r = 0, where the density is set to zero."""
+    rng = np.random.default_rng(5)
+    for n in range(1, 601):
+        r = np.sort(rng.uniform(0.0, 12.0, n))
+        if n % 7 == 0:
+            r[0] = 0.0
+        yield r
+
+
+REFERENCE_CHILD = """
+import sys
+import numpy as np
+import test_spectral as ts
+from hypercut import spectral
+spectral._heat_density_exact = ts.reference_heat_density_exact
+out = {f"t{t!r}": spectral.heat_radial_density(t).masses
+       for t in ts.HEAT_TIMES}
+out.update({f"n{len(r)}": ts.reference_heat_density_exact(ts.SWEEP_T, r)
+            for r in ts.sweep_radii()})
+np.savez(sys.argv[1], **out)
+"""
+
+
+@pytest.fixture(scope="module")
+def reference_heat(tmp_path_factory):
+    """The reference densities, computed in a child process with one BLAS
+    thread.  The reference's single matrix-vector product over thousands of
+    radii is split across BLAS threads by row count, which changes how it
+    rounds; the chunked products are not split that way, so they must match
+    the one-thread reference at any BLAS thread count."""
+    path = tmp_path_factory.mktemp("heat") / "reference.npz"
+    src = os.path.dirname(os.path.dirname(hypercut.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    subprocess.run([sys.executable, "-c", REFERENCE_CHILD, str(path)],
+                   env=env, check=True)
+    with np.load(path) as data:
+        return dict(data)
+
+
 class TestHeatKernel:
     def test_time_floor(self):
         with pytest.raises(ResolutionError):
@@ -280,6 +356,18 @@ class TestHeatKernel:
             * np.tanh(math.pi * s_nodes) * s_w
         spectral_route = np.sinh(radii) * (weight @ table)
         assert np.allclose(m.density[idx], spectral_route, rtol=2e-5)
+
+    def test_matches_reference_at_every_length(self, reference_heat):
+        # covers chunk ends at 256 and 512 rows and a lone last row at 257
+        # and 513, which joins the chunk before it
+        for r in sweep_radii():
+            assert np.array_equal(spectral._heat_density_exact(SWEEP_T, r),
+                                  reference_heat[f"n{len(r)}"]), len(r)
+
+    @pytest.mark.parametrize("t", HEAT_TIMES)
+    def test_matches_reference_on_default_grid(self, reference_heat, t):
+        assert np.array_equal(heat_radial_density(t).masses,
+                              reference_heat[f"t{t!r}"])
 
     def test_semigroup_property(self):
         t = 1.0

@@ -115,6 +115,20 @@ class TestCltCheck:
         assert ad_statistic_normal(x) < AD_CRIT_1PCT
         assert ad_statistic_normal(x + 0.05) > AD_CRIT_1PCT
 
+    def test_ad_statistic_matches_scipy_stats_formula(self):
+        # the statistic as written with scipy.stats' norm.logcdf and
+        # norm.logsf, over normal samples and a wide sweep into both tails
+        rng = np.random.default_rng(56)
+        for x in (rng.standard_normal(50_000), rng.standard_normal(999) + 0.3,
+                  np.linspace(-38.0, 38.0, 100_001)):
+            xs = np.sort(x)
+            n = xs.size
+            i = np.arange(1, n + 1)
+            expected = float(-n - np.mean(
+                (2 * i - 1) * (sstats.norm.logcdf(xs)
+                               + sstats.norm.logsf(xs)[::-1])))
+            assert ad_statistic_normal(x) == expected
+
 
 class TestTailChecks:
     def test_refuses_tiny_steps(self):
