@@ -17,6 +17,6 @@ from .spectral import (CltConstants, SphericalParam, clt_constants, hc_bound,
                        p_to_lambda, plancherel_check, radial_mixture,
                        spherical_complementary, spherical_principal)
 from .walks import (WalkConfig, WalkStats, brownian_jump, clt_check,
-                    step_discrete, tail_checks, walk_discrete)
+                    tail_checks, walk_discrete)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

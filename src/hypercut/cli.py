@@ -110,29 +110,6 @@ def _origin_point(q: int) -> QuotientPoint:
     return QuotientPoint(PointH(0.0, 1.0), CosetModQ.identity(q))
 
 
-def _trajectory_rows(wcfg, n_dump: int):
-    """Per-walker paths for the dump file, replaying the ensemble streams
-    so the dumped walkers coincide with the aggregate run."""
-    import math as _math
-
-    from .geometry import log_sphere_step_arrays
-    from .walks import BLOCK, stream as _stream
-    rows = []
-    x = np.full(n_dump, wcfg.z0.x)
-    lny = np.full(n_dump, _math.log(wcfg.z0.y))
-    rng = _stream(wcfg.seed, tag=1, block=0)
-    block_n = min(BLOCK, wcfg.n_walkers)
-    for w in range(n_dump):
-        rows.append((w, 0, float(x[w]), float(np.exp(lny[w]))))
-    for step in range(1, wcfg.k + 1):
-        theta = rng.uniform(0.0, _math.pi, block_n)[:n_dump]
-        x, lny = log_sphere_step_arrays(x, lny, wcfg.r1, theta)
-        for w in range(n_dump):
-            rows.append((w, step, float(x[w]), float(np.exp(lny[w]))))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return rows
-
-
 # --- subcommand handlers -------------------------------------------------
 
 def cmd_constants(args) -> int:
@@ -198,10 +175,12 @@ def cmd_walk(args) -> int:
     t0 = time.monotonic()
     wcfg = WalkConfig(r1=cfg["r1"], k=int(cfg["k"]), n_walkers=int(cfg["n"]),
                       seed=int(cfg["seed"]))
-    stats = walk_discrete(wcfg, workers=_workers(args))
-    if cfg["trajectories"]:
-        n_dump = min(int(cfg["trajectories"]), 512, wcfg.n_walkers)
-        rows = _trajectory_rows(wcfg, n_dump)
+    n_dump = min(int(cfg["trajectories"] or 0), 512, wcfg.n_walkers)
+    stats = walk_discrete(wcfg, workers=_workers(args), paths=n_dump)
+    if n_dump:
+        rows = ((w, step, float(x), float(np.exp(lny)))
+                for w, path in enumerate(stats.paths)
+                for step, (x, lny) in enumerate(path))
         _write_csv(_out_path(args, "walk_trajectories.csv"), _meta(cfg, t0),
                    ["walker", "step", "x", "y"], rows)
     report = {
@@ -438,7 +417,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("walk", r1=(float, "step length"), k=(int, "steps"),
         n=(int, "walkers"), run_clt_check=(bool, "attach normality report"),
         run_tail_checks=(bool, "attach tail reports"),
-        trajectories=(int, "dump this many walker paths as CSV"))
+        trajectories=(int, "dump the paths of this run's first n walkers "
+                           "as CSV"))
     add("tv", q=(int, "congruence level"), r1=(float, "step length"),
         n=(int, "walkers"), k_max=(int, "profile length"),
         cusp_cap=(float, "height cap"), n_boot=(int, "bootstrap resamples"))

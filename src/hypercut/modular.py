@@ -688,73 +688,6 @@ def sample_uniform_quotient(q: int, cusp_cap: float, rng, n: int | None = None):
 
 # --- random covers of the level-2 free subgroup -------------------------
 
-GEN_A = GroupElement(1, 2, 0, 1)
-GEN_B = GroupElement(1, 0, 2, 1)
-
-
-def _nearest_int(p: int, quo: int) -> int:
-    if quo < 0:
-        p, quo = -p, -quo
-    return (2 * p + quo) // (2 * quo)
-
-
-def sanov_reduce(g: GroupElement) -> list[tuple[str, int]]:
-    """Write a level-2 element as the unique reduced word
-    [('A', n1), ('B', n2), ...] in the two free generators.
-
-    Peeling alternates by which column dominates; parity (a, d odd and
-    b, c even) rules out ties, so each division step strictly shrinks the
-    matrix and the loop terminates.
-    """
-    a, b, c, d = g.a, g.b, g.c, g.d
-    if (a % 2, b % 2, c % 2, d % 2) != (1, 0, 0, 1):
-        raise ValueError("element is not in the level-2 subgroup")
-    word: list[tuple[str, int]] = []
-    for _ in range(10_000):
-        if c == 0:
-            if a < 0:
-                a, b, d = -a, -b, -d
-            if b != 0:
-                word.append(("A", b // 2))
-            return word
-        if abs(a) > abs(c):
-            k = _nearest_int(a, 2 * c)
-            if k != 0:
-                word.append(("A", k))
-            a, b = a - 2 * k * c, b - 2 * k * d
-        else:
-            k = _nearest_int(c, 2 * a)
-            if k != 0:
-                word.append(("B", k))
-            c, d = c - 2 * k * a, d - 2 * k * b
-    raise DegeneracyError("word reduction hit iteration cap")
-
-
-def word_to_element(word) -> GroupElement:
-    g = GroupElement.identity()
-    for letter, n in word:
-        base = GEN_A if letter == "A" else GEN_B
-        step = GroupElement.identity()
-        m = abs(n)
-        h = base if n > 0 else base.inv()
-        for _ in range(m):
-            step = step.mul(h)
-        g = g.mul(step)
-    return g
-
-
-def _perm_power(perm: np.ndarray, n: int) -> np.ndarray:
-    out = np.arange(perm.size)
-    base = perm if n >= 0 else np.argsort(perm)
-    n = abs(n)
-    while n:
-        if n & 1:
-            out = base[out]
-        base = base[base]
-        n >>= 1
-    return out
-
-
 @dataclass(frozen=True)
 class RandomCover:
     """A degree-n cover of the level-2 quotient, given by the permutations
@@ -768,21 +701,6 @@ class RandomCover:
         for s in (self.sigma_a, self.sigma_b):
             if sorted(s.tolist()) != list(range(self.n)):
                 raise ValueError("generator images must be permutations")
-
-    def transfer(self, word) -> np.ndarray:
-        """Permutation image of a word (composition left-to-right, i.e.
-        phi(g1 g2) = phi(g1) after phi(g2))."""
-        out = np.arange(self.n)
-        for letter, k in word:
-            sig = self.sigma_a if letter == "A" else self.sigma_b
-            out = out[_perm_power(sig, k)]
-        return out
-
-    def sheet_after(self, sheet: int, g: GroupElement) -> int:
-        """Sheet index after moving by a level-2 element (the walk on the
-        cover updates sheets by the inverse permutation image)."""
-        perm = self.transfer(sanov_reduce(g))
-        return int(np.argsort(perm)[sheet])
 
     def is_transitive(self) -> bool:
         seen = {0}

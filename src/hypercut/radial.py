@@ -172,21 +172,14 @@ def step_kernel_cdf(r_new, r_old, r_step):
                        np.cosh(r_new), np.sinh(r_old) * np.sinh(r_step))[()]
 
 
-def convolve_step(measure: RadialMeasure, r_step: float,
-                  out_grid: RadialGrid | None = None) -> RadialMeasure:
-    """One law-of-cosines step of fixed length r_step applied to a radial
-    measure.  The new CDF at each edge is the mass-weighted kernel CDF; the
-    midpoint rule over cells is exact in the masses and second order in the
-    smooth kernel.
+def _step_cdf_sum(masses, centers, r_step, edges):
+    """Sum over cells of mass times the kernel CDF at each edge: the
+    unnormalized CDF after one step of length r_step from radii ``centers``.
 
     The kernel rows of one block fill a single buffer, KERNEL_TILE_ROWS at a
     time, and each block is reduced by one product, so the sums round as a
     whole-block evaluation would.
     """
-    if out_grid is None:
-        out_grid = default_grid(measure.grid.r_max + r_step)
-    edges = out_grid.edges
-    centers = measure.grid.centers
     cosh_edges = np.cosh(edges)
     num = np.cosh(centers) * math.cosh(r_step)
     den = np.sinh(centers) * np.sinh(r_step)
@@ -199,40 +192,44 @@ def convolve_step(measure: RadialMeasure, r_step: float,
             u = min(t + KERNEL_TILE_ROWS, hi)
             _kernel_cdf(buf[t - lo:u - lo], num[t:u, None], cosh_edges,
                         den[t:u, None])
-        cdf += measure.masses[lo:hi] @ buf[:hi - lo]
-    total = measure.total_mass()
-    if total > 0:
-        cdf /= total
-    cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
-    masses = np.diff(cdf) * total
-    return RadialMeasure(out_grid, masses)
+        cdf += masses[lo:hi] @ buf[:hi - lo]
+    return cdf
 
 
-def convolve(m1: RadialMeasure, m2: RadialMeasure,
-             out_grid: RadialGrid | None = None,
-             chunk: int = 64) -> RadialMeasure:
-    """Radial convolution of two measures (both step lengths random)."""
-    if out_grid is None:
-        out_grid = default_grid(m1.grid.r_max + m2.grid.r_max)
-    edges = out_grid.edges
-    nz1 = m1.masses > 0.0
-    nz2 = m2.masses > 0.0
-    c1, w1 = m1.grid.centers[nz1], m1.masses[nz1]
-    c2, w2 = m2.grid.centers[nz2], m2.masses[nz2]
-    cdf = np.zeros_like(edges)
-    for lo in range(0, len(c2), chunk):
-        sl = slice(lo, lo + chunk)
-        # kernel CDF tensor (cells2, cells1, edges), reduced over cells1
-        den = np.sinh(c1)[None, :, None] * np.sinh(c2[sl])[:, None, None]
-        num = (np.cosh(c1)[None, :, None] * np.cosh(c2[sl])[:, None, None]
-               - np.cosh(edges)[None, None, :])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            arg = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
-                           np.where(num > 0.0, 2.0, -2.0))
-        k = np.arccos(np.clip(arg, -1.0, 1.0)) / math.pi
-        cdf += np.einsum("j,ije,i->e", w1, k, w2[sl])
-    total = m1.total_mass() * m2.total_mass()
+def _measure_from_cdf_sum(out_grid, cdf, total: float) -> RadialMeasure:
+    """The measure of mass ``total`` and CDF cdf / total, made monotone."""
     if total > 0:
         cdf /= total
     cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
     return RadialMeasure(out_grid, np.diff(cdf) * total)
+
+
+def convolve_step(measure: RadialMeasure, r_step: float,
+                  out_grid: RadialGrid | None = None) -> RadialMeasure:
+    """One law-of-cosines step of fixed length r_step applied to a radial
+    measure.  The new CDF at each edge is the mass-weighted kernel CDF; the
+    midpoint rule over cells is exact in the masses and second order in the
+    smooth kernel.
+    """
+    if out_grid is None:
+        out_grid = default_grid(measure.grid.r_max + r_step)
+    cdf = _step_cdf_sum(measure.masses, measure.grid.centers, r_step,
+                        out_grid.edges)
+    return _measure_from_cdf_sum(out_grid, cdf, measure.total_mass())
+
+
+def convolve(m1: RadialMeasure, m2: RadialMeasure,
+             out_grid: RadialGrid | None = None) -> RadialMeasure:
+    """Radial convolution of two measures (both step lengths random): one
+    step from m1 per cell of m2, of the cell's length and weight."""
+    if out_grid is None:
+        out_grid = default_grid(m1.grid.r_max + m2.grid.r_max)
+    edges = out_grid.edges
+    nz1 = m1.masses > 0.0
+    c1, w1 = m1.grid.centers[nz1], m1.masses[nz1]
+    cdf = np.zeros_like(edges)
+    for r2, w2 in zip(m2.grid.centers, m2.masses):
+        if w2 > 0.0:
+            cdf += w2 * _step_cdf_sum(w1, c1, r2, edges)
+    return _measure_from_cdf_sum(out_grid, cdf,
+                                 m1.total_mass() * m2.total_mass())

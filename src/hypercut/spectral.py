@@ -99,33 +99,36 @@ class CltConstants:
             raise ValueError(f"sigma2 must lie in [0, 4], got {self.sigma2}")
 
 
-def _check_radius(r: float) -> float:
-    r = float(r)
-    if r < 0.0:
+def _check_radii(r) -> np.ndarray:
+    """The radii as a float array, refused below 0 or above the cap."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0.0):
         raise ValueError("radius must be >= 0")
-    if r > _R_CAP:
-        raise NumericRangeError(f"radius {r} exceeds evaluation cap {_R_CAP}")
+    if np.any(r > _R_CAP):
+        raise NumericRangeError(
+            f"radius {np.max(r)} exceeds evaluation cap {_R_CAP}")
     return r
 
 
-def _integrand_base(r: float, u: np.ndarray):
-    """(x, weight-free base) of the regularized integrand 2u / sqrt(...)."""
+def _integrand_base(r, u: np.ndarray):
+    """(x, weight-free base) of the regularized integrand 2u / sqrt(...);
+    r is one radius or a column of radii."""
     x = 1.0 - u * u
     den = np.sqrt(2.0 * np.sinh(r * (1.0 + x) / 2.0)
                   * np.sinh(r * (1.0 - x) / 2.0))
     return x, 2.0 * u / den
 
 
-def spherical_principal_grid(s_values, r: float, *, tol: float = 1e-8,
-                             chunk: int = 512):
-    """phi(s, r) for an array of spectral parameters at one radius.
+def _spherical_sweep(s: np.ndarray, r: float, tol: float, chunk: int, wave):
+    """(sqrt 2 / pi) r int wave(s r x) base dx for each s at one radius r,
+    with wave = np.cos for the principal series and np.cosh for the
+    complementary one.
 
     Panels scale with the oscillation count s r; the count is doubled until
     the whole chunk moves by less than ``tol``.  Chunking over s keeps the
     node tensors bounded regardless of the sweep size.
     """
-    r = _check_radius(r)
-    s = np.atleast_1d(np.asarray(s_values, dtype=float))
+    r = float(_check_radii(float(r)))
     if r == 0.0:
         return np.ones_like(s)
     out = np.empty_like(s)
@@ -137,7 +140,7 @@ def spherical_principal_grid(s_values, r: float, *, tol: float = 1e-8,
         for _ in range(7):
             u, w = panel_nodes(0.0, 1.0, n_panels)
             x, base = _integrand_base(r, u)
-            vals = np.cos(np.outer(sc, r * x)) @ (base * w)
+            vals = wave(np.outer(sc, r * x)) @ (base * w)
             vals *= math.sqrt(2.0) / math.pi * r
             if prev is not None:
                 err = float(np.max(np.abs(vals - prev)))
@@ -150,6 +153,14 @@ def spherical_principal_grid(s_values, r: float, *, tol: float = 1e-8,
                 "spherical function sweep did not converge", achieved=err)
         out[lo:lo + chunk] = vals
     return out
+
+
+def spherical_principal_grid(s_values, r: float, *, tol: float = 1e-8,
+                             chunk: int = 512):
+    """phi(s, r) for an array of spectral parameters at one radius, to
+    ``tol`` (see _spherical_sweep)."""
+    s = np.atleast_1d(np.asarray(s_values, dtype=float))
+    return _spherical_sweep(s, r, tol, chunk, np.cos)
 
 
 def spherical_principal(s: float, r: float, *, tol: float = 1e-8) -> float:
@@ -165,23 +176,8 @@ def spherical_complementary(p: float, r: float, *, tol: float = 1e-10) -> float:
     """
     if p < 2.0:
         raise ValueError("need p >= 2")
-    r = _check_radius(r)
-    if r == 0.0:
-        return 1.0
-    sp = 0.5 if math.isinf(p) else 0.5 - 1.0 / p
-    n_panels = 24
-    prev = None
-    for _ in range(8):
-        u, w = panel_nodes(0.0, 1.0, n_panels)
-        x, base = _integrand_base(r, u)
-        val = float(np.cosh(sp * r * x) @ (base * w))
-        val *= math.sqrt(2.0) / math.pi * r
-        if prev is not None and abs(val - prev) <= tol:
-            return val
-        prev = val
-        n_panels *= 2
-    raise QuadratureError("complementary evaluation did not converge",
-                          achieved=abs(val - prev))
+    sp = 0.5 - 1.0 / p
+    return float(_spherical_sweep(np.array([sp]), r, tol, 1, np.cosh)[0])
 
 
 def complementary_lower_envelope(p: float, r: float,
@@ -189,7 +185,7 @@ def complementary_lower_envelope(p: float, r: float,
     """Lower decay envelope sqrt(eps) exp(-r (1/2 - |sp| (1 - eps))), valid
     up to an absolute constant for r >= 1.
     """
-    sp = 0.5 if math.isinf(p) else 0.5 - 1.0 / p
+    sp = 0.5 - 1.0 / p
     return math.sqrt(eps) * math.exp(-r * (0.5 - abs(sp) * (1.0 - eps)))
 
 
@@ -419,32 +415,27 @@ def heat_envelope_fit(measure: RadialMeasure, t: float) -> tuple[float, float]:
     return float(ratio.min()), float(ratio.max())
 
 
-def phi_on_radii(s_values, radii, *, tol: float = 1e-8,
-                 chunk: int = 256) -> np.ndarray:
+def phi_on_radii(s_values, radii, *, chunk: int = 256) -> np.ndarray:
     """phi(s, r) as a (len(s), len(radii)) table.
 
     Radii are processed in ascending chunks so the panel count follows the
-    local oscillation budget instead of the global maximum.
+    local oscillation budget instead of the global maximum.  The panel rule
+    is fixed, with no doubling; tests pin it against
+    spherical_principal_grid.
     """
     s = np.atleast_1d(np.asarray(s_values, dtype=float))
-    r = np.atleast_1d(np.asarray(radii, dtype=float))
+    r = np.atleast_1d(_check_radii(radii))
     order = np.argsort(r)
-    smax = max(float(np.max(np.abs(s))), 1e-9)
+    smax = max(float(np.max(np.abs(s), initial=0.0)), 1e-9)
     out = np.empty((s.size, r.size))
     for lo in range(0, r.size, chunk):
         idx = order[lo:lo + chunk]
-        rmax_c = float(r[idx].max())
-        if rmax_c == 0.0:
-            out[:, idx] = 1.0
-            continue
-        n_panels = max(12, int(smax * rmax_c / 4.0) + 6)
+        n_panels = max(12, int(smax * float(r[idx].max()) / 4.0) + 6)
         u, w = panel_nodes(0.0, 1.0, n_panels)
-        x = 1.0 - u * u
         rr = r[idx][:, None]
         with np.errstate(divide="ignore"):
-            den = np.sqrt(2.0 * np.sinh(rr * (1.0 + x) / 2.0)
-                          * np.sinh(rr * (1.0 - x) / 2.0))
-            base = np.where(rr > 0.0, 2.0 * u / den, 0.0) * w
+            x, base = _integrand_base(rr, u)
+        base = np.where(rr > 0.0, base, 0.0) * w
         vals = np.einsum("sru,ru->sr",
                          np.cos(s[:, None, None] * (rr * x)[None]), base)
         vals *= math.sqrt(2.0) / math.pi * rr.ravel()[None, :]
@@ -459,9 +450,7 @@ def helgason_radial(measure: RadialMeasure, s):
     For the k-step mixture this equals phi(s, r1)^k by the convolution
     property.  Scalar s returns a float, arrays return arrays.
     """
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    table = phi_on_radii(s_arr, measure.grid.centers)
-    vals = table @ measure.masses
+    vals = phi_on_radii(s, measure.grid.centers) @ measure.masses
     return float(vals[0]) if np.isscalar(s) or np.ndim(s) == 0 else vals
 
 

@@ -70,7 +70,7 @@ class WalkConfig:
 
 @dataclass
 class WalkStats:
-    """Per-step aggregates and final-step samples of a walk ensemble."""
+    """Per-step aggregates, final-step samples and kept paths of a walk."""
 
     config: WalkConfig
     mean_lny: np.ndarray
@@ -83,6 +83,7 @@ class WalkStats:
     final_x: np.ndarray
     final_dist: np.ndarray
     dist_quantiles: dict = field(default_factory=dict)
+    paths: np.ndarray | None = None
 
     def equals(self, other: "WalkStats") -> bool:
         return (self.config == other.config
@@ -107,21 +108,19 @@ def _distances_log(x, lny, x0, lny0):
     return out
 
 
-def step_discrete(z: PointH, r1: float, rng) -> PointH:
-    """One step: uniform direction on the radius-r1 circle around z."""
-    if r1 == 0.0:
-        return z
-    return sphere_point(z, r1, rng.uniform(0.0, math.pi))
-
-
-def walk_discrete(config: WalkConfig, workers: int = 1) -> WalkStats:
+def walk_discrete(config: WalkConfig, workers: int = 1,
+                  paths: int = 0) -> WalkStats:
     """Run the ensemble and aggregate per-step statistics.
 
     Walkers evolve in (x, log y); distances to the start are computed in a
-    log-robust form, so long walks do not overflow.
+    log-robust form, so long walks do not overflow.  ``paths`` > 0 also
+    keeps the (x, log y) of the first ``paths`` walkers of block 0 at steps
+    0..k, as ``stats.paths`` of shape (paths, k + 1, 2).
     """
     k, n = config.k, config.n_walkers
     x0, lny0 = config.z0.x, math.log(config.z0.y)
+    if not 0 <= paths <= min(BLOCK, n):
+        raise ConfigError(f"can keep 0..{min(BLOCK, n)} paths, not {paths}")
 
     def run_block(b, lo, hi):
         rng = stream(config.seed, tag=1, block=b)
@@ -130,15 +129,19 @@ def walk_discrete(config: WalkConfig, workers: int = 1) -> WalkStats:
         lny = np.full(m, lny0)
         sums = np.zeros((max(k, 1), 5))
         maxd = np.zeros(max(k, 1))
+        d = np.zeros(m)
+        n_kept = paths if b == 0 else 0
+        kept = np.empty((k + 1, 2, n_kept))
+        kept[0] = x[:n_kept], lny[:n_kept]
         for step in range(k):
             theta = rng.uniform(0.0, math.pi, m)
             x, lny = log_sphere_step_arrays(x, lny, config.r1, theta)
+            kept[step + 1] = x[:n_kept], lny[:n_kept]
             d = _distances_log(x, lny, x0, lny0)
             sums[step] = (lny.sum(), (lny ** 2).sum(), d.sum(),
                           (d ** 2).sum(), (np.minimum(x, 1e150) ** 2).sum())
             maxd[step] = d.max()
-        d = _distances_log(x, lny, x0, lny0)
-        return sums, maxd, lny.copy(), x.copy(), d
+        return sums, maxd, lny.copy(), x.copy(), d, kept
 
     parts = map_blocks(run_block, n, workers)
     sums = np.sum([p[0] for p in parts], axis=0)
@@ -157,7 +160,8 @@ def walk_discrete(config: WalkConfig, workers: int = 1) -> WalkStats:
     qs = (0.1, 0.25, 0.5, 0.75, 0.9)
     quantiles = dict(zip(qs, np.quantile(final_dist, qs))) if k else {}
     return WalkStats(config, mean_lny, var_lny, mean_dist, var_dist, mean_x2,
-                     maxd, final_lny, final_x, final_dist, quantiles)
+                     maxd, final_lny, final_x, final_dist, quantiles,
+                     parts[0][5].transpose(2, 0, 1))
 
 
 class BrownianRadialSampler:

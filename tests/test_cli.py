@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +9,10 @@ import pytest
 
 import hypercut
 from hypercut import mixing
-from hypercut.cli import _trajectory_rows, main
-from hypercut.walks import BLOCK, WalkConfig, walk_discrete
+from hypercut.cli import main
+from hypercut.errors import ConfigError
+from hypercut.geometry import log_sphere_step_arrays
+from hypercut.walks import BLOCK, WalkConfig, stream, walk_discrete
 
 
 def csv_body(path):
@@ -151,21 +154,79 @@ class TestColdStart:
         assert done.stdout.strip() == "[]"
 
 
+class TestBenchmarkHooks:
+    def test_traced_benchmark_finds_every_wrapped_function(self):
+        # perfbench/layers.py wraps hypercut functions by name; a rename
+        # makes the traced benchmark run fail before it measures anything
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        path = os.pathsep.join(os.path.join(root, d)
+                               for d in ("src", "perfbench"))
+        code = "import layers, tracing; layers.instrument(tracing.Tracer())"
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert done.returncode == 0, done.stderr
+
+
+# Reference copy of the trajectory dump as it was before walk_discrete kept
+# the paths itself: block 0's direction stream replayed by hand.  The dumped
+# rows must give the same bits.
+def reference_trajectory_rows(wcfg, n_dump):
+    rows = []
+    x = np.full(n_dump, wcfg.z0.x)
+    lny = np.full(n_dump, math.log(wcfg.z0.y))
+    rng = stream(wcfg.seed, tag=1, block=0)
+    block_n = min(BLOCK, wcfg.n_walkers)
+    for w in range(n_dump):
+        rows.append((w, 0, float(x[w]), float(np.exp(lny[w]))))
+    for step in range(1, wcfg.k + 1):
+        theta = rng.uniform(0.0, math.pi, block_n)[:n_dump]
+        x, lny = log_sphere_step_arrays(x, lny, wcfg.r1, theta)
+        for w in range(n_dump):
+            rows.append((w, step, float(x[w]), float(np.exp(lny[w]))))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return rows
+
+
+def dumped_rows(wcfg, n_dump, workers, out):
+    assert main(["walk", "--r1", repr(wcfg.r1), "--k", str(wcfg.k),
+                 "--n", str(wcfg.n_walkers), "--seed", str(wcfg.seed),
+                 "--trajectories", str(n_dump), "--workers", str(workers),
+                 "--out", str(out)]) == 0
+    body = csv_body(out / "walk_trajectories.csv")
+    assert body[0].strip() == "walker,step,x,y"
+    return np.array([[float(v) for v in line.split(",")]
+                     for line in body[1:]])
+
+
 class TestTrajectoryDump:
-    def test_last_step_matches_walk_discrete(self):
-        # the dump replays block 0 by hand; a second block makes sure the
-        # replay draws a full block's directions per step
+    def test_last_step_matches_walk_discrete(self, tmp_path):
+        # a second block makes sure the dump is block 0 of the same run
         wcfg = WalkConfig(r1=1.0, k=7, n_walkers=BLOCK + 500, seed=13)
         n_dump = 40
-        rows = _trajectory_rows(wcfg, n_dump)
-        last = [row for row in rows if row[1] == wcfg.k]
-        assert [row[0] for row in last] == list(range(n_dump))
+        rows = dumped_rows(wcfg, n_dump, 2, tmp_path)
+        last = rows[rows[:, 1] == wcfg.k]
+        assert np.array_equal(last[:, 0], np.arange(n_dump))
         stats = walk_discrete(wcfg, workers=2)
-        np.testing.assert_allclose([row[2] for row in last],
-                                   stats.final_x[:n_dump], rtol=1e-12)
-        np.testing.assert_allclose([row[3] for row in last],
-                                   np.exp(stats.final_lny[:n_dump]),
-                                   rtol=1e-12)
+        assert np.array_equal(last[:, 2], stats.final_x[:n_dump])
+        assert np.array_equal(
+            last[:, 3], [float(np.exp(v)) for v in stats.final_lny[:n_dump]])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("k, n, n_dump", [(7, BLOCK + 500, 40),
+                                              (200, 50_000, 32)])
+    def test_paths_match_reference(self, tmp_path, workers, k, n, n_dump):
+        wcfg = WalkConfig(r1=1.0, k=k, n_walkers=n, seed=13)
+        assert np.array_equal(dumped_rows(wcfg, n_dump, workers, tmp_path),
+                              np.array(reference_trajectory_rows(wcfg,
+                                                                 n_dump)))
+
+    def test_paths_beyond_block_zero_refused(self):
+        wcfg = WalkConfig(r1=1.0, k=3, n_walkers=100, seed=0)
+        with pytest.raises(ConfigError):
+            walk_discrete(wcfg, paths=101)
+        with pytest.raises(ConfigError):
+            walk_discrete(wcfg, paths=-1)
 
 
 class TestDeterminism:

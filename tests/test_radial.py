@@ -6,7 +6,8 @@ import pytest
 from hypercut.errors import ResolutionError
 from hypercut.radial import (RadialGrid, RadialMeasure, convolve,
                              convolve_step, default_grid, step_kernel_cdf)
-from hypercut.spectral import radial_mixture, two_step_cdf
+from hypercut.spectral import (heat_radial_density, radial_mixture,
+                               two_step_cdf)
 
 
 def test_grid_validation():
@@ -181,3 +182,56 @@ def test_radial_mixture_matches_reference(r1):
     laws = reference_mixture_masses(6, r1)
     for k in range(3, 7):
         assert np.array_equal(radial_mixture(k, r1).masses, laws[k])
+
+
+# Reference copy of convolve as it was before it summed fixed-length steps:
+# the whole (cells2, cells1, edges) kernel tensor, chunked over m2's cells
+# and reduced by einsum.  The step sums round differently, so the masses
+# agree to rounding rather than in every bit.
+def reference_convolve(m1, m2, out_grid=None, chunk=64):
+    if out_grid is None:
+        out_grid = default_grid(m1.grid.r_max + m2.grid.r_max)
+    edges = out_grid.edges
+    nz1 = m1.masses > 0.0
+    nz2 = m2.masses > 0.0
+    c1, w1 = m1.grid.centers[nz1], m1.masses[nz1]
+    c2, w2 = m2.grid.centers[nz2], m2.masses[nz2]
+    cdf = np.zeros_like(edges)
+    for lo in range(0, len(c2), chunk):
+        sl = slice(lo, lo + chunk)
+        den = np.sinh(c1)[None, :, None] * np.sinh(c2[sl])[:, None, None]
+        num = (np.cosh(c1)[None, :, None] * np.cosh(c2[sl])[:, None, None]
+               - np.cosh(edges)[None, None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            arg = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0),
+                           np.where(num > 0.0, 2.0, -2.0))
+        k = np.arccos(np.clip(arg, -1.0, 1.0)) / math.pi
+        cdf += np.einsum("j,ije,i->e", w1, k, w2[sl])
+    total = m1.total_mass() * m2.total_mass()
+    if total > 0:
+        cdf /= total
+    cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
+    return RadialMeasure(out_grid, np.diff(cdf) * total)
+
+
+# The two shapes below are those of tests/test_spectral.py's semigroup and
+# 2+2-step checks at a third and a half of their cell counts, which keeps the
+# reference tensor cheap.
+def test_convolve_matches_reference_on_semigroup_shape():
+    # the time-1 heat law with itself
+    grid = RadialGrid(0.0, 34.0, 200)
+    half = heat_radial_density(1.0, RadialGrid(0.0, 17.0, 200))
+    got = convolve(half, half, grid)
+    assert np.max(np.abs(got.masses
+                         - reference_convolve(half, half, grid).masses)) \
+        <= 1e-10
+
+
+def test_convolve_matches_reference_on_two_plus_two_steps():
+    # the 2-step law with itself, a zero-mass tail past 2 r1 = 1.6 included
+    m2 = radial_mixture(2, 0.8, grid=RadialGrid(0.0, 2.0, 200))
+    assert np.count_nonzero(m2.masses == 0.0) > 0
+    grid = RadialGrid(0.0, 4.0, 400)
+    got = convolve(m2, m2, grid)
+    assert np.max(np.abs(got.masses
+                         - reference_convolve(m2, m2, grid).masses)) <= 1e-10

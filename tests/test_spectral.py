@@ -9,7 +9,7 @@ import pytest
 
 import hypercut
 from hypercut import spectral
-from hypercut.errors import ResolutionError
+from hypercut.errors import NumericRangeError, ResolutionError
 from hypercut.quadrature import panel_nodes
 from hypercut.radial import RadialGrid, RadialMeasure, convolve
 from hypercut.spectral import (CltConstants, SphericalParam, clt_constants,
@@ -427,3 +427,37 @@ class TestHelgason:
         partial = np.cumsum(integrand) * (s[1] - s[0])
         assert partial[-1] < math.inf
         assert partial[-1] - partial[len(s) // 2] <= 0.01 * partial[-1]
+
+
+class TestPhiOnRadii:
+    def test_negative_radius_refused(self):
+        with pytest.raises(ValueError):
+            phi_on_radii([0.0, 1.0], [-0.5, 1.0])
+
+    def test_radius_over_cap_refused(self):
+        with pytest.raises(NumericRangeError):
+            phi_on_radii([1.0], [1.0, 700.0])
+
+    def test_empty_parameters_give_empty_table(self):
+        table = phi_on_radii([], [0.5, 1.0])
+        assert table.shape == (0, 2)
+        assert helgason_radial(gaussian_radial_bump(), np.zeros(0)).shape \
+            == (0,)
+
+    @pytest.mark.parametrize("measure, s_max", [
+        (gaussian_radial_bump(), 80.0),
+        (radial_mixture(5, 1.0), 10.0)])
+    def test_fixed_panels_match_certified_sweep(self, measure, s_max):
+        # phi_on_radii has no convergence check of its own; on criterion
+        # 6's grids and parameter ranges its table must agree with the
+        # doubling sweep at tol 1e-10.  The whole table is built so every
+        # radius gets the panels of its own chunk; 20 radii, the largest
+        # among them, are checked.
+        s = np.linspace(0.0, s_max, 21)
+        centers = measure.grid.centers
+        table = phi_on_radii(s, centers)
+        picked = np.linspace(0, centers.size - 1, 20).astype(int)
+        certified = np.array([spherical_principal_grid(s, centers[i],
+                                                       tol=1e-10)
+                              for i in picked]).T
+        assert np.max(np.abs(table[:, picked] - certified)) <= 1e-10

@@ -5,24 +5,21 @@ import pytest
 from scipy import stats as sstats
 
 from hypercut.errors import ConfigError
-from hypercut.geometry import PointH, distance, mobius_apply, MobiusReal
+from hypercut.geometry import (PointH, distance, mobius_apply, MobiusReal,
+                               sphere_point)
 from hypercut.spectral import clt_constants, heat_radial_density
 from hypercut.walks import (AD_CRIT_1PCT, BrownianRadialSampler, WalkConfig,
                             ad_statistic_normal, brownian_jump, clt_check,
-                            step_discrete, stream, tail_checks, walk_discrete)
+                            stream, tail_checks, walk_discrete)
 
 ORIGIN = PointH(0.0, 1.0)
 
 
 class TestStepDiscrete:
-    def test_zero_step(self):
-        rng = stream(0, 0)
-        assert step_discrete(ORIGIN, 0.0, rng) == ORIGIN
-
     def test_step_length(self):
         rng = stream(1, 0)
         for _ in range(50):
-            z = step_discrete(PointH(0.3, 2.0), 1.3, rng)
+            z = sphere_point(PointH(0.3, 2.0), 1.3, rng.uniform(0.0, math.pi))
             assert distance(PointH(0.3, 2.0), z) == pytest.approx(
                 1.3, abs=1e-9)
 
