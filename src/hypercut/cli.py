@@ -98,12 +98,16 @@ def _emit_config(args, name: str, cfg: dict) -> None:
 
 
 def _workers(args) -> int:
-    if getattr(args, "workers", None):
-        return args.workers
-    env = os.environ.get("HYPERCUT_WORKERS")
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
+    """--workers, else HYPERCUT_WORKERS, else every core; a count below 1
+    is a config error, not a request for the default."""
+    if args.workers is not None:
+        workers = args.workers
+    else:
+        env = os.environ.get("HYPERCUT_WORKERS")
+        workers = int(env) if env else os.cpu_count() or 1
+    if workers < 1:
+        raise ConfigError(f"need at least one worker, not {workers}")
+    return workers
 
 
 def _origin_point(q: int) -> QuotientPoint:
@@ -144,7 +148,7 @@ def cmd_spherical(args) -> int:
 def cmd_mixture(args) -> int:
     cfg = _resolve({"k": 3, "r1": 1.0}, args)
     t0 = time.monotonic()
-    m = radial_mixture(int(cfg["k"]), cfg["r1"])
+    m = radial_mixture(int(cfg["k"]), cfg["r1"], workers=_workers(args))
     _emit_config(args, "mixture", cfg)
     _write_csv(_out_path(args, "mixture.csv"), _meta(cfg, t0),
                ["r", "density"],
@@ -156,7 +160,7 @@ def cmd_mixture(args) -> int:
 def cmd_heat(args) -> int:
     cfg = _resolve({"t": 2.0}, args)
     t0 = time.monotonic()
-    m = heat_radial_density(cfg["t"])
+    m = heat_radial_density(cfg["t"], workers=_workers(args))
     env = heat_envelope(cfg["t"], m.grid.centers)
     _emit_config(args, "heat", cfg)
     _write_csv(_out_path(args, "heat.csv"), _meta(cfg, t0),

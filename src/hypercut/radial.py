@@ -126,8 +126,11 @@ class RadialMeasure:
 
     @classmethod
     def from_csv(cls, path) -> "RadialMeasure":
+        """Read (r, density) rows as ``to_csv`` and the CLI write them,
+        skipping the CLI's '#' header lines."""
         with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh)][1:]
+            rows = list(csv.reader(line for line in fh
+                                   if not line.startswith("#")))[1:]
         r = np.array([float(a) for a, _ in rows])
         d = np.array([float(b) for _, b in rows])
         width = r[1] - r[0] if len(r) > 1 else 2.0 * r[0]
@@ -172,14 +175,17 @@ def step_kernel_cdf(r_new, r_old, r_step):
                        np.cosh(r_new), np.sinh(r_old) * np.sinh(r_step))[()]
 
 
-def _step_cdf_sum(masses, centers, r_step, edges):
+def _step_cdf_sum(masses, centers, r_step, edges, workers: int = 1):
     """Sum over cells of mass times the kernel CDF at each edge: the
     unnormalized CDF after one step of length r_step from radii ``centers``.
 
     The kernel rows of one block fill a single buffer, KERNEL_TILE_ROWS at a
-    time, and each block is reduced by one product, so the sums round as a
-    whole-block evaluation would.
+    time on ``workers`` threads, and each block is reduced by one product on
+    the calling thread, so the sums round as a whole-block evaluation would
+    at any worker count.
     """
+    from .walks import map_blocks  # walks imports this module
+
     cosh_edges = np.cosh(edges)
     num = np.cosh(centers) * math.cosh(r_step)
     den = np.sinh(centers) * np.sinh(r_step)
@@ -188,10 +194,10 @@ def _step_cdf_sum(masses, centers, r_step, edges):
     buf = np.empty((min(block, len(centers)), len(edges)))
     for lo in range(0, len(centers), block):
         hi = min(lo + block, len(centers))
-        for t in range(lo, hi, KERNEL_TILE_ROWS):
-            u = min(t + KERNEL_TILE_ROWS, hi)
-            _kernel_cdf(buf[t - lo:u - lo], num[t:u, None], cosh_edges,
-                        den[t:u, None])
+        num_b, den_b = num[lo:hi, None], den[lo:hi, None]
+        map_blocks(lambda _, t, u: _kernel_cdf(buf[t:u], num_b[t:u],
+                                               cosh_edges, den_b[t:u]),
+                   hi - lo, workers, KERNEL_TILE_ROWS)
         cdf += masses[lo:hi] @ buf[:hi - lo]
     return cdf
 
@@ -205,16 +211,17 @@ def _measure_from_cdf_sum(out_grid, cdf, total: float) -> RadialMeasure:
 
 
 def convolve_step(measure: RadialMeasure, r_step: float,
-                  out_grid: RadialGrid | None = None) -> RadialMeasure:
+                  out_grid: RadialGrid | None = None,
+                  workers: int = 1) -> RadialMeasure:
     """One law-of-cosines step of fixed length r_step applied to a radial
     measure.  The new CDF at each edge is the mass-weighted kernel CDF; the
     midpoint rule over cells is exact in the masses and second order in the
-    smooth kernel.
+    smooth kernel.  The result does not depend on ``workers``.
     """
     if out_grid is None:
         out_grid = default_grid(measure.grid.r_max + r_step)
     cdf = _step_cdf_sum(measure.masses, measure.grid.centers, r_step,
-                        out_grid.edges)
+                        out_grid.edges, workers)
     return _measure_from_cdf_sum(out_grid, cdf, measure.total_mass())
 
 

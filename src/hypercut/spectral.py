@@ -306,13 +306,14 @@ def two_step_cdf(r, r1: float):
 
 
 def radial_mixture(k: int, r1: float, grid: RadialGrid | None = None,
-                   mass_tol: float = 1e-3) -> RadialMeasure:
+                   mass_tol: float = 1e-3, workers: int = 1) -> RadialMeasure:
     """The radial law of the k-step fixed-length walk, as a density on
     [0, k r1].
 
     k must be at least 2: the 0- and 1-step laws are atoms, not densities.
     k = 2 comes from the closed-form CDF; k >= 3 applies the law-of-cosines
-    step kernel once per extra step.
+    step kernel once per extra step, on ``workers`` threads, with the same
+    result at any worker count.
     """
     if k < 2:
         raise ValueError("the k-step radial law is a density only for k >= 2")
@@ -323,7 +324,8 @@ def radial_mixture(k: int, r1: float, grid: RadialGrid | None = None,
         lambda r: two_step_cdf(r, r1), meta={"k": 2, "r1": r1})
     for j in range(3, k + 1):
         out = default_grid(j * r1) if grid is None or j < k else grid
-        measure = RadialMeasure(out, convolve_step(measure, r1, out).masses,
+        measure = RadialMeasure(out, convolve_step(measure, r1, out,
+                                                   workers).masses,
                                 {"k": j, "r1": r1})
     defect = abs(measure.total_mass() - 1.0)
     if defect > mass_tol:
@@ -350,7 +352,8 @@ def _row_chunks(n: int, size: int):
     return zip(bounds[:-1], bounds[1:])
 
 
-def _heat_density_exact(t: float, r: np.ndarray) -> np.ndarray:
+def _heat_density_exact(t: float, r: np.ndarray,
+                        workers: int = 1) -> np.ndarray:
     """Radial density of the time-t heat flow, through the classical
     integral form
 
@@ -359,8 +362,11 @@ def _heat_density_exact(t: float, r: np.ndarray) -> np.ndarray:
 
     regularized by s = r + v^2.  Exactly normalized; the discretization is
     renormalized downstream anyway.  The (radii x nodes) integrand is built
-    HEAT_CHUNK_ROWS radii at a time.
+    and reduced HEAT_CHUNK_ROWS radii at a time, one chunk per task on
+    ``workers`` threads; each chunk writes only its own rows.
     """
+    from .walks import map_blocks  # walks imports this module
+
     r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)
     pos = r > 0.0
@@ -368,7 +374,10 @@ def _heat_density_exact(t: float, r: np.ndarray) -> np.ndarray:
     v_hi = np.sqrt(np.sqrt(rp * rp + 220.0 * t) + 4.0 * math.sqrt(t) - rp)
     u, w = panel_nodes(0.0, 1.0, 48)
     integral = np.empty_like(rp)
-    for lo, hi in _row_chunks(len(rp), HEAT_CHUNK_ROWS):
+    chunks = list(_row_chunks(len(rp), HEAT_CHUNK_ROWS))
+
+    def chunk(b, _lo, _hi):
+        lo, hi = chunks[b]
         rc = rp[lo:hi, None]
         v = v_hi[lo:hi, None] * u[None, :]
         s = rc + v * v
@@ -378,17 +387,20 @@ def _heat_density_exact(t: float, r: np.ndarray) -> np.ndarray:
             integrand = np.where(den > 0.0, 2.0 * v * s
                                  * np.exp(-s * s / (4.0 * t)) / den, 0.0)
         integral[lo:hi] = (integrand @ w) * v_hi[lo:hi]
+
+    map_blocks(chunk, len(chunks), workers, block=1)
     const = math.exp(-t / 4.0) / (2.0 ** 1.5 * math.sqrt(math.pi) * t ** 1.5)
     out[pos] = np.sinh(rp) * const * integral
     return out
 
 
-def heat_radial_density(t: float, grid: RadialGrid | None = None
-                        ) -> RadialMeasure:
+def heat_radial_density(t: float, grid: RadialGrid | None = None,
+                        workers: int = 1) -> RadialMeasure:
     """Radial law of the time-t continuous walk as a RadialMeasure.
 
-    Cell masses use Simpson's rule on the exact density, then a numerical
-    renormalization whose defect is recorded in ``meta``.
+    Cell masses use Simpson's rule on the exact density, evaluated on
+    ``workers`` threads with the same result at any worker count, then a
+    numerical renormalization whose defect is recorded in ``meta``.
     """
     if t <= 1e-3:
         raise ResolutionError("time below 1e-3 is under-resolved")
@@ -396,8 +408,8 @@ def heat_radial_density(t: float, grid: RadialGrid | None = None
         grid = default_grid(t + 14.0 * math.sqrt(t) + 2.0)
     edges = grid.edges
     centers = grid.centers
-    p_edges = _heat_density_exact(t, edges)
-    p_centers = _heat_density_exact(t, centers)
+    p_edges = _heat_density_exact(t, edges, workers)
+    p_centers = _heat_density_exact(t, centers, workers)
     masses = grid.width / 6.0 * (p_edges[:-1] + 4.0 * p_centers + p_edges[1:])
     measure = RadialMeasure(grid, masses, {"t": t})
     defect = abs(measure.total_mass() - 1.0)

@@ -25,6 +25,31 @@ import numpy as np
 from .errors import NumericRangeError
 
 _TAIL_EPS = 1e-14
+_MAX_TERMS = 10_000
+
+
+def _tail_cutoff(a: float, series: str) -> int:
+    """One past the first m >= 1 whose tail bound
+    e^{-a m^2} / (1 - e^{-a}) >= sum_{n>m} e^{-a n^2} is at most _TAIL_EPS.
+
+    The search starts at the real root of bound = _TAIL_EPS and steps to
+    the first integer that passes, so it finds the m a scan from 1 would;
+    an m beyond _MAX_TERMS raises.
+    """
+    denom = -math.expm1(-a)
+
+    def above(m):
+        return math.exp(-a * m * m) / denom > _TAIL_EPS
+
+    root = math.sqrt(-(math.log(_TAIL_EPS) + math.log(denom)) / a)
+    m = max(1, math.ceil(min(root, _MAX_TERMS + 1)))
+    while m > 1 and not above(m - 1):
+        m -= 1
+    while m <= _MAX_TERMS and above(m):
+        m += 1
+    if m > _MAX_TERMS:
+        raise NumericRangeError(f"{series} truncation ran away")
+    return m + 1
 
 
 @dataclass(frozen=True)
@@ -44,22 +69,10 @@ class TorusConfig:
         return self.t / self.lam
 
     def fourier_cutoff(self) -> int:
-        # tail sum_{m>M} e^{-rate m^2} < e^{-rate M^2} / (1 - e^{-rate})
-        m = 1
-        while math.exp(-self.rate * m * m) / -math.expm1(-self.rate) > _TAIL_EPS:
-            m += 1
-            if m > 10_000:
-                raise NumericRangeError("Fourier truncation ran away")
-        return m + 1
+        return _tail_cutoff(self.rate, "Fourier")
 
     def theta_cutoff(self) -> int:
-        a = math.pi ** 2 / self.rate
-        n = 1
-        while math.exp(-a * n * n) / -math.expm1(-a) > _TAIL_EPS:
-            n += 1
-            if n > 10_000:
-                raise NumericRangeError("theta truncation ran away")
-        return n + 1
+        return _tail_cutoff(math.pi ** 2 / self.rate, "theta")
 
 
 def fourier_series(cfg: TorusConfig, x) -> np.ndarray:

@@ -127,6 +127,22 @@ class TestExitCodes:
                      flag, value, "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,env", [(["--workers", "0"], None),
+                                           (["--workers", "-1"], None),
+                                           ([], "0")])
+    def test_workers_below_one_are_config_errors(self, tmp_path, capsys,
+                                                 monkeypatch, flags, env):
+        if env is not None:
+            monkeypatch.setenv("HYPERCUT_WORKERS", env)
+        assert main(["walk", "--k", "2", "--n", "100", *flags,
+                     "--out", str(tmp_path)]) == 2
+        assert "at least one worker" in capsys.readouterr().err
+
+    def test_worker_count_checked_only_where_used(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setenv("HYPERCUT_WORKERS", "0")
+        assert main(["constants", "--r1", "1.0", "--out", str(tmp_path)]) == 0
+
     def test_tv_walker_state_over_cap_is_capacity_error(self, tmp_path):
         assert main(["tv", "--q", "2", "--k-max", "2", "--n", "50000000",
                      "--out", str(tmp_path)]) == 3
@@ -239,6 +255,34 @@ class TestDeterminism:
                          "--k-max", "5", "--seed", "7", "--workers", workers,
                          "--out", str(out)]) == 0
         assert csv_body(a / "tv.csv") == csv_body(b / "tv.csv")
+
+    @pytest.mark.parametrize("argv,name", [(["mixture", "--k", "6"],
+                                            "mixture.csv"),
+                                           (["heat", "--t", "4"], "heat.csv")])
+    def test_radial_tables_at_any_worker_count(self, tmp_path, argv, name):
+        bodies = []
+        for workers in ("1", "3"):
+            out = tmp_path / workers
+            assert main(argv + ["--workers", workers, "--out", str(out)]) == 0
+            bodies.append(csv_body(out / name))
+        assert bodies[0] == bodies[1]
+
+    def test_heat_at_any_blas_thread_count(self, tmp_path):
+        # the heat chunk products run on worker threads, and each is too
+        # small for OpenBLAS to split across its own threads
+        src = os.path.dirname(os.path.dirname(hypercut.__file__))
+        bodies = {}
+        for blas in ("1", "2"):
+            for t in ("0.05", "4"):
+                out = tmp_path / f"{blas}_{t}"
+                env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=blas,
+                           OPENBLAS_NUM_THREADS=blas, MKL_NUM_THREADS=blas)
+                subprocess.run([sys.executable, "-m", "hypercut.cli", "heat",
+                                "--t", t, "--workers", "2", "--out", str(out)],
+                               env=env, check=True, capture_output=True)
+                bodies[blas, t] = csv_body(out / "heat.csv")
+        for t in ("0.05", "4"):
+            assert bodies["1", t] == bodies["2", t], t
 
     def test_emitted_config_round_trip(self, tmp_path):
         a = tmp_path / "a"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hypercut.cli import main
 from hypercut.errors import ResolutionError
 from hypercut.radial import (RadialGrid, RadialMeasure, convolve,
                              convolve_step, default_grid, step_kernel_cdf)
@@ -54,6 +55,16 @@ def test_csv_round_trip(tmp_path):
     back = RadialMeasure.from_csv(path)
     assert np.allclose(back.masses, m.masses, atol=1e-15)
     assert back.grid.edges == pytest.approx(g.edges, abs=1e-12)
+
+
+def test_from_csv_reads_cli_output(tmp_path):
+    # the CLI's CSV starts with '# key = value' header lines
+    assert main(["mixture", "--k", "3", "--workers", "1",
+                 "--out", str(tmp_path)]) == 0
+    back = RadialMeasure.from_csv(tmp_path / "mixture.csv")
+    m = radial_mixture(3, 1.0)
+    assert back.grid.n_cells == m.grid.n_cells
+    assert np.allclose(back.density, m.density, rtol=1e-12, atol=0.0)
 
 
 def test_step_kernel_cdf_is_law_of_cosines():
@@ -172,9 +183,10 @@ def test_convolve_step_matches_reference_across_blocks(r_step):
                                lambda r: (r / 2.0) ** 2)
     out_grid = RadialGrid(0.0, 2.0 + r_step, 5000)
     assert 20_000_000 // len(out_grid.edges) == 3999
-    got = convolve_step(m, r_step, out_grid)
-    assert np.array_equal(got.masses,
-                          reference_convolve_step(m, r_step, out_grid).masses)
+    want = reference_convolve_step(m, r_step, out_grid).masses
+    for workers in (1, 2, 3):
+        got = convolve_step(m, r_step, out_grid, workers)
+        assert np.array_equal(got.masses, want), workers
 
 
 @pytest.mark.parametrize("r1", [0.3, 1.0, 2.5])
@@ -182,6 +194,13 @@ def test_radial_mixture_matches_reference(r1):
     laws = reference_mixture_masses(6, r1)
     for k in range(3, 7):
         assert np.array_equal(radial_mixture(k, r1).masses, laws[k])
+
+
+def test_radial_mixture_same_at_any_worker_count():
+    want = radial_mixture(6, 1.0).masses
+    for workers in (2, 3):
+        assert np.array_equal(radial_mixture(6, 1.0, workers=workers).masses,
+                              want), workers
 
 
 # Reference copy of convolve as it was before it summed fixed-length steps:

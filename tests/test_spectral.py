@@ -290,7 +290,7 @@ import sys
 import numpy as np
 import test_spectral as ts
 from hypercut import spectral
-spectral._heat_density_exact = ts.reference_heat_density_exact
+spectral._heat_density_exact = lambda t, r, workers=1: ts.reference_heat_density_exact(t, r)
 out = {f"t{t!r}": spectral.heat_radial_density(t).masses
        for t in ts.HEAT_TIMES}
 out.update({f"n{len(r)}": ts.reference_heat_density_exact(ts.SWEEP_T, r)
@@ -361,13 +361,24 @@ class TestHeatKernel:
         # covers chunk ends at 256 and 512 rows and a lone last row at 257
         # and 513, which joins the chunk before it
         for r in sweep_radii():
+            want = reference_heat[f"n{len(r)}"]
             assert np.array_equal(spectral._heat_density_exact(SWEEP_T, r),
-                                  reference_heat[f"n{len(r)}"]), len(r)
+                                  want), len(r)
+            if len(r) in (257, 513):
+                assert np.array_equal(
+                    spectral._heat_density_exact(SWEEP_T, r, 3), want)
 
     @pytest.mark.parametrize("t", HEAT_TIMES)
     def test_matches_reference_on_default_grid(self, reference_heat, t):
         assert np.array_equal(heat_radial_density(t).masses,
                               reference_heat[f"t{t!r}"])
+
+    @pytest.mark.parametrize("t", [0.5, 4.0])
+    def test_same_at_any_worker_count(self, reference_heat, t):
+        for workers in (2, 3):
+            got = heat_radial_density(t, workers=workers)
+            assert np.array_equal(got.masses, reference_heat[f"t{t!r}"]), \
+                workers
 
     def test_semigroup_property(self):
         t = 1.0

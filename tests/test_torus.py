@@ -4,9 +4,35 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hypercut.errors import NumericRangeError
 from hypercut.torus import (TorusConfig, fourier_series, mixing_time,
                             no_cutoff_profile, theta_series, torus_density,
                             torus_l1, torus_l1_bounds, torus_l2)
+
+
+# Rates whose first stopping index is 9,999, 10,000 and 10,001; the scan
+# raises at every rate up to the last of them.
+CAP_RATES = (4.6824511758629804e-07, 4.6815342712249543e-07,
+             4.6806176377159965e-07)
+
+
+# Reference copy of the truncation search as a scan from m = 1; the search
+# from the closed-form root must return the same integer and raise where
+# the scan runs past 10,000 terms.
+def reference_cutoff(a):
+    m = 1
+    while math.exp(-a * m * m) / -math.expm1(-a) > 1e-14:
+        m += 1
+        if m > 10_000:
+            raise NumericRangeError("truncation ran away")
+    return m + 1
+
+
+def outcome(cutoff, *args):
+    try:
+        return cutoff(*args)
+    except NumericRangeError:
+        return "raises"
 
 
 class TestDensity:
@@ -100,3 +126,24 @@ class TestMixingTime:
         # the ratio drifts toward 1 as the target tightens
         assert rows[(1.0, 5.0)] < rows[(1.0, 1.0)]
         assert abs(rows[(1.0, 2.0)] - rows[(10.0, 2.0)]) <= 1e-9
+
+
+class TestTruncation:
+    def test_matches_scan_over_rate_sweep(self):
+        for rate in np.logspace(-8.0, 3.0, 6000):
+            cfg = TorusConfig(1.0, rate)
+            # below the cap the scan would run all 10,000 terms to raise
+            want = ("raises" if rate <= CAP_RATES[-1]
+                    else reference_cutoff(cfg.rate))
+            assert outcome(cfg.fourier_cutoff) == want, rate
+            assert outcome(cfg.theta_cutoff) == \
+                outcome(reference_cutoff, math.pi ** 2 / cfg.rate), rate
+
+    def test_cap_boundary(self):
+        # rates whose first stopping index is 9,999, 10,000 and 10,001
+        expected = (10_000, 10_001, "raises")
+        for rate, want in zip(CAP_RATES, expected):
+            assert outcome(reference_cutoff, rate) == want
+            assert outcome(TorusConfig(1.0, rate).fourier_cutoff) == want
+            theta = TorusConfig(1.0, math.pi ** 2 / rate)
+            assert outcome(theta.theta_cutoff) == want
