@@ -218,11 +218,15 @@ def cmd_walk(args) -> int:
 def cmd_tv(args) -> int:
     cfg = _resolve({"q": 3, "r1": 1.0, "n": 100_000, "seed": 0,
                     "k_max": None, "cusp_cap": 10.0, "n_boot": 200}, args)
+    k_max = cfg["k_max"]
+    if k_max is not None and k_max < 0:
+        raise ConfigError(f"need k_max >= 0, not {k_max}")
     t0 = time.monotonic()
     q = int(cfg["q"])
     consts = clt_constants(cfg["r1"])
     R = quotient_R(q)
-    k_max = cfg["k_max"] or int(math.ceil(3.2 * R / (consts.alpha * cfg["r1"])))
+    if k_max is None:
+        k_max = int(math.ceil(3.2 * R / (consts.alpha * cfg["r1"])))
     cfg["k_max"] = int(k_max)
     profile = tv_profile(q, _origin_point(q), cfg["r1"],
                          range(0, int(k_max) + 1), int(cfg["n"]),

@@ -26,6 +26,9 @@ from .modular import (MODULAR_AREA, QuotientPoint, injectivity_radius,
 from .walks import map_blocks, stream
 
 TV_BLOCK = 1 << 16
+# each block steps, reduces and bins its walkers this many at a time, so
+# the step's temporaries stay in cache
+TV_SLICE = 1 << 14
 # tv_profile keeps every walker's x, y and sheet (24 bytes) for the whole walk
 TV_WALKER_BYTES = 24
 # cap on all tv_profile may hold at once (see _tv_held_bytes)
@@ -52,6 +55,19 @@ def _clip_primitive(x, u_lo: float, u_hi: float):
     out = (np.arcsin(mid_hi) - math.asin(xa)) - u_lo * (mid_hi - xa)
     out += (u_hi - u_lo) * np.maximum(ax - xb, 0.0)
     return sign * out
+
+
+def _edge_bins(edges, v) -> np.ndarray:
+    """clip(searchsorted(edges, v, "right") - 1, 0, len(edges) - 2) for
+    sorted edges, ±inf and NaN included: the number of interior edges,
+    less those above v.  For the few dozen edges of a default partition,
+    counting in the narrowest integer that holds the count beats the
+    search 3-11 times."""
+    v = np.asarray(v)
+    above = np.zeros(v.shape, dtype=np.min_scalar_type(len(edges)))
+    for e in edges[1:-1]:
+        above += (v < e).view(np.uint8)
+    return (len(edges) - 2) - above.astype(np.intp)
 
 
 def _cell_measure(x_lo, x_hi, u_lo: float, u_hi: float) -> float:
@@ -130,11 +146,8 @@ class CellPartition:
         return float(self.base_measures.max()) / quotient_volume(self.q)
 
     def base_cells_of(self, x, u) -> np.ndarray:
-        ix = np.clip(np.searchsorted(self.x_edges, x, "right") - 1,
-                     0, len(self.x_edges) - 2)
-        iu = np.clip(np.searchsorted(self.u_edges, u, "right") - 1,
-                     0, len(self.u_edges) - 2)
-        return iu * (len(self.x_edges) - 1) + ix
+        return (_edge_bins(self.u_edges, u) * (len(self.x_edges) - 1)
+                + _edge_bins(self.x_edges, x))
 
     def cells_of(self, x, y, sheet_ids) -> np.ndarray:
         return sheet_ids * self.n_base + self.base_cells_of(x, 1.0 / np.asarray(y))
@@ -205,38 +218,48 @@ def _walk_histograms(q, x0, r1, k_grid, n_walkers, partition, seed, workers,
                        np.full(m, x0.base.y),
                        np.full(m, start_sheet, dtype=np.int64)))
 
-    def histogram(b):
-        _, x, y, sheets = states[b]
-        return np.bincount(partition.cells_of(x, y, sheets),
-                           minlength=n_cells)
-
-    def advance(b, lo, hi, record):
+    def advance(b, step):
+        """Take block b to ``step`` (step 0 stays put), TV_SLICE walkers
+        at a time; returns the block's cell counts if ``step`` is on the
+        grid.  The slices' theta draws come out of the block's stream as
+        one draw of the whole block would."""
         rng, x, y, sheets = states[b]
-        theta = rng.uniform(0.0, math.pi, hi - lo)
-        x, y = sphere_step_arrays(x, y, r1, theta)
-        states[b] = (rng, *reduce_points_arrays(x, y, sheets, ctx))
-        return histogram(b) if record else None
+        counts = np.zeros(n_cells, dtype=np.int64) if step in grid else None
+        for lo in range(0, x.size, TV_SLICE):
+            s = slice(lo, lo + TV_SLICE)
+            if step:
+                theta = rng.uniform(0.0, math.pi, x[s].size)
+                xs, ys = sphere_step_arrays(x[s], y[s], r1, theta)
+                x[s], y[s], sheets[s] = reduce_points_arrays(xs, ys,
+                                                             sheets[s], ctx)
+            if counts is not None:
+                counts += np.bincount(partition.cells_of(x[s], y[s],
+                                                         sheets[s]),
+                                      minlength=n_cells)
+        return counts
 
     if 0 in grid:
-        emit(np.sum([histogram(b) for b in range(len(states))], axis=0))
+        emit(np.sum([advance(b, 0) for b in range(len(states))], axis=0))
     for step in range(1, max(k_grid, default=0) + 1):
-        record = step in grid
-        parts = map_blocks(lambda b, lo, hi: advance(b, lo, hi, record),
-                           n_walkers, workers, block=TV_BLOCK)
-        if record:
+        parts = map_blocks(lambda b, lo, hi: advance(b, step), n_walkers,
+                           workers, block=TV_BLOCK)
+        if step in grid:
             emit(np.sum(parts, axis=0))
     return k_grid
 
 
 def _tv_held_bytes(n_walkers: int, n_grid: int = 0, n_cells: int = 0) -> int:
     """Upper bound on what tv_profile holds at once: every walker's state;
-    one step's per-block int64 histograms and their stacked sum; every grid
-    step's histogram, which may all wait for the bootstrap; and one
-    bootstrap chunk of BOOT_ROWS resamples, drawn as int64 and scaled
-    through three float64 temporaries."""
+    one step's int64 histograms, one accumulating per block with at most one
+    slice's counts beside it, and then their stacked sum; every grid step's
+    histogram, which may all wait for the bootstrap; the cell probabilities
+    and the bootstrap's p_hat; and one bootstrap chunk of BOOT_ROWS
+    resamples, drawn as int64 and scaled in one reused float64 buffer.
+    The walker's per-slice temporaries, a fixed size per worker thread, are
+    not counted."""
     n_blocks = -(-n_walkers // TV_BLOCK)
     return (n_walkers * TV_WALKER_BYTES
-            + 8 * n_cells * (2 * n_blocks + n_grid + 4 * BOOT_ROWS))
+            + 8 * n_cells * (2 * n_blocks + n_grid + 2 * BOOT_ROWS + 2))
 
 
 def _check_tv_capacity(n_walkers: int, n_grid: int = 0,
@@ -284,15 +307,21 @@ def tv_profile(q: int, x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
     n = n_walkers
     boot_rng = stream(seed, tag=3)
 
+    # one bootstrap runs at a time, so its resamples share one buffer
+    scaled = np.empty((min(BOOT_ROWS, n_boot), pi.size))
+
     def bootstrap(counts):
         # the rows of chunked draws come out of the stream exactly as from
         # one size=n_boot draw
         p_hat = counts / n
-        tv_boot = np.concatenate([
-            np.abs(boot_rng.multinomial(n, p_hat,
-                                        size=min(BOOT_ROWS, n_boot - i))
-                   / n - pi).sum(axis=1)
-            for i in range(0, n_boot, BOOT_ROWS)])
+        tv_boot = np.empty(n_boot)
+        for i in range(0, n_boot, BOOT_ROWS):
+            rows = min(BOOT_ROWS, n_boot - i)
+            buf = scaled[:rows]
+            np.divide(boot_rng.multinomial(n, p_hat, size=rows), n, out=buf)
+            np.subtract(buf, pi, out=buf)
+            np.abs(buf, out=buf)
+            np.sum(buf, axis=1, out=tv_boot[i:i + rows])
         lo, hi = np.percentile(tv_boot, [2.5, 97.5])
         return np.abs(p_hat - pi).sum(), lo, hi
 

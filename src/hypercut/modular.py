@@ -370,27 +370,52 @@ def reduce_points_arrays(x, y, sheets, ctx: ModQContext, max_iter: int = 400):
     Sheets are indices into ctx.elements; every T/S move applied to a point
     multiplies its sheet on the right by the inverse move, so the pair keeps
     representing the same quotient point.
+
+    A pass that neither translates nor inverts a point leaves it as it was,
+    and so would every later pass.  A point that a pass does not invert is
+    such a point at the next pass as soon as its next translation n is 0:
+    its n2 comes out as before.  So each pass ends by computing the next
+    pass's n and carries on only the points it inverted or must translate.
+    The last of max_iter passes may end that way only if it translated no
+    point, so DegeneracyError is raised exactly when a pass-by-pass loop
+    over every point would still move one at pass max_iter.  A translation
+    by n = 0 and a T^0 sheet lookup are the identity, so they run on every
+    carried point without a mask.
     """
-    x = np.asarray(x, dtype=float).copy()
-    y = np.asarray(y, dtype=float).copy()
-    sheets = np.asarray(sheets, dtype=np.int64).copy()
-    t_pow = ctx.t_pow_tables
+    shape = np.shape(x)
+    x = np.array(x, dtype=float).ravel()
+    y = np.array(y, dtype=float).ravel()
+    sheets = np.array(sheets, dtype=np.int64).ravel()
+    t_pow = ctx.t_pow_tables.ravel()
     s_right = ctx.s_right_table
-    for _ in range(max_iter):
-        n = np.floor(x + 0.5)
-        moved = n != 0.0
-        if moved.any():
-            x[moved] -= n[moved]
-            nmod = (n[moved].astype(np.int64)) % ctx.q
-            sheets[moved] = t_pow[nmod, sheets[moved]]
-        n2 = x * x + y * y
-        inv = n2 < 1.0 - 1e-15
-        if not (moved.any() or inv.any()):
-            return x, y, sheets
-        if inv.any():
-            x[inv] = -x[inv] / n2[inv]
-            y[inv] = y[inv] / n2[inv]
-            sheets[inv] = s_right[sheets[inv]]
+    ax, ay, asheets = x, y, sheets   # the points still moving
+    at = None                        # their positions; None while all are
+    n = np.floor(x + 0.5)
+    for passes_left in range(max_iter, 0, -1):
+        ax -= n
+        # the exact int64 residue n % q, as n - (n // q) q: a float modulus
+        # is wrong once |n| >= 2**53 / q, and integer % is 4x slower
+        n_int = n.astype(np.int64)
+        n_int -= n_int // ctx.q * ctx.q
+        asheets = t_pow.take(n_int * ctx.size + asheets)
+        n2 = ax * ax + ay * ay
+        i = np.flatnonzero(n2 < 1.0 - 1e-15)
+        n2_i = n2.take(i)
+        ax[i] = -ax.take(i) / n2_i
+        ay[i] = ay.take(i) / n2_i
+        asheets[i] = s_right.take(asheets.take(i))
+        if at is None:
+            sheets = asheets
+        else:
+            x[at], y[at], sheets[at] = ax, ay, asheets
+        n_next = np.floor(ax + 0.5)
+        go = n_next != 0.0
+        go[i] = True
+        keep = np.flatnonzero(go)
+        if keep.size == 0 and (passes_left > 1 or not n.any()):
+            return x.reshape(shape), y.reshape(shape), sheets.reshape(shape)
+        at = keep if at is None else at.take(keep)
+        ax, ay, asheets, n = (a.take(keep) for a in (ax, ay, asheets, n_next))
     raise DegeneracyError("vectorized reduction hit iteration cap")
 
 

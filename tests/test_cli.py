@@ -127,6 +127,20 @@ class TestExitCodes:
                      flag, value, "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_tv_k_max_zero_profiles_the_start_only(self, tmp_path):
+        assert main(["tv", "--q", "2", "--k-max", "0", "--n", "1000",
+                     "--out", str(tmp_path)]) == 0
+        body = csv_body(tmp_path / "tv.csv")
+        assert [row.split(",")[0] for row in body] == ["k", "0"]
+        config = json.loads((tmp_path / "tv_config.json").read_text())
+        assert config["k_max"] == 0
+
+    def test_tv_negative_k_max_is_config_error(self, tmp_path, capsys):
+        assert main(["tv", "--q", "2", "--k-max", "-3", "--n", "1000",
+                     "--out", str(tmp_path)]) == 2
+        assert "k_max" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flags,env", [(["--workers", "0"], None),
                                            (["--workers", "-1"], None),
                                            ([], "0")])

@@ -13,17 +13,42 @@ from hypercut.mixing import (CellPartition, ConcentrationReport,
                              default_partition, distance_histogram,
                              isoperimetric_check, kappa, tv_profile)
 from hypercut.modular import (CosetModQ, QuotientPoint, modq_context,
-                              quotient_R, quotient_volume,
-                              reduce_points_arrays)
+                              quotient_R, quotient_volume)
 from hypercut.spectral import clt_constants
 from hypercut.torus import TorusConfig, torus_l1
 from hypercut.walks import map_blocks, stream
+from test_modular import reference_reduce_points_arrays
 
 MOD_AREA = math.pi / 3.0
 
 
 def origin(q):
     return QuotientPoint(PointH(0.0, 1.0), CosetModQ.identity(q))
+
+
+def reference_base_cells_of(partition, x, u):
+    """CellPartition.base_cells_of as first written, through searchsorted;
+    kept frozen as its reference."""
+    ix = np.clip(np.searchsorted(partition.x_edges, x, "right") - 1,
+                 0, len(partition.x_edges) - 2)
+    iu = np.clip(np.searchsorted(partition.u_edges, u, "right") - 1,
+                 0, len(partition.u_edges) - 2)
+    return iu * (len(partition.x_edges) - 1) + ix
+
+
+def reference_cells_of(partition, x, y, sheets):
+    return sheets * partition.n_base + reference_base_cells_of(
+        partition, x, 1.0 / np.asarray(y))
+
+
+def edge_probes(edges, rng):
+    """Every edge, one ulp either side of it, points outside the range,
+    signed zeros, ±inf, NaN and uniform points across the range."""
+    lo, hi = edges[0], edges[-1]
+    return np.concatenate([
+        edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+        [lo - 1.0, hi + 1.0, -1e300, 1e300, 0.0, -0.0, np.inf, -np.inf,
+         np.nan], rng.uniform(lo - 0.1, hi + 0.1, 500)])
 
 
 class TestCellPartition:
@@ -77,9 +102,32 @@ class TestCellPartition:
         assert np.all(cells == ids[0])
 
 
-def reference_tv_profile(q, x0, r1, k_grid, n_walkers, seed, n_boot=200):
-    """The earlier tv_profile core: each block runs all its steps into a
-    (grid points x cells) count array, then the bootstrap runs serially."""
+    @pytest.mark.parametrize("partition", [
+        *(default_partition(q) for q in (2, 3, 5, 7)),
+        CellPartition.build(2, 28, 32),
+        # more interior x-edges than a uint8 count holds
+        CellPartition.build(1, 300, 3)],
+        ids=["q2", "q3", "q5", "q7", "fine", "wide"])
+    def test_binning_matches_frozen_reference(self, partition):
+        rng = np.random.default_rng(7)
+        xs = edge_probes(partition.x_edges, rng)
+        us = edge_probes(partition.u_edges, rng)
+        x, u = (a.ravel() for a in np.meshgrid(xs, us))
+        with np.errstate(all="ignore"):
+            y = 1.0 / u
+        want = reference_base_cells_of(partition, x, u)
+        assert np.array_equal(partition.base_cells_of(x, u), want)
+        sheets = rng.integers(0, partition.n_sheets, x.size)
+        with np.errstate(all="ignore"):
+            assert np.array_equal(partition.cells_of(x, y, sheets),
+                                  reference_cells_of(partition, x, y,
+                                                     sheets))
+
+
+def reference_histograms(q, x0, r1, k_grid, n_walkers, seed):
+    """The earlier tv_profile walker, on the frozen reduction and binning:
+    each block runs all its steps on whole-block arrays into a
+    (grid points x cells) count array."""
     partition = default_partition(q)
     ctx = modq_context(q)
     start_sheet = ctx.index[x0.sheet.key()]
@@ -95,45 +143,58 @@ def reference_tv_profile(q, x0, r1, k_grid, n_walkers, seed, n_boot=200):
         counts = np.zeros((len(k_grid), n_cells), dtype=np.int64)
         slot = 0
         if k_grid[0] == 0:
-            counts[0] = np.bincount(partition.cells_of(x, y, sheets),
-                                    minlength=n_cells)
+            counts[0] = np.bincount(
+                reference_cells_of(partition, x, y, sheets),
+                minlength=n_cells)
             slot = 1
         for step in range(1, k_grid[-1] + 1):
             theta = rng.uniform(0.0, math.pi, m)
             x, y = sphere_step_arrays(x, y, r1, theta)
-            x, y, sheets = reduce_points_arrays(x, y, sheets, ctx)
+            x, y, sheets = reference_reduce_points_arrays(x, y, sheets, ctx)
             if slot < len(k_grid) and k_grid[slot] == step:
-                counts[slot] = np.bincount(partition.cells_of(x, y, sheets),
-                                           minlength=n_cells)
+                counts[slot] = np.bincount(
+                    reference_cells_of(partition, x, y, sheets),
+                    minlength=n_cells)
                 slot += 1
         return counts
 
-    counts = np.sum(map_blocks(run_block, n_walkers, 1,
-                               block=mixing.TV_BLOCK), axis=0)
-    pi = partition.cell_probabilities()
+    return np.sum(map_blocks(run_block, n_walkers, 1,
+                             block=mixing.TV_BLOCK), axis=0)
+
+
+def reference_tv_profile(q, counts, n_walkers, seed, n_boot=200):
+    """The earlier tv_profile bootstrap, run serially over the grid
+    points' counts."""
+    pi = default_partition(q).cell_probabilities()
     n = n_walkers
     tv = np.abs(counts / n - pi).sum(axis=1)
     boot_rng = stream(seed, tag=3)
     lo = np.empty_like(tv)
     hi = np.empty_like(tv)
-    for i in range(len(k_grid)):
+    for i in range(len(counts)):
         resampled = boot_rng.multinomial(n, counts[i] / n, size=n_boot)
         tv_boot = np.abs(resampled / n - pi).sum(axis=1)
         lo[i], hi[i] = np.percentile(tv_boot, [2.5, 97.5])
     return tv, lo, hi
 
 
-# more than two full walker blocks plus a partial one
+# more than two full walker blocks plus a partial one, which ends in a
+# partial slice
 PIPELINE_N = 140_000
 PIPELINE_KS = (0, 1, 3, 6)
 
 
 @pytest.fixture(scope="module")
-def reference_profile():
+def reference_counts():
     assert PIPELINE_N > 2 * mixing.TV_BLOCK
-    assert PIPELINE_N % mixing.TV_BLOCK
-    return reference_tv_profile(2, origin(2), 1.0, PIPELINE_KS, PIPELINE_N,
+    assert PIPELINE_N % mixing.TV_BLOCK % mixing.TV_SLICE
+    return reference_histograms(2, origin(2), 1.0, PIPELINE_KS, PIPELINE_N,
                                 seed=21)
+
+
+@pytest.fixture(scope="module")
+def reference_profile(reference_counts):
+    return reference_tv_profile(2, reference_counts, PIPELINE_N, seed=21)
 
 
 def assert_same_profile(prof, reference):
@@ -144,6 +205,17 @@ def assert_same_profile(prof, reference):
 
 
 class TestTvPipeline:
+    def test_walker_histograms_same_at_any_worker_count(self,
+                                                        reference_counts):
+        partition = default_partition(2)
+        for workers in (1, 2, 3):
+            emitted = []
+            ks = mixing._walk_histograms(2, origin(2), 1.0, PIPELINE_KS,
+                                         PIPELINE_N, partition, 21, workers,
+                                         emitted.append)
+            assert ks == list(PIPELINE_KS)
+            assert np.array_equal(np.array(emitted), reference_counts)
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_bit_identical_to_reference(self, workers, reference_profile):
         prof = tv_profile(2, origin(2), 1.0, PIPELINE_KS, PIPELINE_N,
@@ -245,13 +317,13 @@ class TestTvPipeline:
         n_cells = default_partition(2).n_cells
         ks, n = range(0, 41), 1000
         held = mixing._tv_held_bytes(n, len(ks), n_cells)
-        # each queued k-histogram, and one bootstrap chunk of int64 draws,
-        # count on top of the walker state
+        # each queued k-histogram, and one bootstrap chunk of int64 draws
+        # with its float64 buffer, count on top of the walker state
         assert (mixing._tv_held_bytes(n, len(ks) + 1, n_cells) - held
                 == 8 * n_cells)
         assert (mixing._tv_held_bytes(n, 0, n_cells)
                 - n * mixing.TV_WALKER_BYTES
-                >= 8 * n_cells * mixing.BOOT_ROWS)
+                >= 8 * n_cells * 2 * mixing.BOOT_ROWS)
         monkeypatch.setattr(mixing, "TV_STATE_CAP_BYTES", held - 1)
         with pytest.raises(CapacityError):
             tv_profile(2, origin(2), 1.0, ks, n)

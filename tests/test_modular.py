@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from hypercut.errors import CapacityError
-from hypercut.geometry import PointH, distance
+from hypercut.errors import CapacityError, DegeneracyError
+from hypercut.geometry import PointH, distance, sphere_step_arrays
 from hypercut.modular import (CosetModQ, GroupElement,
                               QuotientPoint, RandomCover, coset_index,
                               PSLZEnumeration, get_enumeration,
@@ -152,6 +152,72 @@ def brute_force_reduce(z: PointH, depth: int = 40):
     return w
 
 
+def reference_reduce_points_arrays(x, y, sheets, ctx, max_iter=400):
+    """The reduction as first written: every pass runs over every point,
+    with boolean gathers, until one pass moves none.  Kept frozen as the
+    reference for reduce_points_arrays."""
+    x = np.asarray(x, dtype=float).copy()
+    y = np.asarray(y, dtype=float).copy()
+    sheets = np.asarray(sheets, dtype=np.int64).copy()
+    t_pow = ctx.t_pow_tables
+    s_right = ctx.s_right_table
+    for _ in range(max_iter):
+        n = np.floor(x + 0.5)
+        moved = n != 0.0
+        if moved.any():
+            x[moved] -= n[moved]
+            nmod = (n[moved].astype(np.int64)) % ctx.q
+            sheets[moved] = t_pow[nmod, sheets[moved]]
+        n2 = x * x + y * y
+        inv = n2 < 1.0 - 1e-15
+        if not (moved.any() or inv.any()):
+            return x, y, sheets
+        if inv.any():
+            x[inv] = -x[inv] / n2[inv]
+            y[inv] = y[inv] / n2[inv]
+            sheets[inv] = s_right[sheets[inv]]
+    raise DegeneracyError("vectorized reduction hit iteration cap")
+
+
+def adversarial_points(rng):
+    """(x, y) pairs on the edges of the reduction: x on and one ulp either
+    side of half-integers, |z|^2 on and around the 1 - 1e-15 inversion
+    threshold, |x| up to 1e18 (past 2**53 / q, where a float residue of
+    the translation would go wrong) and y from 1e-8 to 1e12."""
+    half = np.arange(-6, 7) + 0.5
+    xs = np.concatenate([half, np.nextafter(half, np.inf),
+                         np.nextafter(half, -np.inf), [0.0, -0.0]])
+    ys = np.array([1e-8, 1e-3, 0.5, math.sqrt(3.0) / 2.0, 1.0, 2.0, 1e12])
+    grid_x, grid_y = (a.ravel() for a in np.meshgrid(xs, ys))
+    xu = np.concatenate([rng.uniform(-0.5, 0.5, 64), [0.0, 0.5, -0.5]])
+    rim = []
+    for r2 in (1.0 - 1e-15, 1.0):
+        yu = np.sqrt(r2 - xu * xu)
+        rim += [yu, np.nextafter(yu, 0.0), np.nextafter(yu, 2.0),
+                np.nextafter(np.nextafter(yu, 0.0), 0.0)]
+    m = 400
+    sign = rng.choice([-1.0, 1.0], m)
+    far_x = sign * 10 ** rng.uniform(-3, 18, m)
+    far_y = 10 ** rng.uniform(-8, 12, m)
+    x = np.concatenate([grid_x, np.tile(xu, len(rim)), far_x,
+                        rng.uniform(-3, 3, m)])
+    y = np.concatenate([grid_y, *rim, far_y, 10 ** rng.uniform(-8, 12, m)])
+    return x, y
+
+
+def same_bits(got, want):
+    return all(a.dtype == b.dtype and a.shape == b.shape
+               and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def reduce_outcome(fn, x, y, sheets, ctx, **kwargs):
+    with np.errstate(all="ignore"):
+        try:
+            return fn(x, y, sheets, ctx, **kwargs)
+        except DegeneracyError:
+            return None
+
+
 class TestReduceFundamental:
     def test_fixed_point(self):
         z, g = reduce_fundamental(ORIGIN)
@@ -196,6 +262,75 @@ class TestReduceFundamental:
             expected = CosetModQ.identity(5).mul(g.inv().mod_q(5))
             assert ctx.elements[rs[i]] == expected
 
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_matches_frozen_reference_on_adversarial_points(self, q):
+        rng = np.random.default_rng(100 + q)
+        ctx = modq_context(q)
+        x, y = adversarial_points(rng)
+        sheets = rng.integers(0, ctx.size, x.size)
+        want = reference_reduce_points_arrays(x, y, sheets, ctx)
+        assert same_bits(reduce_points_arrays(x, y, sheets, ctx), want)
+        # the points that start on the edges are reduced alone as well
+        for i in range(0, x.size, 97):
+            got = reduce_points_arrays(x[i:i + 1], y[i:i + 1],
+                                       sheets[i:i + 1], ctx)
+            assert same_bits(got, [a[i:i + 1] for a in want])
+
+    def test_matches_frozen_reference_along_a_walk(self):
+        ctx = modq_context(5)
+        rng = np.random.default_rng(31)
+        x, y = np.zeros(4096), np.ones(4096)
+        sheets = np.zeros(4096, dtype=np.int64)
+        for _ in range(12):
+            x, y = sphere_step_arrays(x, y, 1.0, rng.uniform(0, np.pi, 4096))
+            want = reference_reduce_points_arrays(x, y, sheets, ctx)
+            got = reduce_points_arrays(x, y, sheets, ctx)
+            assert same_bits(got, want)
+            x, y, sheets = got
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_as_reference(self, bad):
+        ctx = modq_context(3)
+        for x, y in ((bad, 2.0), (0.2, bad), (bad, bad), (0.0, 0.0)):
+            xs = np.array([x, 0.3, 4.7])
+            ys = np.array([y, 0.01, 2.0])
+            sheets = np.array([0, 1, 2])
+            want = reduce_outcome(reference_reduce_points_arrays, xs, ys,
+                                  sheets, ctx)
+            got = reduce_outcome(reduce_points_arrays, xs, ys, sheets, ctx)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert same_bits(got, want)
+
+    def test_degeneracy_error_at_the_same_iteration_cap(self):
+        ctx = modq_context(5)
+        rng = np.random.default_rng(41)
+        x, y = adversarial_points(rng)
+        sheets = rng.integers(0, ctx.size, x.size)
+        outcomes = set()
+        for max_iter in range(0, 16):
+            want = reduce_outcome(reference_reduce_points_arrays, x, y,
+                                  sheets, ctx, max_iter=max_iter)
+            got = reduce_outcome(reduce_points_arrays, x, y, sheets, ctx,
+                                 max_iter=max_iter)
+            assert (got is None) == (want is None), max_iter
+            if want is not None:
+                assert same_bits(got, want)
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
+        # a last translation, or a last inversion, needs a pass that
+        # confirms it; a point already in the domain needs one pass
+        for (px, py), passes in (((3.2, 2.0), 2), ((0.1, 0.5), 2),
+                                 ((0.1, 2.0), 1), ((0.3, 0.5), 3)):
+            args = (np.array([px]), np.array([py]), np.array([0]), ctx)
+            with pytest.raises(DegeneracyError):
+                reference_reduce_points_arrays(*args, max_iter=passes - 1)
+            with pytest.raises(DegeneracyError):
+                reduce_points_arrays(*args, max_iter=passes - 1)
+            assert same_bits(reduce_points_arrays(*args, max_iter=passes),
+                             reference_reduce_points_arrays(
+                                 *args, max_iter=passes))
 
 class TestEnumeration:
     def test_complete_against_raw_search(self):
