@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, DegeneracyError
+from .errors import CapacityError, ConfigError, DegeneracyError
 from .geometry import PointH, distance
 
 FUNDAMENTAL_TOL = 1e-12
@@ -33,6 +33,11 @@ MODULAR_AREA = math.pi / 3.0
 _Q_CAP = 101
 _ENUM_BOUND_CAP = 14.5
 _REDUCE_CAP = 1_000_000
+# Disc pairs per build chunk and elements per decode or labelling block of
+# PSLZEnumeration: its temporaries stay a few MB while the arrays it keeps
+# grow like e^bound.
+_ENUM_PAIRS = 1 << 14
+_ENUM_BLOCK = 1 << 14
 # An enumerated entry is at most sqrt(2 cosh(_ENUM_BOUND_CAP)) in absolute
 # value; offset by _ENTRY_OFFSET it fits in _ENTRY_BITS bits, so the four
 # entries pack into one int64 sort key that orders rows like np.lexsort.
@@ -433,52 +438,33 @@ class PSLZEnumeration:
     i.e. all g with d(i, g i) <= bound, as flat int arrays.
 
     Built by exhausting coprime first columns and the integer line of
-    completions, so completeness needs no connectivity argument.
+    completions, so completeness needs no connectivity argument.  The rows
+    a of first columns are worked through in chunks of at most _ENUM_PAIRS
+    disc pairs, each keeping only the packed sort keys of its elements;
+    the keys are then sorted and decoded _ENUM_BLOCK elements at a time.
     """
 
     def __init__(self, bound: float):
-        if bound > _ENUM_BOUND_CAP:
-            raise CapacityError(
-                f"enumeration bound {bound:.3f} exceeds cap {_ENUM_BOUND_CAP}"
-                " (element count grows like e^bound)")
+        _check_bound(bound)
         self.bound = bound
         cap = 2.0 * math.cosh(bound)
-        # every first column (a, c) with a >= 0 inside the disc, one sign
-        # of (0, +-1), coprime
         c_caps = np.array([math.isqrt(int(cap - a * a))
                            for a in range(math.isqrt(int(cap)) + 1)],
                           dtype=np.int64)
-        a, c = _ragged_ranges(-c_caps, 2 * c_caps + 1)
-        keep = ((a > 0) | (c > 0)) & (np.gcd(a, c) == 1)
-        a, c = a[keep], c[keep]
-        g, x, y = _ext_gcd(a, c)
-        # a*d - c*b = 1 with (d, b) = (x, -y) scaled by 1/g = +-1; the
-        # completions (b0 + t a, d0 + t c) have norm quadratic in t
-        d0, b0 = x * g, -y * g
-        aa = a * a + c * c
-        beta = a * b0 + c * d0
-        disc = beta * beta - aa * (b0 * b0 + d0 * d0 - (cap - aa))
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        # one spare t on each side absorbs rounding in the roots; the exact
-        # integer norm test below decides membership
-        t_lo = np.ceil((-beta - sq) / aa).astype(np.int64) - 1
-        t_hi = np.floor((-beta + sq) / aa).astype(np.int64) + 1
-        col, t = _ragged_ranges(t_lo, t_hi - t_lo + 1)
-        a, c = a[col], c[col]
-        b, d = b0[col] + t * a, d0[col] + t * c
-        norm2 = a * a + b * b + c * c + d * d
-        keep = norm2 <= cap
-        a, b, c, d, norm2 = a[keep], b[keep], c[keep], d[keep], norm2[keep]
-        # canonical sign: first nonzero entry positive (a >= 0 already)
-        flip = np.where((a == 0) & (b < 0), -1, 1)
-        a, b, c, d = a * flip, b * flip, c * flip, d * flip
-        key = a + _ENTRY_OFFSET
-        for v in (b, c, d):
-            key = (key << _ENTRY_BITS) | (v + _ENTRY_OFFSET)
-        order = np.argsort(key)
-        self.a, self.b, self.c, self.d = a[order], b[order], c[order], d[order]
-        self.norm2 = norm2[order]
-        self.size = int(order.size)
+        keys = np.concatenate([_packed_keys(cap, rows.start, c_caps[rows])
+                               for rows in _row_chunks(2 * c_caps + 1)])
+        keys.sort()
+        self.size = int(keys.size)
+        self.a, self.b, self.c, self.norm2 = (np.empty_like(keys)
+                                              for _ in range(4))
+        mask = (1 << _ENTRY_BITS) - 1
+        for s in _slices(self.size, _ENUM_BLOCK):
+            a, b, c, d = ((keys[s] >> (k * _ENTRY_BITS) & mask)
+                          - _ENTRY_OFFSET for k in (3, 2, 1, 0))
+            self.a[s], self.b[s], self.c[s] = a, b, c
+            self.norm2[s] = a * a + b * b + c * c + d * d
+            keys[s] = d
+        self.d = keys
         self._members: dict[int, tuple[np.ndarray, ...]] = {}
 
     def coset_labels(self, q: int) -> np.ndarray:
@@ -486,13 +472,20 @@ class PSLZEnumeration:
         members in ascending Frobenius norm for members_of."""
         if q not in self._members:
             ctx = modq_context(q)
-            labels = ctx.labels(self.a, self.b, self.c, self.d)
             # labels < |PSL2(Z/_Q_CAP)| < 2^19 and norm2 < 2^21 under the
             # caps, so the key fits easily; a stable sort keeps lexsort's
-            # order among equal (label, norm2)
+            # order among equal (label, norm2), and the keys then divide
+            # back into the labels in place
             span = int(self.norm2.max(initial=0)) + 1
-            order = np.argsort(labels * span + self.norm2, kind="stable")
-            starts = np.searchsorted(labels[order], np.arange(ctx.size + 1))
+            labels = np.empty_like(self.norm2)
+            for s in _slices(self.size, _ENUM_BLOCK):
+                labels[s] = ctx.labels(self.a[s], self.b[s], self.c[s],
+                                       self.d[s]) * span + self.norm2[s]
+            order = np.argsort(labels, kind="stable")
+            labels //= span
+            starts = np.zeros(ctx.size + 1, dtype=np.int64)
+            np.cumsum(np.bincount(labels, minlength=ctx.size),
+                      out=starts[1:])
             self._members[q] = (labels, order, starts)
         return self._members[q][0]
 
@@ -503,6 +496,68 @@ class PSLZEnumeration:
         return order[starts[coset_id]:starts[coset_id + 1]]
 
 
+def _check_bound(bound: float) -> None:
+    """Refuse a negative, non-finite or over-cap enumeration bound before
+    anything is allocated (cosh is even, so -b would pass for b)."""
+    if not 0.0 <= bound < math.inf:
+        raise ConfigError(
+            f"enumeration bound must be finite and >= 0, not {bound}")
+    if bound > _ENUM_BOUND_CAP:
+        raise CapacityError(
+            f"enumeration bound {bound:.3f} exceeds cap {_ENUM_BOUND_CAP}"
+            " (element count grows like e^bound)")
+
+
+def _slices(n: int, size: int):
+    return (slice(lo, lo + size) for lo in range(0, n, size))
+
+
+def _row_chunks(widths: np.ndarray):
+    """Runs of consecutive rows, each at least one row and otherwise at
+    most _ENUM_PAIRS of the rows' widths in total, as slices."""
+    lo, total = 0, 0
+    for row, width in enumerate(widths.tolist()):
+        if total and total + width > _ENUM_PAIRS:
+            yield slice(lo, row)
+            lo, total = row, 0
+        total += width
+    yield slice(lo, widths.size)
+
+
+def _packed_keys(cap: float, a0: int, c_caps: np.ndarray) -> np.ndarray:
+    """Packed sort keys of the enumerated elements whose first column
+    (a, c) lies in the rows a = a0, a0 + 1, ..., |c| <= c_caps[a - a0]."""
+    # every first column (a, c) with a >= 0 inside the disc, one sign of
+    # (0, +-1), coprime
+    a, c = _ragged_ranges(-c_caps, 2 * c_caps + 1)
+    a += a0
+    keep = ((a > 0) | (c > 0)) & (np.gcd(a, c) == 1)
+    a, c = a[keep], c[keep]
+    g, x, y = _ext_gcd(a, c)
+    # a*d - c*b = 1 with (d, b) = (x, -y) scaled by 1/g = +-1; the
+    # completions (b0 + t a, d0 + t c) have norm quadratic in t
+    d0, b0 = x * g, -y * g
+    aa = a * a + c * c
+    beta = a * b0 + c * d0
+    disc = beta * beta - aa * (b0 * b0 + d0 * d0 - (cap - aa))
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    # one spare t on each side absorbs rounding in the roots; the exact
+    # integer norm test below decides membership
+    t_lo = np.ceil((-beta - sq) / aa).astype(np.int64) - 1
+    t_hi = np.floor((-beta + sq) / aa).astype(np.int64) + 1
+    col, t = _ragged_ranges(t_lo, t_hi - t_lo + 1)
+    a, c = a[col], c[col]
+    b, d = b0[col] + t * a, d0[col] + t * c
+    keep = a * a + b * b + c * c + d * d <= cap
+    a, b, c, d = a[keep], b[keep], c[keep], d[keep]
+    # canonical sign: first nonzero entry positive (a >= 0 already)
+    flip = np.where((a == 0) & (b < 0), -1, 1)
+    key = a + _ENTRY_OFFSET
+    for v in (b, c, d):
+        key = (key << _ENTRY_BITS) | (v * flip + _ENTRY_OFFSET)
+    return key
+
+
 @lru_cache(maxsize=8)
 def _enumeration(bound_key: int) -> PSLZEnumeration:
     return PSLZEnumeration(bound_key / 4.0)
@@ -511,6 +566,7 @@ def _enumeration(bound_key: int) -> PSLZEnumeration:
 def get_enumeration(bound: float) -> PSLZEnumeration:
     """Shared enumeration covering at least the requested bound (quantized
     upward to quarter units so repeated queries reuse the cache)."""
+    _check_bound(bound)
     return _enumeration(math.ceil(bound * 4.0))
 
 

@@ -117,6 +117,12 @@ class TestExitCodes:
         assert main(["distances", "--q", "2", "--n", "50", "--r-max",
                      "13.5", "--seed", "0", "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("r_max", ["inf", "nan"])
+    def test_non_finite_distance_cap_is_config_error(self, tmp_path, r_max):
+        # the enumeration bound it asks for is non-finite
+        assert main(["distances", "--q", "2", "--n", "50", "--r-max",
+                     r_max, "--seed", "0", "--out", str(tmp_path)]) == 2
+
     def test_numeric_error(self, tmp_path):
         assert main(["heat", "--t", "0.0001", "--out", str(tmp_path)]) == 4
 

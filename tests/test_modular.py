@@ -1,11 +1,14 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from hypercut.errors import CapacityError, DegeneracyError
+from hypercut import modular
+from hypercut.errors import CapacityError, ConfigError, DegeneracyError
 from hypercut.geometry import PointH, distance, sphere_step_arrays
 from hypercut.modular import (CosetModQ, GroupElement,
                               QuotientPoint, RandomCover, coset_index,
@@ -332,6 +335,78 @@ class TestReduceFundamental:
                              reference_reduce_points_arrays(
                                  *args, max_iter=passes))
 
+def reference_enumeration(bound):
+    """Frozen copy of the single-pass builder: every candidate of the disc
+    at once, then an argsort of the packed keys and five gathers.  Returns
+    (a, b, c, d, norm2)."""
+    cap = 2.0 * math.cosh(bound)
+    c_caps = np.array([math.isqrt(int(cap - a * a))
+                       for a in range(math.isqrt(int(cap)) + 1)],
+                      dtype=np.int64)
+    a, c = modular._ragged_ranges(-c_caps, 2 * c_caps + 1)
+    keep = ((a > 0) | (c > 0)) & (np.gcd(a, c) == 1)
+    a, c = a[keep], c[keep]
+    g, x, y = modular._ext_gcd(a, c)
+    d0, b0 = x * g, -y * g
+    aa = a * a + c * c
+    beta = a * b0 + c * d0
+    disc = beta * beta - aa * (b0 * b0 + d0 * d0 - (cap - aa))
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    t_lo = np.ceil((-beta - sq) / aa).astype(np.int64) - 1
+    t_hi = np.floor((-beta + sq) / aa).astype(np.int64) + 1
+    col, t = modular._ragged_ranges(t_lo, t_hi - t_lo + 1)
+    a, c = a[col], c[col]
+    b, d = b0[col] + t * a, d0[col] + t * c
+    norm2 = a * a + b * b + c * c + d * d
+    keep = norm2 <= cap
+    a, b, c, d, norm2 = a[keep], b[keep], c[keep], d[keep], norm2[keep]
+    flip = np.where((a == 0) & (b < 0), -1, 1)
+    a, b, c, d = a * flip, b * flip, c * flip, d * flip
+    key = a + modular._ENTRY_OFFSET
+    for v in (b, c, d):
+        key = (key << modular._ENTRY_BITS) | (v + modular._ENTRY_OFFSET)
+    order = np.argsort(key)
+    return a[order], b[order], c[order], d[order], norm2[order]
+
+
+def reference_coset_members(arrays, q):
+    """Frozen copy of the single-pass coset_labels: (labels, order,
+    starts), coset i's members being order[starts[i]:starts[i + 1]]."""
+    a, b, c, d, norm2 = arrays
+    ctx = modq_context(q)
+    labels = ctx.labels(a, b, c, d)
+    span = int(norm2.max(initial=0)) + 1
+    order = np.argsort(labels * span + norm2, kind="stable")
+    starts = np.searchsorted(labels[order], np.arange(ctx.size + 1))
+    return labels, order, starts
+
+
+def enumeration_digest(enum):
+    h = hashlib.sha256()
+    for v in (enum.a, enum.b, enum.c, enum.d, enum.norm2):
+        h.update(v.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+# 2 cosh(RIM_BOUND) = 100.5, just above 10^2: the disc's last row a = 10
+# holds the single column (10, 0), which the coprime filter empties
+RIM_BOUND = math.acosh(50.25)
+# (bound, disc pairs per build chunk, elements per decode and label
+# block); None keeps the module's constant.  One-row chunks put an edge
+# after the a = 0 row, whose one coprime column is (0, 1); 7 and 64 pairs
+# group the short rows at the disc's rim
+ENUM_CHUNKINGS = (
+    [(b, None, None) for b in (3.0, 8.0, 11.0)]
+    + [(b, pairs, 7) for b in (RIM_BOUND, 3.0, 8.0) for pairs in (1, 7, 64)]
+    + [(11.0, pairs, 1009) for pairs in (1, 7, 64)])
+# sha256 of a, b, c, d and norm2 (little-endian int64, in that order) of
+# PSLZEnumeration(14.5) as the single-pass builder made them; at 1 GB of
+# peak memory that builder is too large to rerun here
+CAP_SIZE = 5_946_834
+CAP_DIGEST = ("ce50298039d22c0e3bd572017f0bf9e650d94b360a72e0e2"
+              "bb973564fc0db6ac")
+
+
 class TestEnumeration:
     def test_complete_against_raw_search(self):
         bound = 3.0
@@ -390,6 +465,63 @@ class TestEnumeration:
         members = np.concatenate([enum.members_of(q, i)
                                   for i in range(modq_context(q).size)])
         assert np.array_equal(members, np.lexsort((enum.norm2, labels)))
+
+
+    @pytest.mark.parametrize("bound", [-3.0, math.nan, -math.inf, math.inf])
+    def test_negative_or_non_finite_bound_is_config_error(self, bound):
+        # cosh is even: -3.0 built the elements of bound 3 and reported
+        # bound -3.0; NaN and -inf failed inside math.ceil
+        with pytest.raises(ConfigError):
+            PSLZEnumeration(bound)
+        with pytest.raises(ConfigError):
+            get_enumeration(bound)
+
+    @pytest.mark.parametrize("bound, pairs, block", ENUM_CHUNKINGS)
+    def test_chunked_build_matches_single_pass(self, monkeypatch, bound,
+                                               pairs, block):
+        if pairs is not None:
+            monkeypatch.setattr(modular, "_ENUM_PAIRS", pairs)
+            monkeypatch.setattr(modular, "_ENUM_BLOCK", block)
+        enum = PSLZEnumeration(bound)
+        want = reference_enumeration(bound)
+        assert enum.size == want[0].size
+        for got, ref in zip((enum.a, enum.b, enum.c, enum.d, enum.norm2),
+                            want):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, ref)
+        for q in (2, 3, 5):
+            labels, order, starts = reference_coset_members(want, q)
+            assert np.array_equal(enum.coset_labels(q), labels)
+            for i in range(starts.size - 1):
+                assert np.array_equal(enum.members_of(q, i),
+                                      order[starts[i]:starts[i + 1]])
+
+    def test_rim_bound_has_an_emptied_single_column_row(self):
+        cap = 2.0 * math.cosh(RIM_BOUND)
+        assert math.isqrt(int(cap)) == 10
+        assert math.isqrt(int(cap - 100)) == 0
+
+    def test_cap_reproduces_single_pass_digest(self):
+        enum = PSLZEnumeration(modular._ENUM_BOUND_CAP)
+        assert enum.size == CAP_SIZE
+        assert enumeration_digest(enum) == CAP_DIGEST
+
+    def test_build_and_labels_peak_memory(self):
+        modq_context(5)
+        tracemalloc.start()
+        try:
+            enum = PSLZEnumeration(12.0)
+            _, peak = tracemalloc.get_traced_memory()
+            kept = sum(v.nbytes for v in (enum.a, enum.b, enum.c, enum.d,
+                                          enum.norm2))
+            assert peak <= 1.5 * kept
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            enum.coset_labels(5)
+            after, peak = tracemalloc.get_traced_memory()
+            assert peak - before <= 1.6 * (after - before)
+        finally:
+            tracemalloc.stop()
 
 
 class TestQuotientDistance:
