@@ -5,18 +5,17 @@ case."""
 __version__ = "0.1.0"
 
 from .geometry import (MobiusReal, PointH, ball_volume, distance,
-                       inverse_ball_radius, mobius_apply,
-                       sample_hyperbolic_measure, sphere_point)
+                       inverse_ball_radius, mobius_apply, sphere_point)
 from .modular import (CosetModQ, GroupElement, QuotientPoint, RandomCover,
                       coset_index, injectivity_radius, quotient_R,
                       quotient_distance, quotient_volume, random_cover,
                       reduce_fundamental, sample_uniform_quotient)
 from .radial import RadialGrid, RadialMeasure
-from .spectral import (CltConstants, SphericalParam, clt_constants, hc_bound,
-                       heat_radial_density, helgason_radial, lambda_to_p,
-                       p_to_lambda, plancherel_check, radial_mixture,
-                       spherical_complementary, spherical_principal)
-from .walks import (WalkConfig, WalkStats, brownian_jump, clt_check,
-                    tail_checks, walk_discrete)
+from .spectral import (CltConstants, clt_constants, hc_bound,
+                       heat_radial_density, helgason_radial, plancherel_check,
+                       radial_mixture, spherical_complementary,
+                       spherical_principal_grid)
+from .walks import (WalkConfig, WalkStats, clt_check, tail_checks,
+                    walk_discrete)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

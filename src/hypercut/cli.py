@@ -438,7 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p=(float, "certified exponent"), r0=(float, "seed ball radius"),
         n=(int, "Monte Carlo samples"))
     add("density", n_values=(str, "comma list of cover degrees"),
-        a_param=(float, "density parameter"), g_slope=(float, "growth slope"),
+        a_param=(float, "recorded in the config only; has no effect"),
+        g_slope=(float, "growth slope"),
         family=(str, "density | uniform"),
         budget_files=(str, "comma list of budget JSON files"))
     add("torus", lam=(float, "scale lambda"), t=(float, "time"),

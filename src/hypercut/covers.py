@@ -1,20 +1,22 @@
 """Bookkeeping for exceptional-eigenvalue budgets across cover families:
-the cumulative count M(p), the density condition, the normal-cover
-requirement expressions, the L^p radius dilation, and the projection-norm
-bounds entering the cover decomposition.
+the cumulative count M(p) and the normal-cover requirement expressions.
 
 Budgets are inputs (from the literature or synthetic); nothing here
-computes spectra.  Implicit absolute constants are explicit parameters
-with default 1 and are always part of the returned reports.
+computes spectra.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+# the desk-scale o(1) verdict's bound on each requirement sequence's last term
+O1_THRESHOLD = 0.1
+# the exponents of the built-in budget families
+P_VALUES = (2.5, 3.0, 4.0, 6.0, 8.0)
 
 
 @dataclass(frozen=True)
@@ -64,55 +66,26 @@ class EigenvalueBudget:
                    obj["N"], obj.get("label", ""))
 
 
-def M_of_p(budget: EigenvalueBudget, p: float) -> int:
-    return budget.M(p)
-
-
-def synthetic_density_budget(n_cover: int, p_values=(2.5, 3.0, 4.0, 6.0, 8.0),
-                             label: str = "synthetic-A1") -> EigenvalueBudget:
+def synthetic_density_budget(n_cover: int,
+                             p_values=P_VALUES) -> EigenvalueBudget:
     """The standard density-shaped test budget m(p_i) = round(N^{2/p_i})."""
     entries = tuple((p, max(1, round(n_cover ** (2.0 / p))))
                     for p in p_values)
-    return EigenvalueBudget(entries, n_cover, label)
+    return EigenvalueBudget(entries, n_cover, "synthetic-A1")
 
 
-def uniform_budget(n_cover: int, p_values=(2.5, 3.0, 4.0, 6.0, 8.0),
-                   label: str = "uniform-M") -> EigenvalueBudget:
-    """A violating budget with N eigenvalues at every exponent."""
-    return EigenvalueBudget(tuple((p, n_cover) for p in p_values),
-                            n_cover, label)
-
-
-def density_condition_check(budget: EigenvalueBudget, A: float,
-                            epsilon: float, C: float = 1.0) -> dict:
-    """Check M(p) <= C N^{1 - A (p-2)/p + epsilon} at every breakpoint,
-    plus the two side conditions (total count O(N); an exponent with empty
-    tail exists, which is automatic for a finite budget)."""
-    if A < 1.0 or epsilon <= 0.0:
-        raise ValueError("need A >= 1 and epsilon > 0")
-    N = budget.n_cover
-    worst_p, worst_ratio = None, math.inf
-    ok = True
-    for p, _ in budget.entries:
-        allowed = C * N ** (1.0 - A * (p - 2.0) / p + epsilon)
-        ratio = allowed / budget.M(p)
-        if ratio < worst_ratio:
-            worst_ratio, worst_p = ratio, p
-        if ratio < 1.0:
-            ok = False
-    total_ok = budget.total <= C * N
-    return {"passed": bool(ok and total_ok), "worst_p": worst_p,
-            "worst_ratio": worst_ratio, "total_ok": bool(total_ok),
-            "p_max_exists": True, "C": C, "A": A, "epsilon": epsilon}
+def uniform_budget(n_cover: int) -> EigenvalueBudget:
+    """A violating budget with N eigenvalues at every exponent of P_VALUES."""
+    return EigenvalueBudget(tuple((p, n_cover) for p in P_VALUES),
+                            n_cover, "uniform-M")
 
 
 @dataclass(frozen=True)
 class GrowthFunction:
-    """g(R) = slope * R + delta_log * ln R + const, non-decreasing on R >= 1."""
+    """g(R) = slope * R + delta_log * ln R, non-decreasing on R >= 1."""
 
     slope: float = 1.0
     delta_log: float = 0.0
-    const: float = 0.0
 
     def __post_init__(self):
         if self.slope < 1.0:
@@ -120,15 +93,8 @@ class GrowthFunction:
 
     def __call__(self, R):
         R = np.asarray(R, dtype=float)
-        out = self.slope * R + self.delta_log * np.log(R) + self.const
+        out = self.slope * R + self.delta_log * np.log(R)
         return float(out) if out.ndim == 0 else out
-
-    def dominates_radius_plus_log(self, delta: float, r_from: float,
-                                  r_to: float = 1e6) -> bool:
-        """Whether g(R) >= R + delta ln R on [r_from, r_to] (the theorem's
-        first condition needs this for some delta > 2 and R large)."""
-        rs = np.geomspace(max(r_from, 1.0), r_to, 512)
-        return bool(np.all(self(rs) >= rs + delta * np.log(rs)))
 
 
 @dataclass
@@ -139,8 +105,7 @@ class RequirementRow:
     req_limit: float
 
 
-def normal_cover_requirement(budgets, g: GrowthFunction,
-                             o1_threshold: float = 0.1) -> dict:
+def normal_cover_requirement(budgets, g: GrowthFunction) -> dict:
     """Evaluate the three smallness expressions of the normal-cover
     criterion for an increasing family of budgets.
 
@@ -150,7 +115,7 @@ def normal_cover_requirement(budgets, g: GrowthFunction,
 
     The integral is quadrature over the step function M.  The desk-scale
     o(1) verdict is: each sequence strictly decreasing and ending below
-    ``o1_threshold`` (a labeled proxy, not an asymptotic claim).
+    ``O1_THRESHOLD`` (a labeled proxy, not an asymptotic claim).
     """
     ns = [b.n_cover for b in budgets]
     if len(ns) < 3 or any(b >= a for b, a in zip(ns, ns[1:])):
@@ -176,40 +141,6 @@ def normal_cover_requirement(budgets, g: GrowthFunction,
     for attr in ("req_sum", "req_integral", "req_limit"):
         seq = [getattr(r, attr) for r in rows]
         decreasing = all(b < a for a, b in zip(seq, seq[1:]))
-        verdict = verdict and decreasing and seq[-1] < o1_threshold
+        verdict = verdict and decreasing and seq[-1] < O1_THRESHOLD
     return {"rows": rows, "vanishing": bool(verdict),
-            "o1_threshold": o1_threshold}
-
-
-def lp_radius_dilation(p: float, R_X: float, gamma: float) -> float:
-    """The dilated concentration radius (p/2)(R_X + gamma ln R_X); at p = 2
-    this is the undilated radius."""
-    if p < 2.0:
-        raise ValueError("need p >= 2")
-    return 0.5 * p * (R_X + gamma * math.log(R_X))
-
-
-def covering_norm_bounds(n_cover: int, dim_w: int, ball_norm: float):
-    """(pull-back projection norm, invariant-subspace projection bound):
-    N^{-1/2} ||b|| and sqrt(dim W / N) ||b||."""
-    if n_cover < 1 or dim_w < 0:
-        raise ValueError("need N >= 1 and dim W >= 0")
-    return (ball_norm / math.sqrt(n_cover),
-            math.sqrt(dim_w / n_cover) * ball_norm)
-
-
-def bound_total(r: float, budget: EigenvalueBudget, p0_base: float,
-                ball_norm: float = 1.0) -> float:
-    """The cover decomposition bound at averaging radius r:
-
-        (r+1)^2 [ e^{-2r/p0} / N  +  e^{-r} ] ||b||^2
-        + (r+1)^2 / N * sum_i e^{-2r/p_i} m_i ||b||^2
-
-    (pulled-back part, tempered part, exceptional parts).
-    """
-    N = budget.n_cover
-    rate0 = 0.0 if math.isinf(p0_base) else 2.0 * r / p0_base
-    base = (r + 1.0) ** 2 * (math.exp(-rate0) / N + math.exp(-r))
-    exc = (r + 1.0) ** 2 / N * sum(m * math.exp(-2.0 * r / p)
-                                   for p, m in budget.entries)
-    return (base + exc) * ball_norm ** 2
+            "o1_threshold": O1_THRESHOLD}

@@ -1,9 +1,7 @@
 """Upper half-plane primitives: points, Mobius maps, geodesic distance,
-sphere parameterization, ball volumes, and sampling of the invariant measure
-dx dy / y^2.
+sphere parameterization and ball volumes.
 
-All types are immutable values and all functions are pure except the
-samplers, which take an explicit numpy Generator.
+All types are immutable values and all functions are pure.
 """
 
 from __future__ import annotations
@@ -184,30 +182,3 @@ def inverse_ball_radius(volume: float) -> float:
     if volume < 0.0:
         raise ValueError("volume must be >= 0")
     return math.acosh(volume / (2.0 * math.pi) + 1.0)
-
-
-def sample_hyperbolic_measure(region, rng, n: int | None = None):
-    """Sample from dx dy / y^2 restricted to the rectangle
-    region = (x0, x1, y0, y1) with y0 > 0.
-
-    x is uniform; y is drawn by the exact inverse CDF of 1/y^2.  Returns a
-    PointH, or coordinate arrays of length n when n is given.
-    """
-    x0, x1, y0, y1 = map(float, region)
-    if not y0 > 0.0:
-        raise ValueError("region must satisfy y0 > 0")
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError("degenerate region (zero area)")
-    size = 1 if n is None else n
-    u = rng.random(size)
-    x = x0 + (x1 - x0) * rng.random(size)
-    y = 1.0 / (1.0 / y0 - u * (1.0 / y0 - 1.0 / y1))
-    if n is None:
-        return PointH(float(x[0]), float(y[0]))
-    return x, y
-
-
-def hyperbolic_rectangle_measure(region) -> float:
-    """mu-measure of a coordinate rectangle: (x1-x0) (1/y0 - 1/y1)."""
-    x0, x1, y0, y1 = map(float, region)
-    return (x1 - x0) * (1.0 / y0 - 1.0 / y1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ConfigError, ResolutionError
-from .geometry import PointH, ball_volume, sphere_step_arrays
+from .geometry import ball_volume, sphere_step_arrays
 from .modular import (MODULAR_AREA, QuotientPoint, injectivity_radius,
                       modq_context, quotient_distances_from, quotient_R,
                       quotient_volume, reduce_points_arrays,
@@ -37,11 +37,14 @@ TV_STATE_CAP_BYTES = 1 << 30
 BOOT_ROWS = 32
 EPS_GRID = (1.9, 1.5, 1.0, 0.5, 0.1)
 U_TOP = 2.0 / math.sqrt(3.0)
-
-
-def _domain_height(x):
-    """u-coordinate of the domain boundary arc: (1 - x^2)^{-1/2}."""
-    return 1.0 / np.sqrt(1.0 - np.asarray(x, dtype=float) ** 2)
+# rows of cells in the strip above the cusp cap
+CUSP_ROWS = 4
+# the fewest samples a tail of concentration_fit may rest on
+CONCENTRATION_MIN_COUNT = 10
+# the smallest injectivity radius a start point may have by default
+R0_FLOOR = 0.1
+# height cap of isoperimetric_check's uniform samples
+ISOPERIMETRY_CUSP_CAP = 30.0
 
 
 def _clip_primitive(x, u_lo: float, u_hi: float):
@@ -105,18 +108,16 @@ class CellPartition:
         self.base_measures = meas
 
     @classmethod
-    def build(cls, q: int, nx: int, nu: int, cusp_cap: float = 10.0,
-              n_cusp: int = 4) -> "CellPartition":
+    def build(cls, q: int, nx: int, nu: int,
+              cusp_cap: float = 10.0) -> "CellPartition":
         if cusp_cap < 2.0:
             raise ConfigError("cusp cap must be >= 2")
         x_edges = np.linspace(-0.5, 0.5, nx + 1)
         u_edges = np.concatenate([
-            np.linspace(0.0, 1.0 / cusp_cap, n_cusp + 1),
+            np.linspace(0.0, 1.0 / cusp_cap, CUSP_ROWS + 1),
             np.linspace(1.0 / cusp_cap, U_TOP, nu + 1)[1:],
         ])
-        part = cls(q, x_edges, u_edges)
-        part.cusp_cap = cusp_cap
-        return part
+        return cls(q, x_edges, u_edges)
 
     @property
     def n_base(self) -> int:
@@ -128,15 +129,6 @@ class CellPartition:
 
     def base_total(self) -> float:
         return float(self.base_measures.sum())
-
-    def capped_total(self) -> float:
-        """Sum of cell measures below the cusp cap, over all sheets."""
-        cap_u = getattr(self, "cusp_cap", None)
-        if cap_u is None:
-            return self.n_sheets * self.base_total()
-        nx = len(self.x_edges) - 1
-        keep = np.repeat(self.u_edges[:-1] >= 1.0 / cap_u - 1e-12, nx)
-        return self.n_sheets * float(self.base_measures[keep].sum())
 
     def cell_probabilities(self) -> np.ndarray:
         pi_base = self.base_measures / (self.n_sheets * MODULAR_AREA)
@@ -151,25 +143,6 @@ class CellPartition:
 
     def cells_of(self, x, y, sheet_ids) -> np.ndarray:
         return sheet_ids * self.n_base + self.base_cells_of(x, 1.0 / np.asarray(y))
-
-    def sample_in_cells(self, cell_ids, per_cell: int, rng):
-        """Uniform mu-samples inside given base cells (rejection against
-        the domain arc); returns (x, y) arrays."""
-        nx = len(self.x_edges) - 1
-        xs, ys = [], []
-        for cid in cell_ids:
-            iu, ix = divmod(int(cid), nx)
-            got = 0
-            while got < per_cell:
-                m = 4 * per_cell
-                x = rng.uniform(self.x_edges[ix], self.x_edges[ix + 1], m)
-                u = rng.uniform(self.u_edges[iu], self.u_edges[iu + 1], m)
-                ok = u <= _domain_height(x)
-                take = min(int(ok.sum()), per_cell - got)
-                xs.append(x[ok][:take])
-                ys.append(1.0 / u[ok][:take])
-                got += take
-        return np.concatenate(xs), np.concatenate(ys)
 
 
 def default_partition(q: int, cusp_cap: float = 10.0) -> CellPartition:
@@ -274,7 +247,7 @@ def _check_tv_capacity(n_walkers: int, n_grid: int = 0,
 def tv_profile(q: int, x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
                partition: CellPartition | None = None, seed: int = 0,
                workers: int = 1, n_boot: int = 200,
-               r0_floor: float = 0.1) -> TVProfile:
+               r0_floor: float = R0_FLOOR) -> TVProfile:
     """Plug-in estimate of || walk law at step k - uniform ||_1 on the
     level-q quotient, with a walker bootstrap CI per grid point.
 
@@ -343,8 +316,7 @@ def tv_profile(q: int, x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
                      starved, bias, r1, seed)
 
 
-def cutoff_locator(times, tvs, time_scale: float, R_X: float,
-                   eps_grid=EPS_GRID) -> dict:
+def cutoff_locator(times, tvs, time_scale: float, R_X: float) -> dict:
     """Crossing times t(eps) of a TV profile, plus the normalized transition
     location t(1.0) * scale / R_X and width (t(0.1) - t(1.9)) * scale / sqrt(R_X).
 
@@ -355,7 +327,7 @@ def cutoff_locator(times, tvs, time_scale: float, R_X: float,
     times = np.asarray(times, dtype=float)
     tvs = np.asarray(tvs, dtype=float)
     crossing = {}
-    for eps in eps_grid:
+    for eps in EPS_GRID:
         below = np.nonzero(tvs < eps)[0]
         if below.size == 0:
             raise ValueError(
@@ -380,7 +352,7 @@ def cutoff_locator(times, tvs, time_scale: float, R_X: float,
 
 def distance_histogram(q: int, x0: QuotientPoint, n_samples: int,
                        r_max: float, seed: int = 0, cusp_cap: float = 10.0,
-                       gammas=(0.5, 1.0, 2.0), r0_floor: float = 0.1) -> dict:
+                       gammas=(0.5, 1.0, 2.0)) -> dict:
     """Empirical law of the distance from x0 to a uniform sample.
 
     Reports, per gamma, the mass below R_X - gamma ln R_X scaled by
@@ -392,9 +364,9 @@ def distance_histogram(q: int, x0: QuotientPoint, n_samples: int,
     if r_max < R + 3.0 * math.log(R):
         raise ConfigError("r_max below R_X + 3 ln R_X cannot resolve the tail")
     inj = injectivity_radius(x0, r_max=4.0)
-    if inj.value < r0_floor:
+    if inj.value < R0_FLOOR:
         raise ConfigError(
-            f"start point has injectivity radius {inj.value:.3g} < {r0_floor}")
+            f"start point has injectivity radius {inj.value:.3g} < {R0_FLOOR}")
     rng = stream(seed, tag=4)
     (xs, ys, sheets), trunc = sample_uniform_quotient(q, cusp_cap, rng,
                                                       n_samples)
@@ -444,8 +416,7 @@ class ConcentrationReport:
 
 
 def concentration_fit(distances, n_exceed: int = 0,
-                      exceed_floor: float | None = None,
-                      gamma_grid=None, min_count: int = 10) -> ConcentrationReport:
+                      exceed_floor: float | None = None) -> ConcentrationReport:
     """Fit the two-sided tail mass around the empirical median to a
     geometric law a^{-gamma}.
 
@@ -467,18 +438,15 @@ def concentration_fit(distances, n_exceed: int = 0,
         if mid < d.size - 1 else float(d[-1])
     g_hi = 0.9 * (d[-1] - r_med) if n_exceed == 0 \
         else 0.9 * min(exceed_floor - r_med, r_med)
-    if gamma_grid is None:
-        gamma_grid = np.linspace(0.2, max(g_hi, 0.4), 10)
-    gamma_grid = np.asarray(gamma_grid, dtype=float)
+    gamma_grid = np.linspace(0.2, max(g_hi, 0.4), 10)
     tails = np.array([(np.sum(np.abs(d - r_med) >= g) + n_exceed) / n
                       for g in gamma_grid])
-    keep = tails * n >= min_count
+    keep = tails * n >= CONCENTRATION_MIN_COUNT
     if keep.sum() < 3:
         raise ConfigError("tail counts too small to fit")
-    slope, _ = np.polyfit(gamma_grid[keep], np.log(tails[keep]), 1)
-    resid = np.log(tails[keep]) - np.polyval(
-        np.polyfit(gamma_grid[keep], np.log(tails[keep]), 1),
-        gamma_grid[keep])
+    coef = np.polyfit(gamma_grid[keep], np.log(tails[keep]), 1)
+    slope = coef[0]
+    resid = np.log(tails[keep]) - np.polyval(coef, gamma_grid[keep])
     ss = np.sum((np.log(tails[keep]) - np.log(tails[keep]).mean()) ** 2)
     r2 = 1.0 - float(np.sum(resid ** 2) / ss) if ss > 0 else 0.0
     q10, q90 = np.quantile(d, [0.1, 0.9]) if n_exceed == 0 else (
@@ -496,46 +464,29 @@ def kappa(r: float, p: float) -> float:
 
 
 def isoperimetric_check(q: int, region, r: float, p: float, n_mc: int,
-                        seed: int = 0, partition: CellPartition | None = None,
-                        cusp_cap: float = 30.0, refs_per_cell: int = 8) -> dict:
+                        seed: int = 0) -> dict:
     """Monte-Carlo check of mu(Y_r)/mu(X) >= c / (kappa_{r,p} (1-c) + c).
 
-    ``region`` is ("ball", center: QuotientPoint, r0) or
-    ("cells", partition, [base-cell ids on sheet 0]).  For a ball the
-    dilated set is the exact ball of radius r0 + r; for cell unions the
-    dilation is probed against reference points sampled inside the region,
-    which can only under-count membership, so a pass is sound.  ``p`` must
-    be a certified upper bound for the surface's integrability exponent.
+    ``region`` is ("ball", center: QuotientPoint, r0), whose dilated set is
+    the exact ball of radius r0 + r.  ``p`` must be a certified upper bound
+    for the surface's integrability exponent.
     """
     if r > 5.0:
         raise ConfigError("dilation radius above 5 not supported")
     vol = quotient_volume(q)
     rng = stream(seed, tag=5)
-    (xs, ys, sheets), trunc = sample_uniform_quotient(q, cusp_cap, rng, n_mc)
-    kind = region[0]
-    if kind == "ball":
-        _, center, r0 = region
-        inj = injectivity_radius(center, r_max=4.0)
-        if r0 > inj.value:
-            raise ConfigError("seed ball exceeds the injectivity radius")
-        c = ball_volume(r0) / vol
-        dists = quotient_distances_from(center, xs, ys, sheets,
-                                        min(r0 + r + 0.5, 8.0))
-        hits = dists <= r0 + r
-    elif kind == "cells":
-        _, cell_partition, cell_ids = region
-        c = float(cell_partition.base_measures[np.asarray(cell_ids)].sum()) / vol
-        rx, ry = cell_partition.sample_in_cells(cell_ids, refs_per_cell, rng)
-        ctx = modq_context(q)
-        best = np.full(n_mc, np.inf)
-        for j in range(rx.size):
-            ref = QuotientPoint(PointH(float(rx[j]), float(ry[j])),
-                                ctx.elements[0])
-            dd = quotient_distances_from(ref, xs, ys, sheets, min(r + 0.5, 8.0))
-            best = np.minimum(best, dd)
-        hits = best <= r
-    else:
+    (xs, ys, sheets), trunc = sample_uniform_quotient(
+        q, ISOPERIMETRY_CUSP_CAP, rng, n_mc)
+    kind, center, r0 = region
+    if kind != "ball":
         raise ConfigError(f"unknown region kind {kind!r}")
+    inj = injectivity_radius(center, r_max=4.0)
+    if r0 > inj.value:
+        raise ConfigError("seed ball exceeds the injectivity radius")
+    c = ball_volume(r0) / vol
+    dists = quotient_distances_from(center, xs, ys, sheets,
+                                    min(r0 + r + 0.5, 8.0))
+    hits = dists <= r0 + r
     c_prime = float(hits.mean()) * (1.0 - trunc)
     ci = 3.0 * math.sqrt(max(c_prime * (1.0 - c_prime), 1e-12) / n_mc)
     bound = c / (kappa(r, p) * (1.0 - c) + c)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, ConfigError, DegeneracyError
-from .geometry import PointH, distance
+from .geometry import ORIGIN, PointH, distance, inverse_ball_radius
 
 FUNDAMENTAL_TOL = 1e-12
 MODULAR_AREA = math.pi / 3.0
@@ -106,14 +106,8 @@ class GroupElement:
 
     @property
     def frobenius_norm2(self) -> int:
+        """||g||_F^2, the certificate cosh d(i, g i) = ||g||_F^2 / 2."""
         return self.a ** 2 + self.b ** 2 + self.c ** 2 + self.d ** 2
-
-    def displacement_of_origin(self) -> float:
-        """d(i, g i) from the certificate cosh d = ||g||_F^2 / 2."""
-        return math.acosh(self.frobenius_norm2 / 2.0)
-
-    def mod_q(self, q: int) -> "CosetModQ":
-        return CosetModQ(q, self.a % q, self.b % q, self.c % q, self.d % q)
 
 
 @dataclass(frozen=True)
@@ -321,7 +315,7 @@ def quotient_volume(q: int) -> float:
 
 def quotient_R(q: int) -> float:
     """Radius of the ball whose area equals mu(X_q)."""
-    return math.acosh(quotient_volume(q) / (2.0 * math.pi) + 1.0)
+    return inverse_ball_radius(quotient_volume(q))
 
 
 @dataclass(frozen=True)
@@ -332,8 +326,7 @@ class QuotientPoint:
     sheet: CosetModQ
 
     def __post_init__(self):
-        x, y = self.base.x, self.base.y
-        if abs(x) > 0.5 + FUNDAMENTAL_TOL or x * x + y * y < 1.0 - FUNDAMENTAL_TOL:
+        if not in_fundamental_domain(self.base.x, self.base.y):
             raise ValueError("base point outside the fundamental domain")
 
     @property
@@ -341,9 +334,9 @@ class QuotientPoint:
         return self.sheet.q
 
 
-def in_fundamental_domain(x: float, y: float,
-                          tol: float = FUNDAMENTAL_TOL) -> bool:
-    return abs(x) <= 0.5 + tol and x * x + y * y >= 1.0 - tol
+def in_fundamental_domain(x: float, y: float) -> bool:
+    return (abs(x) <= 0.5 + FUNDAMENTAL_TOL
+            and x * x + y * y >= 1.0 - FUNDAMENTAL_TOL)
 
 
 def reduce_fundamental(z: PointH):
@@ -684,9 +677,8 @@ class InjectivityRadius(NamedTuple):
     stabilizer_order: int
 
 
-def injectivity_radius(p: QuotientPoint, r_max: float = 8.0,
-                       enum: PSLZEnumeration | None = None
-                       ) -> InjectivityRadius:
+def injectivity_radius(p: QuotientPoint,
+                       r_max: float = 8.0) -> InjectivityRadius:
     """Half the smallest displacement of the base point under nontrivial
     level-q elements (displacement searched up to r_max).
 
@@ -696,10 +688,7 @@ def injectivity_radius(p: QuotientPoint, r_max: float = 8.0,
     displacement exceeds r_max.
     """
     z = p.base
-    origin = PointH(0.0, 1.0)
-    need = r_max + 2.0 * distance(origin, z)
-    if enum is None or enum.bound < need:
-        enum = get_enumeration(need)
+    enum = get_enumeration(r_max + 2.0 * distance(ORIGIN, z))
     q = p.q
     ctx = modq_context(q)
     idx = enum.members_of(q, ctx.coset_of(1, 0, 0, 1))

@@ -14,15 +14,19 @@ import numpy as np
 from .errors import QuadratureError
 
 
-@lru_cache(maxsize=64)
-def _gauss_nodes(n_nodes: int):
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+# Gauss-Legendre nodes per panel
+GAUSS_NODES = 16
+
+
+@lru_cache(maxsize=1)
+def _gauss_nodes():
+    x, w = np.polynomial.legendre.leggauss(GAUSS_NODES)
     return x, w
 
 
-def panel_nodes(a: float, b: float, n_panels: int, n_nodes: int = 16):
+def panel_nodes(a: float, b: float, n_panels: int):
     """Nodes and weights of a composite Gauss-Legendre rule on [a, b]."""
-    x, w = _gauss_nodes(n_nodes)
+    x, w = _gauss_nodes()
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])

@@ -20,6 +20,9 @@ import numpy as np
 
 from .errors import ResolutionError
 
+# the mass a discretized radial law may lose to its grid
+MASS_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -49,11 +52,11 @@ class RadialGrid:
         return (self.r_max - self.r_min) / self.n_cells
 
 
-def default_grid(r_max: float, r_min: float = 0.0) -> RadialGrid:
-    """Default resolution: step 1e-3 * max(1, r_max / 10)."""
+def default_grid(r_max: float) -> RadialGrid:
+    """[0, r_max] at the default resolution: step 1e-3 * max(1, r_max / 10)."""
     step = 1e-3 * max(1.0, r_max / 10.0)
-    n = max(1, int(math.ceil((r_max - r_min) / step)))
-    return RadialGrid(r_min, r_max, n)
+    n = max(1, int(math.ceil(r_max / step)))
+    return RadialGrid(0.0, r_max, n)
 
 
 @dataclass(frozen=True)
@@ -79,9 +82,6 @@ class RadialMeasure:
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
-    def is_probability(self, tol: float = 1e-6) -> bool:
-        return abs(self.total_mass() - 1.0) <= tol
-
     def cdf_at_edges(self) -> np.ndarray:
         return np.concatenate(([0.0], np.cumsum(self.masses)))
 
@@ -93,9 +93,6 @@ class RadialMeasure:
         meta["normalization_defect"] = total - 1.0
         return RadialMeasure(self.grid, self.masses / total, meta)
 
-    def mean(self) -> float:
-        return float(np.dot(self.grid.centers, self.masses) / self.total_mass())
-
     def sup_cdf_gap(self, other: "RadialMeasure") -> float:
         """Sup over all edge positions of |CDF difference|."""
         edges = np.union1d(self.grid.edges, other.grid.edges)
@@ -104,30 +101,22 @@ class RadialMeasure:
         return float(np.max(np.abs(a - b)))
 
     @classmethod
-    def from_cdf(cls, grid: RadialGrid, cdf, meta: dict | None = None,
-                 mass_tol: float = 1e-3) -> "RadialMeasure":
+    def from_cdf(cls, grid: RadialGrid, cdf,
+                 meta: dict | None = None) -> "RadialMeasure":
         vals = np.asarray(cdf(grid.edges), dtype=float)
         masses = np.diff(vals)
         if np.any(masses < -1e-12):
             raise ValueError("CDF is not monotone on the grid")
         defect = abs(vals[-1] - vals[0] - 1.0)
-        if defect > mass_tol:
+        if defect > MASS_TOL:
             raise ResolutionError(
-                f"grid drops {defect:.3g} of the mass (tol {mass_tol:g})")
+                f"grid drops {defect:.3g} of the mass (tol {MASS_TOL:g})")
         return cls(grid, np.maximum(masses, 0.0), meta or {})
-
-    def to_csv(self, path) -> None:
-        """Serialize as (r, density) rows at cell centers."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "density"])
-            for r, d in zip(self.grid.centers, self.density):
-                w.writerow([f"{r:.17g}", f"{d:.17g}"])
 
     @classmethod
     def from_csv(cls, path) -> "RadialMeasure":
-        """Read (r, density) rows as ``to_csv`` and the CLI write them,
-        skipping the CLI's '#' header lines."""
+        """Read (r, density) rows as the CLI writes them, skipping its '#'
+        header lines."""
         with open(path, newline="") as fh:
             rows = list(csv.reader(line for line in fh
                                    if not line.startswith("#")))[1:]

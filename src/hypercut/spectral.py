@@ -1,7 +1,6 @@
-"""Spherical functions of the half-plane, their decay bounds, the
-eigenvalue <-> integrability-exponent dictionary, k-step radial mixtures,
-the radial heat kernel, and the radial Fourier transform with its
-Plancherel check.
+"""Spherical functions of the half-plane, their decay bounds, k-step radial
+mixtures, the radial heat kernel, and the radial Fourier transform with
+its Plancherel check.
 
 Numerical conventions fixed here once and used consistently:
 
@@ -27,61 +26,18 @@ import numpy as np
 
 from .errors import NumericRangeError, QuadratureError, ResolutionError
 from .quadrature import panel_nodes, trapezoid_doubling
-from .radial import RadialGrid, RadialMeasure, convolve_step, default_grid
+from .radial import (MASS_TOL, RadialGrid, RadialMeasure, convolve_step,
+                     default_grid)
 
 _R_CAP = 600.0
 # radii per chunk of the heat-density integrand (x 768 quadrature nodes)
 HEAT_CHUNK_ROWS = 256
-
-
-@dataclass(frozen=True)
-class SphericalParam:
-    """Spectral parameter of a radial eigenfunction.
-
-    principal: s real, eigenvalue 1/4 + s^2.
-    complementary: sp in (-1/2, 1/2), eigenvalue 1/4 - sp^2 in (0, 1/4),
-    integrability exponent p = 1 / (1/2 - |sp|) >= 2.
-    """
-
-    kind: str
-    s: float = 0.0
-    sp: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("principal", "complementary", "trivial"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "complementary" and not abs(self.sp) < 0.5:
-            raise ValueError("complementary parameter needs |sp| < 1/2")
-
-    @classmethod
-    def principal(cls, s: float) -> "SphericalParam":
-        return cls("principal", s=float(s))
-
-    @classmethod
-    def complementary(cls, sp: float) -> "SphericalParam":
-        return cls("complementary", sp=float(sp))
-
-    @classmethod
-    def from_p(cls, p: float) -> "SphericalParam":
-        if p == 2.0:
-            return cls.principal(0.0)
-        return cls.complementary(0.5 - 1.0 / p)
-
-    @property
-    def laplace_eigenvalue(self) -> float:
-        if self.kind == "principal":
-            return 0.25 + self.s * self.s
-        if self.kind == "complementary":
-            return 0.25 - self.sp * self.sp
-        return 0.0
-
-    @property
-    def p_value(self) -> float:
-        if self.kind == "principal":
-            return 2.0
-        if self.kind == "trivial":
-            return math.inf
-        return 1.0 / (0.5 - abs(self.sp))
+# spectral parameters per chunk of the spherical-function sweep
+SWEEP_CHUNK = 512
+# radii per chunk of phi_on_radii's table
+PHI_CHUNK_RADII = 256
+# the largest spectral parameter of plancherel_check's decay probe
+PLANCHEREL_S_CAP = 80.0
 
 
 @dataclass(frozen=True)
@@ -119,21 +75,22 @@ def _integrand_base(r, u: np.ndarray):
     return x, 2.0 * u / den
 
 
-def _spherical_sweep(s: np.ndarray, r: float, tol: float, chunk: int, wave):
+def _spherical_sweep(s: np.ndarray, r: float, tol: float, wave):
     """(sqrt 2 / pi) r int wave(s r x) base dx for each s at one radius r,
     with wave = np.cos for the principal series and np.cosh for the
     complementary one.
 
     Panels scale with the oscillation count s r; the count is doubled until
-    the whole chunk moves by less than ``tol``.  Chunking over s keeps the
-    node tensors bounded regardless of the sweep size.
+    the whole chunk moves by less than ``tol``.  Chunking over s, SWEEP_CHUNK
+    parameters at a time, keeps the node tensors bounded regardless of the
+    sweep size.
     """
     r = float(_check_radii(float(r)))
     if r == 0.0:
         return np.ones_like(s)
     out = np.empty_like(s)
-    for lo in range(0, s.size, chunk):
-        sc = s[lo:lo + chunk]
+    for lo in range(0, s.size, SWEEP_CHUNK):
+        sc = s[lo:lo + SWEEP_CHUNK]
         smax = float(np.max(np.abs(sc)))
         n_panels = max(16, int(smax * r / 3.0) + 8)
         prev = None
@@ -151,33 +108,28 @@ def _spherical_sweep(s: np.ndarray, r: float, tol: float, chunk: int, wave):
         else:
             raise QuadratureError(
                 "spherical function sweep did not converge", achieved=err)
-        out[lo:lo + chunk] = vals
+        out[lo:lo + SWEEP_CHUNK] = vals
     return out
 
 
-def spherical_principal_grid(s_values, r: float, *, tol: float = 1e-8,
-                             chunk: int = 512):
+def spherical_principal_grid(s_values, r: float, *, tol: float = 1e-8):
     """phi(s, r) for an array of spectral parameters at one radius, to
     ``tol`` (see _spherical_sweep)."""
     s = np.atleast_1d(np.asarray(s_values, dtype=float))
-    return _spherical_sweep(s, r, tol, chunk, np.cos)
+    return _spherical_sweep(s, r, tol, np.cos)
 
 
-def spherical_principal(s: float, r: float, *, tol: float = 1e-8) -> float:
-    """Principal-series eigenvalue of the radius-r averaging operator."""
-    return float(spherical_principal_grid([s], r, tol=tol)[0])
+def spherical_complementary(p: float, r: float) -> float:
+    """Complementary-series eigenvalue, parameterized by the exponent p >= 2,
+    to 1e-10.
 
-
-def spherical_complementary(p: float, r: float, *, tol: float = 1e-10) -> float:
-    """Complementary-series eigenvalue, parameterized by the exponent p >= 2.
-
-    Coincides with spherical_principal(0, r) at p = 2; the integrand is the
+    Coincides with the principal phi(0, r) at p = 2; the integrand is the
     cosh analogue of the principal one (no oscillation).
     """
     if p < 2.0:
         raise ValueError("need p >= 2")
     sp = 0.5 - 1.0 / p
-    return float(_spherical_sweep(np.array([sp]), r, tol, 1, np.cosh)[0])
+    return float(_spherical_sweep(np.array([sp]), r, 1e-10, np.cosh)[0])
 
 
 def complementary_lower_envelope(p: float, r: float,
@@ -197,75 +149,6 @@ def hc_bound(r: float, p: float = 2.0) -> float:
         raise ValueError("need p >= 2")
     rate = 0.0 if math.isinf(p) else r / p
     return (r + 1.0) * math.exp(-rate)
-
-
-def p_to_lambda(p: float) -> float:
-    """Laplace eigenvalue floor 1/4 - (1/2 - 1/p)^2 for exponent p >= 2."""
-    if p < 2.0:
-        raise ValueError("need p >= 2")
-    inv = 0.0 if math.isinf(p) else 1.0 / p
-    return 0.25 - (0.5 - inv) ** 2
-
-
-def lambda_to_p(lam: float) -> float:
-    """Inverse of :func:`p_to_lambda`; defined for lam in (0, 1/4]."""
-    if not 0.0 < lam <= 0.25:
-        raise ValueError(f"eigenvalue {lam} outside (0, 1/4]")
-    root = math.sqrt(0.25 - lam)
-    if root == 0.5:
-        return math.inf
-    return 1.0 / (0.5 - root)
-
-
-def decay_exponent_check(p: float = 2.0, epsilon: float = 0.5,
-                         r_max: float = 200.0) -> dict:
-    """Evaluate int_0^{r_max} e^r ((r+1) e^{-r/p})^{p+epsilon} dr and probe
-    whether the tail decays.
-
-    The integrand simplifies to (r+1)^{p+eps} e^{-eps r / p}: integrable for
-    eps > 0, constant-order-or-growing at eps = 0.  Returns the integral on
-    the window, the fitted tail rate (log-slope over the upper half), and a
-    convergence verdict.
-    """
-    if p < 2.0 or epsilon < 0.0:
-        raise ValueError("need p >= 2 and epsilon >= 0")
-    q = p + epsilon
-
-    def integrand(r):
-        return np.exp(r + q * np.log1p(r) - q * r / p)
-
-    nodes, weights = panel_nodes(0.0, r_max, 256)
-    integral = float(integrand(nodes) @ weights)
-    rs = np.linspace(r_max / 2.0, r_max, 64)
-    slope = np.polyfit(rs, np.log(integrand(rs)), 1)[0]
-    converges = slope < -1e-3
-    return {"integral": integral, "tail_rate": float(slope),
-            "converges": bool(converges), "p": p, "epsilon": epsilon}
-
-
-def technical_s_decay(r: float, s_grid=None) -> dict:
-    """Scan |phi(s, r)| sqrt(|s|) over s in [1, 1000].
-
-    The weighted sup is attained on a bounded prefix: the report carries the
-    sup over [1, 50] and over [500, 1000] for the containment check.
-    """
-    if r <= 0.0:
-        raise ValueError("need r > 0")
-    if s_grid is None:
-        s_grid = np.concatenate([np.linspace(1.0, 50.0, 250),
-                                 np.linspace(50.0, 1000.0, 500)])
-    s_grid = np.asarray(s_grid, dtype=float)
-    vals = spherical_principal_grid(s_grid, r, tol=1e-7)
-    weighted = np.abs(vals) * np.sqrt(np.abs(s_grid))
-    low = s_grid <= 50.0
-    high = s_grid >= 500.0
-    return {
-        "s": s_grid,
-        "weighted": weighted,
-        "sup": float(weighted.max()),
-        "sup_low": float(weighted[low].max()),
-        "sup_high": float(weighted[high].max()),
-    }
 
 
 def clt_constants(r1: float) -> CltConstants:
@@ -306,7 +189,7 @@ def two_step_cdf(r, r1: float):
 
 
 def radial_mixture(k: int, r1: float, grid: RadialGrid | None = None,
-                   mass_tol: float = 1e-3, workers: int = 1) -> RadialMeasure:
+                   workers: int = 1) -> RadialMeasure:
     """The radial law of the k-step fixed-length walk, as a density on
     [0, k r1].
 
@@ -328,7 +211,7 @@ def radial_mixture(k: int, r1: float, grid: RadialGrid | None = None,
                                                    workers).masses,
                                 {"k": j, "r1": r1})
     defect = abs(measure.total_mass() - 1.0)
-    if defect > mass_tol:
+    if defect > MASS_TOL:
         raise ResolutionError(
             f"mixture grid too coarse: mass defect {defect:.3g}")
     return measure
@@ -419,15 +302,7 @@ def heat_radial_density(t: float, grid: RadialGrid | None = None,
     return measure.normalized()
 
 
-def heat_envelope_fit(measure: RadialMeasure, t: float) -> tuple[float, float]:
-    """(c1, c2) with c1 <= density / envelope <= c2 over r in [t/4, 4t]."""
-    centers = measure.grid.centers
-    sel = (centers >= t / 4.0) & (centers <= 4.0 * t)
-    ratio = measure.density[sel] / heat_envelope(t, centers[sel])
-    return float(ratio.min()), float(ratio.max())
-
-
-def phi_on_radii(s_values, radii, *, chunk: int = 256) -> np.ndarray:
+def phi_on_radii(s_values, radii) -> np.ndarray:
     """phi(s, r) as a (len(s), len(radii)) table.
 
     Radii are processed in ascending chunks so the panel count follows the
@@ -440,8 +315,8 @@ def phi_on_radii(s_values, radii, *, chunk: int = 256) -> np.ndarray:
     order = np.argsort(r)
     smax = max(float(np.max(np.abs(s), initial=0.0)), 1e-9)
     out = np.empty((s.size, r.size))
-    for lo in range(0, r.size, chunk):
-        idx = order[lo:lo + chunk]
+    for lo in range(0, r.size, PHI_CHUNK_RADII):
+        idx = order[lo:lo + PHI_CHUNK_RADII]
         n_panels = max(12, int(smax * float(r[idx].max()) / 4.0) + 6)
         u, w = panel_nodes(0.0, 1.0, n_panels)
         rr = r[idx][:, None]
@@ -466,7 +341,7 @@ def helgason_radial(measure: RadialMeasure, s):
     return float(vals[0]) if np.isscalar(s) or np.ndim(s) == 0 else vals
 
 
-def plancherel_check(measure: RadialMeasure, *, s_cap: float = 80.0) -> dict:
+def plancherel_check(measure: RadialMeasure) -> dict:
     """Compare the spatial energy of a radial measure with its spectral
     energy under the (1/4pi) s tanh(pi s) ds weight.
 
@@ -479,7 +354,7 @@ def plancherel_check(measure: RadialMeasure, *, s_cap: float = 80.0) -> dict:
     width = measure.grid.width
     e_space = float(np.sum(measure.masses ** 2 / (width * np.sinh(centers)))
                     / (2.0 * math.pi))
-    probe = np.linspace(0.0, s_cap, 81)
+    probe = np.linspace(0.0, PLANCHEREL_S_CAP, 81)
     probe_vals = np.abs(helgason_radial(measure, probe))
     weighted = probe_vals ** 2 * probe * np.tanh(math.pi * probe)
     peak = float(weighted.max())
@@ -495,13 +370,13 @@ def plancherel_check(measure: RadialMeasure, *, s_cap: float = 80.0) -> dict:
             "relative_tail_at_cap": tail_note}
 
 
-def gaussian_radial_bump(center: float = 1.2, width: float = 0.35,
-                         r_max: float = 4.0, n_cells: int = 800
-                         ) -> RadialMeasure:
-    """A smooth compactly supported radial bump (as a measure over radius),
-    the standard probe for the Plancherel and round-trip checks.
+def gaussian_radial_bump() -> RadialMeasure:
+    """A smooth radial bump around r = 1.2 of width 0.35 on [0, 4] (as a
+    measure over radius), the standard probe for the Plancherel and
+    round-trip checks.
     """
-    grid = RadialGrid(0.0, r_max, n_cells)
+    center, width = 1.2, 0.35
+    grid = RadialGrid(0.0, 4.0, 800)
     c = grid.centers
     h = np.exp(-((c - center) ** 2) / (2.0 * width ** 2))
     density = 2.0 * math.pi * np.sinh(c) * h

@@ -26,6 +26,8 @@ from .errors import NumericRangeError
 
 _TAIL_EPS = 1e-14
 _MAX_TERMS = 10_000
+# the most the two truncated series may disagree by
+_SERIES_TOL = 1e-10
 
 
 def _tail_cutoff(a: float, series: str) -> int:
@@ -91,13 +93,13 @@ def theta_series(cfg: TorusConfig, x) -> np.ndarray:
     return math.sqrt(math.pi / cfg.rate) * np.exp(-a * shifted ** 2).sum(axis=-1)
 
 
-def torus_density(cfg: TorusConfig, x, check_tol: float = 1e-10):
+def torus_density(cfg: TorusConfig, x):
     """Density at x in [0, 1), evaluated by both series; the truncations
-    auto-extend, and any residual disagreement beyond check_tol raises."""
+    auto-extend, and any residual disagreement beyond _SERIES_TOL raises."""
     f = fourier_series(cfg, x)
     g = theta_series(cfg, x)
     gap = float(np.max(np.abs(f - g)))
-    if gap > check_tol:
+    if gap > _SERIES_TOL:
         raise NumericRangeError(
             f"series expansions disagree by {gap:.3g} after truncation")
     # the theta expansion has positive terms, so it stays positive where
@@ -144,12 +146,6 @@ def torus_l1_bounds(cfg: TorusConfig) -> tuple[float, float]:
     lower = math.exp(-cfg.rate)
     upper = math.sqrt(2.0 / -math.expm1(-2.0 * cfg.rate)) * lower
     return lower, upper
-
-
-def torus_l2(cfg: TorusConfig) -> float:
-    """||p - 1||_2 from Parseval: sqrt(2 sum_m e^{-2 rate m^2})."""
-    m = np.arange(1, cfg.fourier_cutoff() + 1)
-    return math.sqrt(2.0 * float(np.sum(np.exp(-2.0 * cfg.rate * m * m))))
 
 
 def mixing_time(lam: float, eps: float) -> float:

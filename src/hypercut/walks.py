@@ -1,6 +1,5 @@
-"""Samplers for the fixed-step-length walk and the continuous-time walk on
-the half-plane, with the log-height CLT, Hoeffding, horizontal-coordinate,
-and distance tail checks.
+"""The sampler for the fixed-step-length walk on the half-plane, with the
+log-height CLT, Hoeffding, horizontal-coordinate, and distance tail checks.
 
 Randomness policy.  Every consumer derives streams from a 64-bit master
 seed by the documented rule
@@ -20,15 +19,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import PointH, log_sphere_step_arrays, sphere_point
-from .radial import RadialGrid
-from .spectral import clt_constants, heat_radial_density
+from .geometry import PointH, log_sphere_step_arrays
+from .spectral import clt_constants
 
 BLOCK = 1 << 14
 # Anderson-Darling 1% critical value for a fully specified normal null
 # (the standardization constants come from quadrature, not the sample).
 AD_CRIT_1PCT = 3.857
 MIN_STEP_LENGTH = 0.05
+# tail probabilities resting on fewer walkers than this stay out of the fits
+TAIL_MIN_COUNT = 20
 
 
 def stream(seed: int, tag: int, block: int = 0) -> np.random.Generator:
@@ -164,37 +164,6 @@ def walk_discrete(config: WalkConfig, workers: int = 1,
                      parts[0][5].transpose(2, 0, 1))
 
 
-class BrownianRadialSampler:
-    """Inverse-CDF sampler of the radial law of the time-t continuous walk,
-    precomputed on a grid once per t."""
-
-    def __init__(self, t: float, grid: RadialGrid | None = None):
-        self.t = t
-        self.measure = heat_radial_density(t, grid)
-        self._edges = self.measure.grid.edges
-        self._cdf = self.measure.cdf_at_edges()
-        self._cdf /= self._cdf[-1]
-
-    def sample_radii(self, n: int, rng) -> np.ndarray:
-        u = rng.random(n)
-        return np.interp(u, self._cdf, self._edges)
-
-    def jump(self, z: PointH, rng) -> PointH:
-        r = float(self.sample_radii(1, rng)[0])
-        return sphere_point(z, r, rng.uniform(0.0, math.pi))
-
-
-def brownian_jump(z: PointH, t: float, rng,
-                  sampler: BrownianRadialSampler | None = None) -> PointH:
-    """One continuous-time jump: radius from the time-t radial law,
-    direction uniform.  Pass a sampler to amortize the grid setup."""
-    if sampler is None:
-        sampler = BrownianRadialSampler(t)
-    elif sampler.t != t:
-        raise ValueError("sampler was built for a different time")
-    return sampler.jump(z, rng)
-
-
 def ad_statistic_normal(x: np.ndarray) -> float:
     """Anderson-Darling statistic against the standard normal with both
     parameters fixed (compare against AD_CRIT_1PCT)."""
@@ -248,9 +217,9 @@ def clt_check(config: WalkConfig, stats: WalkStats | None = None,
     }
 
 
-def _tail_fit(lams: np.ndarray, probs: np.ndarray, min_count: int, n: int):
+def _tail_fit(lams: np.ndarray, probs: np.ndarray, n: int):
     counts = probs * n
-    keep = (counts >= min_count) & (probs < 1.0)
+    keep = (counts >= TAIL_MIN_COUNT) & (probs < 1.0)
     censored = int(np.count_nonzero(~keep))
     if keep.sum() < 3:
         return {"fit_ok": False, "censored": censored}
@@ -266,8 +235,7 @@ def _tail_fit(lams: np.ndarray, probs: np.ndarray, min_count: int, n: int):
 
 
 def tail_checks(config: WalkConfig, lambda_grid=None,
-                stats: WalkStats | None = None, workers: int = 1,
-                min_count: int = 20) -> dict:
+                stats: WalkStats | None = None, workers: int = 1) -> dict:
     """Empirical tail decay of the three deviation families (log-height,
     horizontal coordinate squared, distance), each fitted log-linearly in
     lambda^2.
@@ -291,13 +259,13 @@ def tail_checks(config: WalkConfig, lambda_grid=None,
     dev_lny = np.abs(stats.final_lny + drift)
     probs = np.array([(dev_lny >= lam * r1 * sqk).mean()
                       for lam in lambda_grid])
-    reports["log_height"] = _tail_fit(lambda_grid, probs, min_count, n)
+    reports["log_height"] = _tail_fit(lambda_grid, probs, n)
     log_x2 = 2.0 * np.log(np.abs(stats.final_x) + 1e-300)
     probs = np.array([(log_x2 >= lam * r1 * sqk).mean()
                       for lam in lambda_grid])
-    reports["x_squared"] = _tail_fit(lambda_grid, probs, min_count, n)
+    reports["x_squared"] = _tail_fit(lambda_grid, probs, n)
     dev_d = np.abs(stats.final_dist - drift)
     probs = np.array([(dev_d >= lam * sqk).mean() for lam in lambda_grid])
-    reports["distance"] = _tail_fit(lambda_grid, probs, min_count, n)
+    reports["distance"] = _tail_fit(lambda_grid, probs, n)
     reports["constants"] = {"alpha": consts.alpha, "sigma2": consts.sigma2}
     return reports

@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypercut.covers import (EigenvalueBudget, GrowthFunction, M_of_p,
-                             bound_total, covering_norm_bounds,
-                             density_condition_check, lp_radius_dilation,
+from hypercut.covers import (EigenvalueBudget, GrowthFunction,
                              normal_cover_requirement,
                              synthetic_density_budget, uniform_budget)
 
@@ -21,12 +19,12 @@ class TestBudget:
 
     def test_cumulative_count_examples(self):
         empty = EigenvalueBudget((), 10)
-        assert M_of_p(empty, 3.0) == 0
+        assert empty.M(3.0) == 0
         b = EigenvalueBudget(((3.0, 5), (4.0, 2)), 100)
-        assert M_of_p(b, 3.5) == 2
-        assert M_of_p(b, 2.0001) == 7
+        assert b.M(3.5) == 2
+        assert b.M(2.0001) == 7
         with pytest.raises(ValueError):
-            M_of_p(b, 2.0)
+            b.M(2.0)
 
     def test_telescoping_identity(self):
         # sum over breakpoints of M(p_i) - M(p_{i+1}) telescopes
@@ -47,39 +45,10 @@ class TestBudget:
         assert back.n_cover == b.n_cover
 
 
-class TestDensityCondition:
-    def test_synthetic_family_passes(self):
-        rep = density_condition_check(synthetic_density_budget(10_000),
-                                      A=1.0, epsilon=0.05)
-        assert rep["passed"]
-
-    def test_uniform_family_fails_at_large_p(self):
-        rep = density_condition_check(uniform_budget(10_000),
-                                      A=1.0, epsilon=0.05)
-        assert not rep["passed"]
-        assert rep["worst_p"] == 8.0
-
-    def test_empty_budget_passes(self):
-        rep = density_condition_check(EigenvalueBudget((), 1000),
-                                      A=1.0, epsilon=0.1)
-        assert rep["passed"]
-
-    def test_monotone_under_entry_removal(self):
-        full = EigenvalueBudget(((2.5, 40), (3.0, 25), (4.0, 10)), 1000)
-        sub = EigenvalueBudget(((2.5, 40), (4.0, 10)), 1000)
-        if density_condition_check(full, 1.0, 0.1)["passed"]:
-            assert density_condition_check(sub, 1.0, 0.1)["passed"]
-
-
 class TestGrowthFunction:
     def test_slope_floor(self):
         with pytest.raises(ValueError):
             GrowthFunction(0.9)
-
-    def test_domination_condition(self):
-        g = GrowthFunction(1.0, delta_log=3.0)
-        assert g.dominates_radius_plus_log(2.5, 1.0)
-        assert not GrowthFunction(1.0).dominates_radius_plus_log(2.5, 1.0)
 
 
 class TestNormalCoverRequirement:
@@ -141,38 +110,3 @@ class TestNormalCoverRequirement:
         brute = float((2.0 * np.exp(-2.0 * gln / nodes) / nodes ** 2)
                       @ weights)
         assert row.req_integral == pytest.approx(gln ** 3 * brute, rel=1e-9)
-
-
-class TestRadiusAndNorms:
-    def test_lp_radius_examples(self):
-        assert lp_radius_dilation(2.0, 3.0, 0.0) == 3.0
-        assert lp_radius_dilation(4.0, 3.0, 1.0) == pytest.approx(
-            2.0 * (3.0 + math.log(3.0)))
-        rs = [lp_radius_dilation(p, 3.0, 1.0) for p in (2, 3, 4, 8)]
-        assert all(a < b for a, b in zip(rs, rs[1:]))
-
-    def test_covering_norm_bounds(self):
-        pulled, invariant = covering_norm_bounds(100, 0, 2.0)
-        assert pulled == pytest.approx(0.2)
-        assert invariant == 0.0
-        _, inv_full = covering_norm_bounds(100, 100, 2.0)
-        assert inv_full == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            covering_norm_bounds(0, 1, 1.0)
-
-    def test_bound_total_empty_budget_below_inverse_degree(self):
-        # at radius R + 3 ln R with R = ln N the tempered term alone is
-        # N^{-1} (r+1)^2 / R^3 < N^{-1} once R is moderately large
-        R = 10.0
-        N = int(round(math.e ** R))
-        r = R + 3.0 * math.log(R)
-        value = bound_total(r, EigenvalueBudget((), N), p0_base=2.0)
-        assert value < 1.0 / N
-
-    def test_bound_total_includes_exceptional_terms(self):
-        b = EigenvalueBudget(((4.0, 10),), 1000)
-        r = 5.0
-        base = bound_total(r, EigenvalueBudget((), 1000), p0_base=2.0)
-        full = bound_total(r, b, p0_base=2.0)
-        extra = (r + 1) ** 2 / 1000 * 10 * math.exp(-2 * r / 4.0)
-        assert full - base == pytest.approx(extra, rel=1e-12)

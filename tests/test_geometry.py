@@ -5,14 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats as sstats
-from scipy.integrate import dblquad
 
 from hypercut.errors import NumericRangeError
 from hypercut.geometry import (MobiusReal, PointH, ball_volume, distance,
-                               hyperbolic_rectangle_measure,
                                inverse_ball_radius, mobius_apply,
-                               sample_hyperbolic_measure, sphere_point)
+                               sphere_point)
 
 ORIGIN = PointH(0.0, 1.0)
 
@@ -162,49 +159,3 @@ class TestBallVolume:
         v = np.array([ball_volume(x) for x in r])
         assert np.all(np.diff(v) > 0)
         assert np.all(np.diff(v, 2) > 0)
-
-
-class TestHyperbolicSampler:
-    def test_degenerate_region_rejected(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_hyperbolic_measure((0, 0, 1, 2), rng)
-        with pytest.raises(ValueError):
-            sample_hyperbolic_measure((0, 1, 0.0, 2), rng)
-
-    def test_single_point_inside(self):
-        rng = np.random.default_rng(1)
-        z = sample_hyperbolic_measure((0.2, 0.3, 1.5, 1.6), rng)
-        assert 0.2 <= z.x <= 0.3 and 1.5 <= z.y <= 1.6
-
-    def test_strip_measure_is_one(self):
-        # int_{|x|<1/2} int_{y>1} dx dy / y^2 = 1, the cusp normalization
-        assert hyperbolic_rectangle_measure((-0.5, 0.5, 1.0, 1e12)) == \
-            pytest.approx(1.0, abs=1e-11)
-
-    def test_mean_inverse_height(self):
-        # E[1/y] over [0,1]x[1,2]: closed form 3/4, confirmed by quadrature
-        num = dblquad(lambda y, x: y ** -3, 0, 1, 1, 2)[0]
-        den = dblquad(lambda y, x: y ** -2, 0, 1, 1, 2)[0]
-        assert num / den == pytest.approx(0.75, abs=1e-10)
-        rng = np.random.default_rng(42)
-        x, y = sample_hyperbolic_measure((0, 1, 1, 2), rng, n=200_000)
-        assert np.mean(1.0 / y) == pytest.approx(0.75, abs=3e-3)
-
-    def test_cell_frequencies_chi_square(self):
-        rng = np.random.default_rng(2024)
-        region = (0.0, 1.0, 1.0, 3.0)
-        n = 100_000
-        x, y = sample_hyperbolic_measure(region, rng, n=n)
-        x_edges = np.linspace(0, 1, 5)
-        y_edges = np.linspace(1, 3, 5)
-        counts = np.histogram2d(x, y, bins=[x_edges, y_edges])[0].ravel()
-        probs = np.array([
-            hyperbolic_rectangle_measure((x_l, x_r, y_l, y_r))
-            for x_l, x_r in zip(x_edges[:-1], x_edges[1:])
-            for y_l, y_r in zip(y_edges[:-1], y_edges[1:])
-        ])
-        probs /= probs.sum()
-        stat = float(((counts - n * probs) ** 2 / (n * probs)).sum())
-        # chi-square at 99%: df = 15
-        assert stat < sstats.chi2.ppf(0.99, df=15)

@@ -12,16 +12,13 @@ from hypercut import spectral
 from hypercut.errors import NumericRangeError, ResolutionError
 from hypercut.quadrature import panel_nodes
 from hypercut.radial import RadialGrid, RadialMeasure, convolve
-from hypercut.spectral import (CltConstants, SphericalParam, clt_constants,
+from hypercut.spectral import (CltConstants, clt_constants,
                                complementary_lower_envelope,
-                               decay_exponent_check, gaussian_radial_bump,
-                               hc_bound, heat_envelope_fit,
+                               gaussian_radial_bump, hc_bound, heat_envelope,
                                heat_radial_density, helgason_radial,
-                               lambda_to_p, p_to_lambda, phi_on_radii,
-                               plancherel_check, radial_mixture,
-                               spherical_complementary, spherical_principal,
-                               spherical_principal_grid, technical_s_decay,
-                               two_step_cdf)
+                               phi_on_radii, plancherel_check, radial_mixture,
+                               spherical_complementary,
+                               spherical_principal_grid, two_step_cdf)
 
 
 def legendre_oracle(s: complex, r: float) -> float:
@@ -32,17 +29,17 @@ def legendre_oracle(s: complex, r: float) -> float:
 class TestSphericalPrincipal:
     def test_unit_at_zero_radius(self):
         for s in (0.0, 3.5, 40.0):
-            assert spherical_principal(s, 0.0) == 1.0
+            assert spherical_principal_grid([s], 0.0)[0] == 1.0
 
     @pytest.mark.parametrize("r", [0.25, 1.0, 2.0, 6.0])
     def test_matches_legendre_at_s_zero(self, r):
-        assert spherical_principal(0.0, r) == pytest.approx(
+        assert spherical_principal_grid([0.0], r)[0] == pytest.approx(
             legendre_oracle(0.0, r), abs=1e-10)
 
     @pytest.mark.parametrize("s,r", [(2.0, 1.0), (5.0, 0.5), (10.0, 2.0),
                                      (1.0, 4.0), (25.0, 8.0)])
     def test_matches_legendre_generic(self, s, r):
-        assert spherical_principal(s, r) == pytest.approx(
+        assert spherical_principal_grid([s], r)[0] == pytest.approx(
             legendre_oracle(s, r), abs=1e-10)
 
     def test_grid_bound_sweep(self):
@@ -57,7 +54,7 @@ class TestSphericalComplementary:
     def test_p2_equals_principal_at_zero(self):
         for r in (0.5, 1.0, 3.0):
             assert spherical_complementary(2.0, r) == pytest.approx(
-                spherical_principal(0.0, r), abs=1e-10)
+                spherical_principal_grid([0.0], r)[0], abs=1e-10)
 
     def test_trivial_parameter_limit(self):
         # p = inf is the constant eigenfunction: value 1 at every radius
@@ -103,34 +100,6 @@ class TestSphericalComplementary:
         assert 1.0 / p - 0.08 <= slope <= 0.5 - sp * (1 - eps) + 0.02
 
 
-class TestDictionary:
-    def test_paper_anchors(self):
-        assert p_to_lambda(2.0) == pytest.approx(0.25)
-        assert p_to_lambda(4.0) == pytest.approx(3.0 / 16.0)
-        assert p_to_lambda(math.inf) == pytest.approx(0.0)
-
-    def test_round_trip(self):
-        for p in (2.0, 2.5, 3.0, 4.0, 10.0, 200.0):
-            assert lambda_to_p(p_to_lambda(p)) == pytest.approx(p, rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            lambda_to_p(0.3)
-        with pytest.raises(ValueError):
-            lambda_to_p(0.0)
-        with pytest.raises(ValueError):
-            p_to_lambda(1.5)
-
-    def test_param_type(self):
-        par = SphericalParam.from_p(4.0)
-        assert par.kind == "complementary"
-        assert par.laplace_eigenvalue == pytest.approx(3.0 / 16.0)
-        assert par.p_value == pytest.approx(4.0)
-        assert SphericalParam.principal(1.0).laplace_eigenvalue == 1.25
-        with pytest.raises(ValueError):
-            SphericalParam.complementary(0.5)
-
-
 class TestHcBound:
     def test_values(self):
         assert hc_bound(0.0, 3.0) == 1.0
@@ -138,38 +107,22 @@ class TestHcBound:
         assert hc_bound(5.0, 4.0) == pytest.approx(6.0 * math.exp(-1.25))
 
 
-class TestDecayExponent:
-    @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
-    def test_converges_for_positive_eps(self, eps):
-        rep = decay_exponent_check(2.0, eps)
-        assert rep["converges"]
-        # fitted slope = -eps/p plus the (r+1)^{p+eps} correction, which on
-        # the fit window [100, 200] contributes at most (p+eps)/101
-        assert -eps / 2.0 - 0.01 <= rep["tail_rate"] \
-            <= -eps / 2.0 + (2.0 + eps) / 101.0
-
-    def test_divergence_at_zero_eps(self):
-        rep = decay_exponent_check(2.0, 0.0)
-        assert not rep["converges"]
-
-    def test_p4_variant(self):
-        rep = decay_exponent_check(4.0, 0.5)
-        assert rep["converges"]
-        assert -0.125 - 0.01 <= rep["tail_rate"] <= -0.125 + 4.5 / 101.0
-
-
 class TestTechnicalDecay:
     @pytest.mark.parametrize("r", [1.0, 4.0])
     def test_weighted_sup_on_bounded_prefix(self, r):
-        rep = technical_s_decay(r)
-        assert math.isfinite(rep["sup"])
-        assert rep["sup_high"] <= 2.0 * rep["sup_low"]
+        # |phi(s, r)| sqrt(s) over s in [1, 1000] peaks on a bounded prefix
+        s = np.concatenate([np.linspace(1.0, 50.0, 250),
+                            np.linspace(50.0, 1000.0, 500)])
+        weighted = np.abs(spherical_principal_grid(s, r, tol=1e-7)) \
+            * np.sqrt(s)
+        assert math.isfinite(weighted.max())
+        assert weighted[s >= 500.0].max() <= 2.0 * weighted[s <= 50.0].max()
 
     def test_vanishes_at_small_s(self):
         # |phi| <= 1 makes the weight sqrt(s) the whole story near zero
         for s in (1e-4, 1e-2):
-            assert abs(spherical_principal(s, 1.0)) * math.sqrt(s) <= \
-                math.sqrt(s) + 1e-12
+            phi = spherical_principal_grid([s], 1.0)[0]
+            assert abs(phi) * math.sqrt(s) <= math.sqrt(s) + 1e-12
 
 
 class TestCltConstants:
@@ -335,10 +288,15 @@ class TestHeatKernel:
         assert t - 2.0 * math.sqrt(t) <= mode <= t + 2.0 * math.sqrt(t)
 
     def test_envelope_fit(self):
+        # the density sits within constant multiples of the printed
+        # envelope shape over r in [t/4, 4t]
         for t in (1.0, 4.0):
-            c1, c2 = heat_envelope_fit(heat_radial_density(t), t)
-            assert c1 > 0
-            assert c2 / c1 <= 50.0
+            m = heat_radial_density(t)
+            centers = m.grid.centers
+            sel = (centers >= t / 4.0) & (centers <= 4.0 * t)
+            ratio = m.density[sel] / heat_envelope(t, centers[sel])
+            assert ratio.min() > 0
+            assert ratio.max() / ratio.min() <= 50.0
 
     def test_matches_spectral_route(self):
         # independent evaluation through the transform side:
@@ -401,7 +359,7 @@ class TestHelgason:
         r_used = grid.centers[np.searchsorted(grid.centers, r0)]
         for s in (0.0, 1.0, 4.0):
             assert helgason_radial(atom, s) == pytest.approx(
-                spherical_principal(s, float(r_used)), abs=1e-9)
+                spherical_principal_grid([s], float(r_used))[0], abs=1e-9)
 
     def test_ball_indicator_at_zero_parameter(self):
         # normalized ball indicator: transform at s=0 equals

@@ -8,9 +8,8 @@ from hypercut.errors import ConfigError
 from hypercut.geometry import (PointH, distance, mobius_apply, MobiusReal,
                                sphere_point)
 from hypercut.spectral import clt_constants, heat_radial_density
-from hypercut.walks import (AD_CRIT_1PCT, BrownianRadialSampler, WalkConfig,
-                            ad_statistic_normal, brownian_jump, clt_check,
-                            stream, tail_checks, walk_discrete)
+from hypercut.walks import (AD_CRIT_1PCT, WalkConfig, ad_statistic_normal,
+                            clt_check, stream, tail_checks, walk_discrete)
 
 ORIGIN = PointH(0.0, 1.0)
 
@@ -156,38 +155,16 @@ class TestTailChecks:
 
 
 class TestBrownianJump:
-    def test_radial_law_matches_density(self):
-        t = 2.0
-        sampler = BrownianRadialSampler(t)
-        rng = stream(11, 0)
-        radii = sampler.sample_radii(100_000, rng)
-        measure = heat_radial_density(t)
-        cdf = np.concatenate(([0.0], np.cumsum(measure.masses)))
-        emp = np.searchsorted(np.sort(radii), measure.grid.edges) / radii.size
-        assert np.max(np.abs(emp - cdf)) <= 0.01
-
-    def test_small_time_stays_close(self):
-        sampler = BrownianRadialSampler(0.01)
-        rng = stream(12, 0)
-        z = brownian_jump(ORIGIN, 0.01, rng, sampler)
-        assert distance(ORIGIN, z) < 1.5
-
     def test_mean_distance_near_time(self):
         t = 10.0
-        sampler = BrownianRadialSampler(t)
-        rng = stream(13, 0)
-        radii = sampler.sample_radii(50_000, rng)
-        assert abs(float(radii.mean()) - t) <= 2.0 * math.sqrt(t)
-
-    def test_sampler_time_mismatch_rejected(self):
-        sampler = BrownianRadialSampler(1.0)
-        with pytest.raises(ValueError):
-            brownian_jump(ORIGIN, 2.0, stream(0, 0), sampler)
+        m = heat_radial_density(t)
+        mean = float(m.grid.centers @ m.masses)
+        assert abs(mean - t) <= 2.0 * math.sqrt(t)
 
     def test_against_sde_oracle(self):
         # independent route: Euler scheme for the half-plane diffusion
         # dx = sqrt(2) y dW1, dy = sqrt(2) y dW2 (exact log-normal y step),
-        # whose generator matches the radial law used by the sampler
+        # whose generator matches the radial heat law
         t, n, dt = 1.0, 20_000, 1e-3
         rng = stream(99, 0)
         steps = int(round(t / dt))
@@ -199,7 +176,6 @@ class TestBrownianJump:
             x = x + math.sqrt(2.0) * y * dw1
             y = y * np.exp(math.sqrt(2.0) * dw2 - dt)
         sde_d = np.arccosh(1.0 + (x ** 2 + (y - 1.0) ** 2) / (2.0 * y))
-        sampler = BrownianRadialSampler(t)
-        radii = sampler.sample_radii(n, stream(100, 0))
-        ks = sstats.ks_2samp(sde_d, radii).statistic
-        assert ks <= 0.02
+        measure = heat_radial_density(t)
+        emp = np.searchsorted(np.sort(sde_d), measure.grid.edges) / n
+        assert np.max(np.abs(emp - measure.cdf_at_edges())) <= 0.02
