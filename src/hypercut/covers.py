@@ -43,11 +43,6 @@ class EigenvalueBudget:
     def total(self) -> int:
         return sum(m for _, m in self.entries)
 
-    @property
-    def p_max(self) -> float:
-        """Smallest exponent with an empty tail: M(p_max) = 0."""
-        return self.entries[-1][0] * (1.0 + 1e-12) if self.entries else 2.0
-
     def M(self, p: float) -> int:
         """Cumulative count of entries with exponent >= p."""
         if p <= 2.0:

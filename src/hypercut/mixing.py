@@ -180,7 +180,7 @@ def _walk_histograms(q, x0, r1, k_grid, n_walkers, partition, seed, workers,
     stream(seed, 2, b) in step order, so the counts do not depend on
     ``workers``.  Returns the sorted grid."""
     ctx = modq_context(q)
-    start_sheet = ctx.index[x0.sheet.key()]
+    start_sheet = ctx.coset_of(*x0.sheet.key())
     k_grid = sorted(set(int(k) for k in k_grid))
     grid = set(k_grid)
     n_cells = partition.n_cells

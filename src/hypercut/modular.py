@@ -148,9 +148,6 @@ class CosetModQ:
             self.c * other.b + self.d * other.d,
         )
 
-    def inv(self) -> "CosetModQ":
-        return CosetModQ(self.q, self.d, -self.b, -self.c, self.a)
-
     def key(self) -> tuple:
         return (self.a, self.b, self.c, self.d)
 
@@ -577,10 +574,6 @@ def _qarg(a, b, c, d, x1, y1, x2, y2):
     return ((wx - x1) ** 2 + (wy - y1) ** 2) / (2.0 * y1 * wy)
 
 
-def _origin_distance(x, y) -> np.ndarray:
-    return np.arccosh(1.0 + (x ** 2 + (y - 1.0) ** 2) / (2.0 * y))
-
-
 def _quotient_distances(q: int, x1, y1, sheet1, x2, y2, sheet2, r_max: float,
                         enum: PSLZEnumeration | None) -> np.ndarray:
     """The one quotient-distance kernel.
@@ -606,7 +599,8 @@ def _quotient_distances(q: int, x1, y1, sheet1, x2, y2, sheet2, r_max: float,
         return best
     targets = np.broadcast_to(ctx.labels(*_mul(_inv(sheet1), sheet2)),
                               best.shape)
-    dorig1, dorig2 = _origin_distance(x1, y1), _origin_distance(x2, y2)
+    dorig1, dorig2 = (np.arccosh(1.0 + _qarg(1, 0, 0, 1, 0.0, 1.0, x, y))
+                      for x, y in ((x1, y1), (x2, y2)))
     need = r_max + float(dorig1.max()) + float(dorig2.max())
     if enum is None or enum.bound < need:
         enum = get_enumeration(need)
@@ -751,8 +745,8 @@ def sample_uniform_quotient(q: int, cusp_cap: float, rng, n: int | None = None):
     sheets = rng.integers(0, ctx.size, size)
     frac = truncated_domain_fraction(cusp_cap)
     if n is None:
-        return (QuotientPoint(PointH(float(xs[0]), float(ys[0])),
-                              ctx.elements[int(sheets[0])]), frac)
+        sheet = CosetModQ(q, *map(int, ctx.rows(int(sheets[0]))))
+        return QuotientPoint(PointH(float(xs[0]), float(ys[0])), sheet), frac
     return (xs, ys, sheets), frac
 
 
@@ -773,15 +767,20 @@ class RandomCover:
                 raise ValueError("generator images must be permutations")
 
     def is_transitive(self) -> bool:
+        maps = []
+        for s in (self.sigma_a, self.sigma_b):
+            inverse = np.empty_like(s)
+            inverse[s] = np.arange(self.n)
+            maps += [s.tolist(), inverse.tolist()]
         seen = {0}
         frontier = [0]
         while frontier:
             i = frontier.pop()
-            for s in (self.sigma_a, self.sigma_b):
-                for j in (int(s[i]), int(np.argsort(s)[i])):
-                    if j not in seen:
-                        seen.add(j)
-                        frontier.append(j)
+            for m in maps:
+                j = m[i]
+                if j not in seen:
+                    seen.add(j)
+                    frontier.append(j)
         return len(seen) == self.n
 
     def to_json(self) -> str:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -320,3 +321,62 @@ class TestDeterminism:
         monkeypatch.setenv("HYPERCUT_WORKERS", "2")
         assert run(["walk", "--r1", "1.0", "--k", "3", "--n", "1000",
                     "--seed", "0"], tmp_path) == 0
+
+
+# A small config of every subcommand, touching each kind of artifact it
+# writes; tv leaves k_max to the default so that its rewrite is recorded.
+SMALL = {
+    "constants": ["--r1", "0.7"],
+    "spherical": ["--r", "2.0", "--s-max", "5"],
+    "mixture": ["--k", "2", "--r1", "0.5"],
+    "heat": ["--t", "1.0"],
+    "walk": ["--k", "4", "--n", "500", "--seed", "5", "--trajectories", "3",
+             "--run-clt-check"],
+    "tv": ["--q", "2", "--n", "2000", "--n-boot", "20", "--seed", "3"],
+    "distances": ["--q", "2", "--n", "500", "--seed", "2"],
+    "concentration": ["--q", "2", "--n", "10000", "--seed", "2"],
+    "isoperimetry": ["--q", "2", "--r", "0.5", "--r0", "0.6", "--n", "500",
+                     "--seed", "4"],
+    "density": ["--n-values", "1000,10000,100000"],
+    "torus": ["--t-grid", "1,2", "--no-cutoff", "--T-grid", "1,2"],
+    "cover": ["--n", "7", "--seed", "9"],
+}
+
+
+def artifact(path):
+    """A CSV body, or a JSON document without its meta."""
+    if path.suffix == ".csv":
+        return csv_body(path)
+    doc = json.loads(path.read_text())
+    doc.pop("meta", None)
+    return doc
+
+
+class TestContract:
+    @pytest.mark.parametrize("command", sorted(SMALL))
+    def test_rerun_from_emitted_config(self, tmp_path, command):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main([command, *SMALL[command], "--workers", "1",
+                     "--out", str(a)]) == 0
+        config = a / f"{command}_config.json"
+        assert main([command, "--config", str(config), "--workers", "2",
+                     "--out", str(b)]) == 0
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        assert config.read_bytes() == (b / config.name).read_bytes()
+        for name in names:
+            assert artifact(a / name) == artifact(b / name), name
+
+    @pytest.mark.parametrize("command", sorted(SMALL))
+    def test_flags_are_config_keys(self, tmp_path, capsys, command):
+        assert main([command, *SMALL[command], "--out", str(tmp_path)]) == 0
+        config = json.loads(
+            (tmp_path / f"{command}_config.json").read_text())
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
+        assert sorted(flags) == sorted(
+            {"--config", "--seed", "--workers", "--out"}
+            | {"--" + key.replace("_", "-") for key in config})
+        assert len(flags) == len(set(flags))

@@ -29,7 +29,7 @@ class TestBudget:
     def test_telescoping_identity(self):
         # sum over breakpoints of M(p_i) - M(p_{i+1}) telescopes
         b = EigenvalueBudget(((2.5, 3), (3.0, 4), (5.0, 9)), 50)
-        ps = [p for p, _ in b.entries] + [b.p_max]
+        ps = [p for p, _ in b.entries] + [5.0 * (1.0 + 1e-12)]
         total = sum(b.M(ps[i]) - b.M(ps[i + 1]) if i + 1 < len(ps) - 1
                     else b.M(ps[i]) for i in range(len(ps) - 1))
         assert total == b.total == 16

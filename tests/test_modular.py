@@ -83,8 +83,9 @@ class TestCosetModQ:
         _, elements = coset_index(q)
         keys = {e.key() for e in elements}
         for a in elements:
-            assert a.inv().key() in keys
-            assert a.mul(a.inv()) == CosetModQ.identity(q)
+            inv = CosetModQ(q, a.d, -a.b, -a.c, a.a)
+            assert inv.key() in keys
+            assert a.mul(inv) == CosetModQ.identity(q)
         rng = np.random.default_rng(q)
         idx = rng.integers(0, len(elements), (300, 2))
         for i, j in idx:
@@ -262,8 +263,7 @@ class TestReduceFundamental:
             z, g = reduce_fundamental(PointH(x[i], y[i]))
             assert (rx[i], ry[i]) == pytest.approx((z.x, z.y), abs=1e-9)
             # sheet tracks the inverse reduction word mod q
-            word = CosetModQ(5, g.a, g.b, g.c, g.d)
-            expected = CosetModQ.identity(5).mul(word.inv())
+            expected = CosetModQ(5, g.d, -g.b, -g.c, g.a)
             assert ctx.elements[rs[i]] == expected
 
 
@@ -631,7 +631,9 @@ def reference_distance_pairs(q, xs1, ys1, sheets1, xs2, ys2, sheets2,
         enum.a.tolist(), enum.b.tolist(), enum.c.tolist(), enum.d.tolist())])
     out = np.full(len(xs1), math.inf)
     for j in range(len(xs1)):
-        target = ctx.elements[sheets1[j]].inv().mul(ctx.elements[sheets2[j]])
+        s1 = ctx.elements[sheets1[j]]
+        target = CosetModQ(q, s1.d, -s1.b, -s1.c, s1.a).mul(
+            ctx.elements[sheets2[j]])
         members = np.flatnonzero(labels == ctx.index[target.key()])
         if members.size == 0:
             continue
@@ -783,6 +785,16 @@ class TestRandomCover:
             RandomCover(3, np.array(sa), np.array(sb)).is_transitive()
             for sa in perms for sb in perms)
         assert count == 26  # out of (3!)^2 = 36 pairs
+
+    @pytest.mark.parametrize("n", [6, 100_000])
+    def test_hand_built_covers(self, n):
+        # sigma_A cycles each half of the sheets, so with sigma_B fixing
+        # every sheet the cover splits in two; swapping the halves joins it
+        half = np.arange(n // 2)
+        cycles = np.concatenate([np.roll(half, 1), n // 2 + np.roll(half, 1)])
+        assert not RandomCover(n, cycles, np.arange(n)).is_transitive()
+        assert RandomCover(n, cycles, np.roll(np.arange(n), n // 2)
+                           ).is_transitive()
 
     def test_json_round_trip(self):
         cover = random_cover(9, np.random.default_rng(13))

@@ -1,10 +1,11 @@
-"""Every public function and class of the package has a reader outside its
-own unit tests: a caller in the package, the benchmark, or the acceptance
-suite.  Reference implementations that unit tests compare live code
-against are the only exceptions, each listed with its reason; what only
-they read counts as unread."""
+"""Every public function, class, method and property of the package has a
+reader outside its own unit tests: a caller in the package, the benchmark,
+or the acceptance suite.  Reference implementations that unit tests compare
+live code against are the only exceptions, each listed with its reason;
+what only they read counts as unread."""
 
 import ast
+import copy
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -27,6 +28,19 @@ ORACLES = {
                        "kernel rework",
 }
 
+# Methods that tests compare live code against; methods of ORACLES classes
+# are oracles too.
+METHOD_ORACLES = {
+    "CellPartition.base_total": "sum of the cell measures that the "
+                                "partition's area check reads",
+    "WalkStats.equals": "bitwise comparison of walks at different worker "
+                        "counts",
+    "RadialMeasure.sup_cdf_gap": "distance between radial laws in the "
+                                 "semigroup and reference checks",
+    "RadialMeasure.from_csv": "the documented reader of the CLI's radial "
+                              "CSVs",
+}
+
 
 def _names_used(tree) -> set:
     """Identifiers a syntax tree reads: names, attributes, and strings that
@@ -43,32 +57,51 @@ def _names_used(tree) -> set:
     return used
 
 
+def _units(node):
+    """(method name or None, identifiers read) of a top-level statement: a
+    class splits into each method and the rest of its body."""
+    if not isinstance(node, ast.ClassDef):
+        return [(None, _names_used(node))]
+    methods = [n for n in node.body if isinstance(n, ast.FunctionDef)]
+    rest = copy.copy(node)
+    rest.body = [n for n in node.body if n not in methods]
+    return [(None, _names_used(rest))] + [(m.name, _names_used(m))
+                                          for m in methods]
+
+
 def _package_statements():
-    """(defined name or None, identifiers read) of each top-level statement
-    of the package; the re-exports of __init__.py reach nothing, so that
-    file is left out."""
-    return [(getattr(node, "name", None), _names_used(node))
+    """(defined name or None, method name or None, identifiers read) of
+    each top-level statement of the package, classes split by _units; the
+    re-exports of __init__.py reach nothing, so that file is left out."""
+    return [(getattr(node, "name", None), method, used)
             for path in sorted(PACKAGE.glob("*.py"))
             if path.name != "__init__.py"
-            for node in ast.parse(path.read_text()).body]
+            for node in ast.parse(path.read_text()).body
+            for method, used in _units(node)]
 
 
 def _public_names(statements) -> list:
-    return [name for name, _ in statements
-            if name is not None and not name.startswith("_")]
+    return [name for name, method, _ in statements
+            if name is not None and method is None
+            and not name.startswith("_")]
 
 
-def test_public_names_have_readers():
-    statements = _package_statements()
+def _outside() -> set:
     outside = set()
     for path in [*sorted((ROOT / "perfbench").glob("*.py")),
                  ROOT / "tests" / "test_acceptance.py"]:
         outside |= _names_used(ast.parse(path.read_text()))
+    return outside
+
+
+def test_public_names_have_readers():
+    statements = _package_statements()
+    outside = _outside()
     unread = []
     for name in _public_names(statements):
         if name in ORACLES or name in outside:
             continue
-        if not any(name in used for other, used in statements
+        if not any(name in used for other, _, used in statements
                    if other != name and other not in ORACLES):
             unread.append(name)
     assert unread == [], (
@@ -76,6 +109,26 @@ def test_public_names_have_readers():
         "list it in ORACLES with a reason, or delete it")
 
 
+def test_public_methods_have_readers():
+    statements = _package_statements()
+    outside = _outside()
+    unread = []
+    for owner, method, _ in statements:
+        if method is None or method.startswith("_") or owner in ORACLES \
+                or f"{owner}.{method}" in METHOD_ORACLES or method in outside:
+            continue
+        if not any(method in used for other, m, used in statements
+                   if (other, m) != (owner, method) and other not in ORACLES):
+            unread.append(f"{owner}.{method}")
+    assert unread == [], (
+        f"reached only by their own tests: {unread}; give each a caller, "
+        "list it in METHOD_ORACLES with a reason, or delete it")
+
+
 def test_every_oracle_is_defined():
-    defined = set(_public_names(_package_statements()))
+    statements = _package_statements()
+    defined = set(_public_names(statements))
     assert set(ORACLES) <= defined, sorted(set(ORACLES) - defined)
+    methods = {f"{owner}.{m}" for owner, m, _ in statements if m is not None}
+    assert set(METHOD_ORACLES) <= methods, sorted(set(METHOD_ORACLES)
+                                                  - methods)
