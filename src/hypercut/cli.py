@@ -40,14 +40,27 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+# the JSON values each declared option type takes from a config file
+_ACCEPTS = {int: int, float: (int, float), bool: bool, str: str}
+
+
 def _resolve(options: dict, args: argparse.Namespace) -> dict:
     cfg = {key: default for key, (_, default, _) in options.items()}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ConfigError("a config file must hold one JSON object")
         unknown = set(loaded) - set(options)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in loaded.items():
+            typ, default, _ = options[key]
+            if not (val is None and default is None
+                    or isinstance(val, _ACCEPTS[typ])
+                    and isinstance(val, bool) == (typ is bool)):
+                raise ConfigError(
+                    f"config key {key!r} takes {typ.__name__}, not {val!r}")
         cfg.update(loaded)
     for key in options:
         val = getattr(args, key, None)
@@ -143,7 +156,7 @@ def _heat(cfg, args) -> dict:
 def _walk(cfg, args) -> dict:
     wcfg = WalkConfig(r1=cfg["r1"], k=int(cfg["k"]), n_walkers=int(cfg["n"]),
                       seed=int(cfg["seed"]))
-    n_dump = min(int(cfg["trajectories"] or 0), 512, wcfg.n_walkers)
+    n_dump = min(int(cfg["trajectories"]), 512, wcfg.n_walkers)
     stats = walk_discrete(wcfg, workers=_workers(args), paths=n_dump)
     report = {
         "config": {"r1": wcfg.r1, "k": wcfg.k, "n": wcfg.n_walkers,
@@ -154,9 +167,9 @@ def _walk(cfg, args) -> dict:
                            for k, v in stats.dist_quantiles.items()},
     }
     if cfg["run_clt_check"]:
-        report["clt_check"] = clt_check(wcfg, stats)
+        report["clt_check"] = clt_check(stats)
     if cfg["run_tail_checks"]:
-        tails = tail_checks(wcfg, stats=stats)
+        tails = tail_checks(stats)
         report["tail_checks"] = {
             fam: {k: v for k, v in rep.items()
                   if k in ("fit_ok", "slope", "c", "r2", "censored")}
@@ -241,9 +254,9 @@ def _concentration(cfg, args) -> dict:
 
 def _isoperimetry(cfg, args) -> dict:
     q = int(cfg["q"])
-    result = isoperimetric_check(
-        q, ("ball", _origin_point(q), cfg["r0"]), cfg["r"], cfg["p"],
-        int(cfg["n"]), seed=int(cfg["seed"]))
+    result = isoperimetric_check(q, _origin_point(q), cfg["r0"], cfg["r"],
+                                 cfg["p"], int(cfg["n"]),
+                                 seed=int(cfg["seed"]))
     print(f"c={result['c']:.4f} c'={result['c_prime']:.4f} "
           f"bound={result['bound']:.4f} passes={result['passes']}")
     return {"isoperimetry.json": result}

@@ -463,13 +463,13 @@ def kappa(r: float, p: float) -> float:
     return (r + 1.0) ** 2 * math.exp(-rate)
 
 
-def isoperimetric_check(q: int, region, r: float, p: float, n_mc: int,
-                        seed: int = 0) -> dict:
+def isoperimetric_check(q: int, center, r0: float, r: float, p: float,
+                        n_mc: int, seed: int = 0) -> dict:
     """Monte-Carlo check of mu(Y_r)/mu(X) >= c / (kappa_{r,p} (1-c) + c).
 
-    ``region`` is ("ball", center: QuotientPoint, r0), whose dilated set is
-    the exact ball of radius r0 + r.  ``p`` must be a certified upper bound
-    for the surface's integrability exponent.
+    Y is the ball of radius r0 about the QuotientPoint ``center``, whose
+    dilated set is the exact ball of radius r0 + r.  ``p`` must be a
+    certified upper bound for the surface's integrability exponent.
     """
     if r > 5.0:
         raise ConfigError("dilation radius above 5 not supported")
@@ -477,9 +477,6 @@ def isoperimetric_check(q: int, region, r: float, p: float, n_mc: int,
     rng = stream(seed, tag=5)
     (xs, ys, sheets), trunc = sample_uniform_quotient(
         q, ISOPERIMETRY_CUSP_CAP, rng, n_mc)
-    kind, center, r0 = region
-    if kind != "ball":
-        raise ConfigError(f"unknown region kind {kind!r}")
     inj = injectivity_radius(center, r_max=4.0)
     if r0 > inj.value:
         raise ConfigError("seed ball exceeds the injectivity radius")

@@ -1,5 +1,5 @@
-"""Composite Gauss-Legendre panels and doubling rules used by the
-special-function evaluators.
+"""Composite Gauss-Legendre panels, and the one doubling loop that the
+spherical-function sweep and the CLT variance quadrature both run.
 
 Everything here is deterministic: node layouts depend only on the requested
 panel counts, so repeated runs sum in the same order.
@@ -35,22 +35,17 @@ def panel_nodes(a: float, b: float, n_panels: int):
     return nodes, weights
 
 
-def trapezoid_doubling(f, a: float, b: float, *, tol: float = 1e-12,
-                       n0: int = 64, max_doublings: int = 16):
-    """Trapezoid rule with interval doubling; converges geometrically for
-    smooth periodic integrands.  Returns ``(value, err_estimate)``.
-    """
-    n = n0
-    x = np.linspace(a, b, n + 1)
-    prev = float(np.trapezoid(f(x), x))
-    for _ in range(max_doublings):
+def doubling(evaluate, n: int, tol: float, passes: int):
+    """evaluate(n), evaluate(2n), ... (at most ``passes`` calls) until two
+    results in a row differ by at most ``tol``; returns (result, achieved
+    difference), else raises QuadratureError with ``achieved`` set."""
+    prev, err = evaluate(n), float("inf")
+    for _ in range(passes - 1):
         n *= 2
-        x = np.linspace(a, b, n + 1)
-        cur = float(np.trapezoid(f(x), x))
-        err = abs(cur - prev)
+        cur = evaluate(n)
+        err = float(np.max(np.abs(cur - prev)))
         if err <= tol:
             return cur, err
         prev = cur
-    raise QuadratureError(
-        f"trapezoid integral on [{a}, {b}] stalled above {tol:g}",
-        achieved=err)
+    raise QuadratureError(f"unsettled above {tol:g} after {passes} passes",
+                          achieved=err)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericRangeError, QuadratureError, ResolutionError
-from .quadrature import panel_nodes, trapezoid_doubling
+from .errors import NumericRangeError, ResolutionError
+from .quadrature import doubling, panel_nodes
 from .radial import (MASS_TOL, RadialGrid, RadialMeasure, convolve_step,
                      default_grid)
 
@@ -34,8 +34,6 @@ _R_CAP = 600.0
 HEAT_CHUNK_ROWS = 256
 # spectral parameters per chunk of the spherical-function sweep
 SWEEP_CHUNK = 512
-# radii per chunk of phi_on_radii's table
-PHI_CHUNK_RADII = 256
 # the largest spectral parameter of plancherel_check's decay probe
 PLANCHEREL_S_CAP = 80.0
 
@@ -67,21 +65,36 @@ def _check_radii(r) -> np.ndarray:
 
 
 def _integrand_base(r, u: np.ndarray):
-    """(x, weight-free base) of the regularized integrand 2u / sqrt(...);
-    r is one radius or a column of radii."""
+    """(x, weight-free base) of the regularized integrand 2u / sqrt(...)
+    at one radius r."""
     x = 1.0 - u * u
     den = np.sqrt(2.0 * np.sinh(r * (1.0 + x) / 2.0)
                   * np.sinh(r * (1.0 - x) / 2.0))
     return x, 2.0 * u / den
 
 
-def _spherical_sweep(s: np.ndarray, r: float, tol: float, wave):
-    """(sqrt 2 / pi) r int wave(s r x) base dx for each s at one radius r,
-    with wave = np.cos for the principal series and np.cosh for the
-    complementary one.
+def _first_panels(smax: float, r: float) -> int:
+    """Starting panel count: panels scale with the oscillation count s r."""
+    return max(16, int(smax * r / 3.0) + 8)
 
-    Panels scale with the oscillation count s r; the count is doubled until
-    the whole chunk moves by less than ``tol``.  Chunking over s, SWEEP_CHUNK
+
+def _phi_pass(s: np.ndarray, r: float, n_panels: int, wave) -> np.ndarray:
+    """(sqrt 2 / pi) r int wave(s r x) base dx for each s at one radius
+    r > 0, on ``n_panels`` Gauss panels, with wave = np.cos for the
+    principal series and np.cosh for the complementary one."""
+    u, w = panel_nodes(0.0, 1.0, n_panels)
+    x, base = _integrand_base(r, u)
+    arg = np.outer(s, r * x)
+    vals = wave(arg, out=arg) @ (base * w)
+    vals *= math.sqrt(2.0) / math.pi * r
+    return vals
+
+
+def _spherical_sweep(s: np.ndarray, r: float, tol: float, wave):
+    """_phi_pass for each s at one radius r, certified to ``tol``.
+
+    The panel count starts at _first_panels and is doubled until the whole
+    chunk moves by less than ``tol``.  Chunking over s, SWEEP_CHUNK
     parameters at a time, keeps the node tensors bounded regardless of the
     sweep size.
     """
@@ -91,24 +104,9 @@ def _spherical_sweep(s: np.ndarray, r: float, tol: float, wave):
     out = np.empty_like(s)
     for lo in range(0, s.size, SWEEP_CHUNK):
         sc = s[lo:lo + SWEEP_CHUNK]
-        smax = float(np.max(np.abs(sc)))
-        n_panels = max(16, int(smax * r / 3.0) + 8)
-        prev = None
-        for _ in range(7):
-            u, w = panel_nodes(0.0, 1.0, n_panels)
-            x, base = _integrand_base(r, u)
-            vals = wave(np.outer(sc, r * x)) @ (base * w)
-            vals *= math.sqrt(2.0) / math.pi * r
-            if prev is not None:
-                err = float(np.max(np.abs(vals - prev)))
-                if err <= tol:
-                    break
-            prev = vals
-            n_panels *= 2
-        else:
-            raise QuadratureError(
-                "spherical function sweep did not converge", achieved=err)
-        out[lo:lo + SWEEP_CHUNK] = vals
+        out[lo:lo + SWEEP_CHUNK], _ = doubling(
+            lambda n: _phi_pass(sc, r, n, wave),
+            _first_panels(float(np.max(np.abs(sc))), r), tol, 7)
     return out
 
 
@@ -165,14 +163,14 @@ def clt_constants(r1: float) -> CltConstants:
         raise ValueError("need r1 > 0")
     alpha = 2.0 * math.log(math.cosh(r1 / 2.0)) / r1
 
-    def logheight(theta):
-        return np.log(np.exp(r1) * np.cos(theta) ** 2
-                      + np.exp(-r1) * np.sin(theta) ** 2)
+    def trapezoid(n):
+        t = np.linspace(0.0, math.pi, n + 1)
+        logheight = np.log(np.exp(r1) * np.cos(t) ** 2
+                           + np.exp(-r1) * np.sin(t) ** 2)
+        return float(np.trapezoid((logheight / r1 - alpha) ** 2, t))
 
     if r1 <= 12.0:
-        iv, _ = trapezoid_doubling(
-            lambda t: (logheight(t) / r1 - alpha) ** 2, 0.0, math.pi,
-            tol=1e-11, n0=128, max_doublings=14)
+        iv, _ = doubling(trapezoid, 128, 1e-11, 15)
         sigma2 = iv / math.pi
     else:
         sigma2 = math.pi ** 2 / (3.0 * r1 * r1)
@@ -305,29 +303,16 @@ def heat_radial_density(t: float, grid: RadialGrid | None = None,
 def phi_on_radii(s_values, radii) -> np.ndarray:
     """phi(s, r) as a (len(s), len(radii)) table.
 
-    Radii are processed in ascending chunks so the panel count follows the
-    local oscillation budget instead of the global maximum.  The panel rule
-    is fixed, with no doubling; tests pin it against
+    One _phi_pass per positive radius, at the sweep's starting panel count
+    _first_panels(max |s|, r), with no doubling; tests pin the table against
     spherical_principal_grid.
     """
     s = np.atleast_1d(np.asarray(s_values, dtype=float))
     r = np.atleast_1d(_check_radii(radii))
-    order = np.argsort(r)
-    smax = max(float(np.max(np.abs(s), initial=0.0)), 1e-9)
-    out = np.empty((s.size, r.size))
-    for lo in range(0, r.size, PHI_CHUNK_RADII):
-        idx = order[lo:lo + PHI_CHUNK_RADII]
-        n_panels = max(12, int(smax * float(r[idx].max()) / 4.0) + 6)
-        u, w = panel_nodes(0.0, 1.0, n_panels)
-        rr = r[idx][:, None]
-        with np.errstate(divide="ignore"):
-            x, base = _integrand_base(rr, u)
-        base = np.where(rr > 0.0, base, 0.0) * w
-        vals = np.einsum("sru,ru->sr",
-                         np.cos(s[:, None, None] * (rr * x)[None]), base)
-        vals *= math.sqrt(2.0) / math.pi * rr.ravel()[None, :]
-        vals[:, r[idx] == 0.0] = 1.0
-        out[:, idx] = vals
+    smax = float(np.max(np.abs(s), initial=0.0))
+    out = np.ones((s.size, r.size))
+    for j in np.flatnonzero(r > 0.0):
+        out[:, j] = _phi_pass(s, r[j], _first_panels(smax, r[j]), np.cos)
     return out
 
 

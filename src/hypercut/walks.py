@@ -179,21 +179,19 @@ def ad_statistic_normal(x: np.ndarray) -> float:
     return float(-n - np.mean((2 * i - 1) * (log_cdf + log_sf[::-1])))
 
 
-def clt_check(config: WalkConfig, stats: WalkStats | None = None,
-              workers: int = 1) -> dict:
-    """Normality and moment checks of the final log-height against the
+def clt_check(stats: WalkStats) -> dict:
+    """Normality and moment checks of a walk's final log-height against the
     quadrature constants.
 
     Requires k >= 50 and n >= 1e4; smaller runs are skipped with a notice
     instead of reporting an underpowered verdict.
     """
+    config = stats.config
     if config.k < 50 or config.n_walkers < 10_000:
         return {"skipped": True,
                 "notice": f"k={config.k}, n={config.n_walkers} too small "
                           "for a calibrated normality test"}
     consts = clt_constants(config.r1)
-    if stats is None:
-        stats = walk_discrete(config, workers)
     k, n, r1 = config.k, config.n_walkers, config.r1
     standardized = ((stats.final_lny + consts.alpha * r1 * k)
                     / (r1 * math.sqrt(consts.sigma2 * k)))
@@ -234,15 +232,15 @@ def _tail_fit(lams: np.ndarray, probs: np.ndarray, n: int):
             "lams": lams[keep], "probs": probs[keep]}
 
 
-def tail_checks(config: WalkConfig, lambda_grid=None,
-                stats: WalkStats | None = None, workers: int = 1) -> dict:
-    """Empirical tail decay of the three deviation families (log-height,
-    horizontal coordinate squared, distance), each fitted log-linearly in
-    lambda^2.
+def tail_checks(stats: WalkStats, lambda_grid=None) -> dict:
+    """Empirical tail decay of a walk's three deviation families
+    (log-height, horizontal coordinate squared, distance), each fitted
+    log-linearly in lambda^2.
 
     Step lengths below 0.05 are refused: the constants degrade as the step
     shrinks and the fits stop meaning anything.
     """
+    config = stats.config
     if config.r1 < MIN_STEP_LENGTH:
         raise ConfigError(f"step length {config.r1} below {MIN_STEP_LENGTH}; "
                           "tail fits are unreliable in that regime")
@@ -250,8 +248,6 @@ def tail_checks(config: WalkConfig, lambda_grid=None,
         lambda_grid = np.linspace(0.25, 3.0, 12)
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     consts = clt_constants(config.r1)
-    if stats is None:
-        stats = walk_discrete(config, workers)
     k, n, r1 = config.k, config.n_walkers, config.r1
     drift = consts.alpha * r1 * k
     sqk = math.sqrt(k)

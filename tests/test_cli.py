@@ -110,6 +110,17 @@ class TestExitCodes:
         assert main(["constants", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command,loaded", [
+        ("tv", {"k_max": "5"}), ("constants", {"r1": "1.0"}),
+        ("constants", 5), ("cover", {"n": 2.5})])
+    def test_config_of_the_wrong_type_is_config_error(self, tmp_path, capsys,
+                                                      command, loaded):
+        cfg, out = tmp_path / "bad.json", tmp_path / "out"
+        cfg.write_text(json.dumps(loaded))
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_error_bad_value(self, tmp_path):
         assert main(["constants", "--r1", "-3.0",
                      "--out", str(tmp_path)]) == 2

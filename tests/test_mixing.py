@@ -481,12 +481,12 @@ class TestIsoperimetry:
     def test_two_ball_oracle(self):
         # Y = ball(r0): the dilation is the exact ball of radius r0 + r,
         # so c'/c must match the analytic volume ratio
-        rep = isoperimetric_check(5, ("ball", origin(5), 0.7), 0.6, 4.0,
-                                  60_000, seed=10)
+        rep = isoperimetric_check(5, origin(5), 0.7, 0.6, 4.0, 60_000,
+                                  seed=10)
         expected = ball_volume(1.3) / ball_volume(0.7)
         assert rep["c_prime"] / rep["c"] == pytest.approx(expected, rel=0.05)
         assert rep["passes"]
 
     def test_ball_exceeding_injectivity_refused(self):
         with pytest.raises(ConfigError):
-            isoperimetric_check(5, ("ball", origin(5), 2.5), 0.5, 4.0, 100)
+            isoperimetric_check(5, origin(5), 2.5, 0.5, 4.0, 100)

@@ -9,8 +9,8 @@ import pytest
 
 import hypercut
 from hypercut import spectral
-from hypercut.errors import NumericRangeError, ResolutionError
-from hypercut.quadrature import panel_nodes
+from hypercut.errors import NumericRangeError, QuadratureError, ResolutionError
+from hypercut.quadrature import doubling, panel_nodes
 from hypercut.radial import RadialGrid, RadialMeasure, convolve
 from hypercut.spectral import (CltConstants, clt_constants,
                                complementary_lower_envelope,
@@ -24,6 +24,99 @@ from hypercut.spectral import (CltConstants, clt_constants,
 def legendre_oracle(s: complex, r: float) -> float:
     """Independent conical-function evaluation P_{-1/2+is}(cosh r)."""
     return float(mpmath.re(mpmath.legenp(-0.5 + 1j * s, 0, mpmath.cosh(r))))
+
+
+def reference_sweep(s, r, tol, wave):
+    """The spherical-function sweep as it stood before it ran on
+    quadrature.doubling, integrand included.  Kept frozen as the bit-level
+    reference for spherical_principal_grid and spherical_complementary."""
+    if r == 0.0:
+        return np.ones_like(s)
+    out = np.empty_like(s)
+    for lo in range(0, s.size, 512):
+        sc = s[lo:lo + 512]
+        smax = float(np.max(np.abs(sc)))
+        n_panels = max(16, int(smax * r / 3.0) + 8)
+        prev = None
+        for _ in range(7):
+            u, w = panel_nodes(0.0, 1.0, n_panels)
+            x = 1.0 - u * u
+            den = np.sqrt(2.0 * np.sinh(r * (1.0 + x) / 2.0)
+                          * np.sinh(r * (1.0 - x) / 2.0))
+            base = 2.0 * u / den
+            vals = wave(np.outer(sc, r * x)) @ (base * w)
+            vals *= math.sqrt(2.0) / math.pi * r
+            if prev is not None:
+                err = float(np.max(np.abs(vals - prev)))
+                if err <= tol:
+                    break
+            prev = vals
+            n_panels *= 2
+        else:
+            raise QuadratureError(
+                "spherical function sweep did not converge", achieved=err)
+        out[lo:lo + 512] = vals
+    return out
+
+
+def reference_trapezoid_doubling(f, a, b, *, tol=1e-12, n0=64,
+                                 max_doublings=16):
+    """The trapezoid doubling rule that clt_constants ran before
+    quadrature.doubling, kept frozen as the bit-level reference for sigma2."""
+    n = n0
+    x = np.linspace(a, b, n + 1)
+    prev = float(np.trapezoid(f(x), x))
+    for _ in range(max_doublings):
+        n *= 2
+        x = np.linspace(a, b, n + 1)
+        cur = float(np.trapezoid(f(x), x))
+        err = abs(cur - prev)
+        if err <= tol:
+            return cur, err
+        prev = cur
+    raise QuadratureError(
+        f"trapezoid integral on [{a}, {b}] stalled above {tol:g}",
+        achieved=err)
+
+
+class TestFrozenReferences:
+    @pytest.mark.parametrize("n", [801, 1200])
+    @pytest.mark.parametrize("r", [0.5, 2.0, 8.0])
+    def test_principal_grid_bits(self, r, n):
+        # 801 and 1,200 parameters make two and three sweep chunks
+        s = np.linspace(0.0, 40.0, n)
+        assert np.array_equal(spherical_principal_grid(s, r),
+                              reference_sweep(s, r, 1e-8, np.cos))
+
+    @pytest.mark.parametrize("p", [2.5, 4.0, 8.0])
+    def test_complementary_bits(self, p):
+        for r in (0.5, 3.0, 10.0):
+            want = reference_sweep(np.array([0.5 - 1.0 / p]), r, 1e-10,
+                                   np.cosh)
+            assert spherical_complementary(p, r) == float(want[0]), r
+
+    @pytest.mark.parametrize("r1", [0.3, 1.0, 5.0, 12.0])
+    def test_clt_variance_bits(self, r1):
+        alpha = 2.0 * math.log(math.cosh(r1 / 2.0)) / r1
+
+        def logheight(theta):
+            return np.log(np.exp(r1) * np.cos(theta) ** 2
+                          + np.exp(-r1) * np.sin(theta) ** 2)
+
+        iv, _ = reference_trapezoid_doubling(
+            lambda t: (logheight(t) / r1 - alpha) ** 2, 0.0, math.pi,
+            tol=1e-11, n0=128, max_doublings=14)
+        assert clt_constants(r1).sigma2 == iv / math.pi
+
+
+class TestDoubling:
+    def test_returns_result_and_achieved_difference(self):
+        assert doubling(lambda n: 1.0 / n, 1, 0.1, 10) == (0.0625, 0.0625)
+
+    def test_unsettled_results_raise_with_achieved(self):
+        with pytest.raises(QuadratureError) as exc:
+            doubling(lambda n: float(n), 4, 1e-3, 5)
+        assert exc.value.achieved == 32.0
 
 
 class TestSphericalPrincipal:
@@ -419,9 +512,9 @@ class TestPhiOnRadii:
     def test_fixed_panels_match_certified_sweep(self, measure, s_max):
         # phi_on_radii has no convergence check of its own; on criterion
         # 6's grids and parameter ranges its table must agree with the
-        # doubling sweep at tol 1e-10.  The whole table is built so every
-        # radius gets the panels of its own chunk; 20 radii, the largest
-        # among them, are checked.
+        # doubling sweep at tol 1e-10.  Each radius gets one pass at the
+        # sweep's starting panel count; 20 radii, the largest among them,
+        # are checked.
         s = np.linspace(0.0, s_max, 21)
         centers = measure.grid.centers
         table = phi_on_radii(s, centers)

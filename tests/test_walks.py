@@ -91,15 +91,15 @@ class TestWalkDiscrete:
 
 class TestCltCheck:
     def test_small_run_skipped(self):
-        rep = clt_check(WalkConfig(1.0, 1, 50_000, 0))
+        rep = clt_check(walk_discrete(WalkConfig(1.0, 1, 50_000, 0)))
         assert rep["skipped"]
-        rep = clt_check(WalkConfig(1.0, 100, 100, 0))
+        rep = clt_check(walk_discrete(WalkConfig(1.0, 100, 100, 0)))
         assert rep["skipped"]
 
     @pytest.mark.parametrize("r1", [0.5, 1.0])
     def test_moderate_run_passes(self, r1):
         cfg = WalkConfig(r1, 80, 30_000, 2026)
-        rep = clt_check(cfg, workers=2)
+        rep = clt_check(walk_discrete(cfg, workers=2))
         assert not rep["skipped"]
         assert rep["ad_pass_1pct"]
         assert rep["mean_ok"]
@@ -129,11 +129,11 @@ class TestCltCheck:
 class TestTailChecks:
     def test_refuses_tiny_steps(self):
         with pytest.raises(ConfigError):
-            tail_checks(WalkConfig(0.01, 100, 20_000, 0))
+            tail_checks(walk_discrete(WalkConfig(0.01, 100, 20_000, 0)))
 
     def test_three_families_subgaussian(self):
         cfg = WalkConfig(1.0, 100, 50_000, 314)
-        rep = tail_checks(cfg, workers=2)
+        rep = tail_checks(walk_discrete(cfg, workers=2))
         for family in ("log_height", "x_squared", "distance"):
             fit = rep[family]
             assert fit["fit_ok"]
@@ -150,7 +150,8 @@ class TestTailChecks:
 
     def test_censoring_reported(self):
         cfg = WalkConfig(1.0, 60, 20_000, 4)
-        rep = tail_checks(cfg, lambda_grid=np.linspace(0.5, 8.0, 10))
+        rep = tail_checks(walk_discrete(cfg),
+                          lambda_grid=np.linspace(0.5, 8.0, 10))
         assert rep["log_height"]["censored"] > 0
 
 
