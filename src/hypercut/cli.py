@@ -47,8 +47,12 @@ _ACCEPTS = {int: int, float: (int, float), bool: bool, str: str}
 def _resolve(options: dict, args: argparse.Namespace) -> dict:
     cfg = {key: default for key, (_, default, _) in options.items()}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {args.config!r}: "
+                              f"{exc.strerror}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("a config file must hold one JSON object")
         unknown = set(loaded) - set(options)

@@ -127,27 +127,37 @@ class RadialMeasure:
         return cls(grid, d * width)
 
 
-# rows of the kernel CDF evaluated per pass of in-place ufuncs, so that each
-# pass works on a cache-resident tile instead of a whole block
-KERNEL_TILE_ROWS = 64
+# edges per kernel task, and the width of the products that reduce a task's
+# tile.  OpenBLAS shares a matrix-vector product's outputs among its threads
+# at least 4 at a time and rounds the outputs past a share's last multiple
+# of 4 on another path, so a 4-wide product is never split, and a product
+# widened by the remainder rounds its last outputs as the whole product does
+# on one thread.
+TILE_COLS = 256
+PRODUCT_COLS = 4
 
 
-def _kernel_cdf(out, num_old, cosh_new, den_old):
-    """The law-of-cosines kernel CDF written into ``out`` in place:
-    acos(clip((num_old - cosh_new) / den_old, -1, 1)) / pi, with
-    num_old = cosh r_old cosh r_step and den_old = sinh r_old sinh r_step
-    broadcast against cosh_new = cosh r_new.  Where den_old is not positive
-    the argument is +-2 by the sign of the numerator, a step function."""
+def _kernel_arg(out, num_old, cosh_new, den_old):
+    """clip((num_old - cosh_new) / den_old, -1, 1) written into ``out`` in
+    place, with num_old = cosh r_old cosh r_step and den_old = sinh r_old
+    sinh r_step broadcast against cosh_new = cosh r_new.  Where den_old is
+    not positive the argument is +-2 by the sign of the numerator, a step
+    function.  Every step is monotone, so the argument never increases with
+    cosh_new."""
     np.subtract(num_old, cosh_new, out=out)
     pos = den_old > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(out, np.where(pos, den_old, 1.0), out=out)
     if not np.all(pos):
         np.copyto(out, np.where(out > 0.0, 2.0, -2.0), where=~pos)
-    np.clip(out, -1.0, 1.0, out=out)
-    np.arccos(out, out=out)
-    np.divide(out, math.pi, out=out)
-    return out
+    return np.clip(out, -1.0, 1.0, out=out)
+
+
+def _kernel_cdf(out, num_old, cosh_new, den_old):
+    """The law-of-cosines kernel CDF acos(_kernel_arg(...)) / pi, written
+    into ``out`` in place."""
+    np.arccos(_kernel_arg(out, num_old, cosh_new, den_old), out=out)
+    return np.divide(out, math.pi, out=out)
 
 
 def step_kernel_cdf(r_new, r_old, r_step):
@@ -164,30 +174,70 @@ def step_kernel_cdf(r_new, r_old, r_step):
                        np.cosh(r_new), np.sinh(r_old) * np.sinh(r_step))[()]
 
 
+def _kernel_tile(num, cosh_new, den):
+    """The kernel CDF of the rows (num, den) at the edges cosh_new.  A row
+    whose argument is the same at the least and the greatest cosh_new, as
+    it is past either end of the step's band [|r_old - r_step|, r_old +
+    r_step], is that value throughout, so only the rows from the first to
+    the last other one go through the arccos."""
+    ends = _kernel_arg(np.empty((2, len(num))), num,
+                       np.array([[cosh_new.min()], [cosh_new.max()]]), den)
+    band = np.flatnonzero(ends[0] != ends[1])
+    a, b = (band[0], band[-1] + 1) if len(band) else (len(num), len(num))
+    flat = (np.arccos(ends[0]) / math.pi)[:, None]
+    tile = np.empty((len(num), len(cosh_new)))
+    tile[:a], tile[b:] = flat[:a], flat[b:]
+    _kernel_cdf(tile[a:b], num[a:b, None], cosh_new, den[a:b, None])
+    return tile
+
+
+def _reduce_tile(masses, tile, out):
+    """out = masses @ tile as products PRODUCT_COLS columns wide, the last
+    one widened by the tile's width mod PRODUCT_COLS."""
+    rows, width = tile.shape
+    n = width // PRODUCT_COLS - (width % PRODUCT_COLS != 0)
+    head = n * PRODUCT_COLS
+    if n > 0:
+        out[:head] = (masses @ tile[:, :head].reshape(rows, n, PRODUCT_COLS)
+                      .transpose(1, 0, 2)).ravel()
+    if head < width:
+        out[head:] = masses @ tile[:, head:]
+
+
 def _step_cdf_sum(masses, centers, r_step, edges, workers: int = 1):
     """Sum over cells of mass times the kernel CDF at each edge: the
     unnormalized CDF after one step of length r_step from radii ``centers``.
 
-    The kernel rows of one block fill a single buffer, KERNEL_TILE_ROWS at a
-    time on ``workers`` threads, and each block is reduced by one product on
-    the calling thread, so the sums round as a whole-block evaluation would
-    at any worker count.
+    The cells run in blocks of 20,000,000 // len(edges) rows.  Within a
+    block, each task on ``workers`` threads fills the kernel on TILE_COLS
+    edges (the last tile also takes the len(edges) % PRODUCT_COLS left
+    over) and reduces it by _reduce_tile.  Each block sum thus rounds as
+    the whole-block product does on one BLAS thread, at any worker or BLAS
+    thread count.
     """
     from .walks import map_blocks  # walks imports this module
 
     cosh_edges = np.cosh(edges)
     num = np.cosh(centers) * math.cosh(r_step)
     den = np.sinh(centers) * np.sinh(r_step)
+    n_edges = len(edges)
+    n_products = max(1, n_edges // PRODUCT_COLS)
     cdf = np.zeros_like(edges)
-    block = max(1, 20_000_000 // max(len(edges), 1))
-    buf = np.empty((min(block, len(centers)), len(edges)))
+    block = max(1, 20_000_000 // max(n_edges, 1))
     for lo in range(0, len(centers), block):
         hi = min(lo + block, len(centers))
-        num_b, den_b = num[lo:hi, None], den[lo:hi, None]
-        map_blocks(lambda _, t, u: _kernel_cdf(buf[t:u], num_b[t:u],
-                                               cosh_edges, den_b[t:u]),
-                   hi - lo, workers, KERNEL_TILE_ROWS)
-        cdf += masses[lo:hi] @ buf[:hi - lo]
+        part = np.empty_like(edges)
+
+        def tile_sum(_, p_lo, p_hi):
+            c_lo = p_lo * PRODUCT_COLS
+            c_hi = n_edges if p_hi == n_products else p_hi * PRODUCT_COLS
+            tile = _kernel_tile(num[lo:hi], cosh_edges[c_lo:c_hi],
+                                den[lo:hi])
+            _reduce_tile(masses[lo:hi], tile, part[c_lo:c_hi])
+
+        map_blocks(tile_sum, n_products, workers,
+                   TILE_COLS // PRODUCT_COLS)
+        cdf += part
     return cdf
 
 

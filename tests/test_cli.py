@@ -121,6 +121,17 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name,reason", [("missing.json", "No such file"),
+                                             (".", "Is a directory")])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, name,
+                                               reason):
+        out = tmp_path / "out"
+        assert main(["constants", "--config", str(tmp_path / name),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and reason in err
+        assert not out.exists()
+
     def test_config_error_bad_value(self, tmp_path):
         assert main(["constants", "--r1", "-3.0",
                      "--out", str(tmp_path)]) == 2
@@ -315,6 +326,25 @@ class TestDeterminism:
                 bodies[blas, t] = csv_body(out / "heat.csv")
         for t in ("0.05", "4"):
             assert bodies["1", t] == bodies["2", t], t
+
+    def test_mixture_at_any_blas_thread_count(self, tmp_path):
+        # each tile of the step kernel is reduced by products 4 columns
+        # wide, which OpenBLAS does not split across its own threads
+        src = os.path.dirname(os.path.dirname(hypercut.__file__))
+        cases = (("--k", "6"), ("--k", "4", "--r1", "2.5"))
+        bodies = {}
+        for blas in ("1", "2"):
+            for case in cases:
+                out = tmp_path / "_".join((blas,) + case)
+                env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=blas,
+                           OPENBLAS_NUM_THREADS=blas, MKL_NUM_THREADS=blas)
+                subprocess.run([sys.executable, "-m", "hypercut.cli",
+                                "mixture", *case, "--workers", "2",
+                                "--out", str(out)],
+                               env=env, check=True, capture_output=True)
+                bodies[blas, case] = csv_body(out / "mixture.csv")
+        for case in cases:
+            assert bodies["1", case] == bodies["2", case], case
 
     def test_emitted_config_round_trip(self, tmp_path):
         a = tmp_path / "a"

@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hypercut
 from hypercut.cli import main
 from hypercut.errors import ResolutionError
-from hypercut.radial import (RadialGrid, RadialMeasure, convolve,
-                             convolve_step, default_grid, step_kernel_cdf)
+from hypercut.radial import (RadialGrid, RadialMeasure, _step_cdf_sum,
+                             convolve, convolve_step, default_grid,
+                             step_kernel_cdf)
 from hypercut.spectral import (heat_radial_density, radial_mixture,
                                two_step_cdf)
 
@@ -107,8 +112,8 @@ def test_sup_cdf_gap_metric():
 
 
 # Reference copies of the kernel and of convolve_step as whole-block array
-# expressions, before the tiled in-place evaluation.  The tiled path must
-# give the same bits.
+# expressions, before the tiled evaluation.  The tiled path must give the
+# same bits as they give on one BLAS thread.
 def reference_step_kernel_cdf(r_new, r_old, r_step):
     r_new = np.asarray(r_new, dtype=float)
     r_old = np.asarray(r_old, dtype=float)
@@ -120,18 +125,22 @@ def reference_step_kernel_cdf(r_new, r_old, r_step):
     return np.arccos(np.clip(arg, -1.0, 1.0)) / math.pi
 
 
-def reference_convolve_step(measure, r_step, out_grid=None):
-    if out_grid is None:
-        out_grid = default_grid(measure.grid.r_max + r_step)
-    edges = out_grid.edges
-    centers = measure.grid.centers
+def reference_step_cdf_sum(masses, centers, r_step, edges):
     cdf = np.zeros_like(edges)
     block = max(1, 20_000_000 // max(len(edges), 1))
     for lo in range(0, len(centers), block):
         sl = slice(lo, lo + block)
         k = reference_step_kernel_cdf(edges[None, :], centers[sl, None],
                                       r_step)
-        cdf += measure.masses[sl] @ k
+        cdf += masses[sl] @ k
+    return cdf
+
+
+def reference_convolve_step(measure, r_step, out_grid=None):
+    if out_grid is None:
+        out_grid = default_grid(measure.grid.r_max + r_step)
+    cdf = reference_step_cdf_sum(measure.masses, measure.grid.centers,
+                                 r_step, out_grid.edges)
     total = measure.total_mass()
     if total > 0:
         cdf /= total
@@ -151,6 +160,75 @@ def reference_mixture_masses(k_max, r1):
     return laws
 
 
+def block_case(r_step):
+    """A measure on 7999 cells and an out-grid of 5001 edges: blocks of 3999
+    rows, so two full blocks and a one-row partial block."""
+    m = RadialMeasure.from_cdf(RadialGrid(0.0, 2.0, 7999),
+                               lambda r: (r / 2.0) ** 2)
+    return m, RadialGrid(0.0, 2.0 + r_step, 5000)
+
+
+# Band edges of the tiled step sum: (cells, r_step, out-grid) with random
+# masses.  The edge counts are 1024, 1025, 1026 and 1027 (each remainder
+# mod 4), 3, and 20001, whose 999-row blocks leave one row of 1000 cells.
+BAND_CASES = {
+    "r_step_0": (RadialGrid(0.0, 3.0, 600), 0.0, RadialGrid(0.0, 3.0, 1023)),
+    "r_step_1e-6": (RadialGrid(0.0, 3.0, 600), 1e-6,
+                    RadialGrid(0.0, 3.0, 1024)),
+    "first_center_5e-4": (RadialGrid(0.0, 1.0, 1000), 0.3,
+                          RadialGrid(0.0, 1.3, 1025)),
+    "out_grid_to_20": (RadialGrid(0.0, 19.0, 1900), 1.0,
+                       RadialGrid(0.0, 20.0, 1026)),
+    "three_edges": (RadialGrid(0.0, 2.0, 500), 0.5, RadialGrid(0.0, 2.5, 2)),
+    "one_row_last_block": (RadialGrid(0.0, 3.0, 1000), 0.7,
+                           RadialGrid(0.0, 3.7, 20000)),
+}
+BLOCK_STEPS = (0.0, 0.6)
+MIXTURE_STEPS = (0.3, 1.0, 2.5)
+
+
+def band_case(name):
+    cells, r_step, out_grid = BAND_CASES[name]
+    masses = np.random.default_rng(cells.n_cells).uniform(0.0, 1.0,
+                                                           cells.n_cells)
+    return masses, cells.centers, r_step, out_grid.edges
+
+
+REFERENCE_CHILD = """
+import sys
+import numpy as np
+import test_radial as tr
+out = {}
+for r_step in tr.BLOCK_STEPS:
+    m, grid = tr.block_case(r_step)
+    out[f"block{r_step!r}"] = tr.reference_convolve_step(m, r_step,
+                                                         grid).masses
+for r1 in tr.MIXTURE_STEPS:
+    for k, masses in tr.reference_mixture_masses(6, r1).items():
+        out[f"mixture{r1!r}_{k}"] = masses
+for name in tr.BAND_CASES:
+    out[f"band_{name}"] = tr.reference_step_cdf_sum(*tr.band_case(name))
+np.savez(sys.argv[1], **out)
+"""
+
+
+@pytest.fixture(scope="module")
+def reference_sums(tmp_path_factory):
+    """The reference step sums, computed in a child process with one BLAS
+    thread.  The reference's whole-block products are split across BLAS
+    threads, which changes how they round; the tiled sums must match the
+    one-thread reference at any BLAS thread count."""
+    path = tmp_path_factory.mktemp("radial") / "reference.npz"
+    src = os.path.dirname(os.path.dirname(hypercut.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    subprocess.run([sys.executable, "-c", REFERENCE_CHILD, str(path)],
+                   env=env, check=True)
+    with np.load(path) as data:
+        return dict(data)
+
+
 @pytest.mark.parametrize("r_step", [0.0, 0.7])
 def test_step_kernel_cdf_matches_reference(r_step):
     # includes r_old = 0 and r_step = 0, where the kernel is a step function
@@ -164,25 +242,31 @@ def test_step_kernel_cdf_matches_reference(r_step):
         assert got == reference_step_kernel_cdf(a, b, r_step)
 
 
-@pytest.mark.parametrize("r_step", [0.0, 0.6])
-def test_convolve_step_matches_reference_across_blocks(r_step):
-    # 5001 edges make blocks of 3999 rows, so 7999 cells run two full
-    # blocks and a one-row partial block, each with a partial last tile
-    m = RadialMeasure.from_cdf(RadialGrid(0.0, 2.0, 7999),
-                               lambda r: (r / 2.0) ** 2)
-    out_grid = RadialGrid(0.0, 2.0 + r_step, 5000)
+@pytest.mark.parametrize("r_step", BLOCK_STEPS)
+def test_convolve_step_matches_reference_across_blocks(reference_sums,
+                                                       r_step):
+    m, out_grid = block_case(r_step)
     assert 20_000_000 // len(out_grid.edges) == 3999
-    want = reference_convolve_step(m, r_step, out_grid).masses
+    want = reference_sums[f"block{r_step!r}"]
     for workers in (1, 2, 3):
         got = convolve_step(m, r_step, out_grid, workers)
         assert np.array_equal(got.masses, want), workers
 
 
-@pytest.mark.parametrize("r1", [0.3, 1.0, 2.5])
-def test_radial_mixture_matches_reference(r1):
-    laws = reference_mixture_masses(6, r1)
+@pytest.mark.parametrize("name", BAND_CASES)
+def test_step_sum_matches_reference_at_band_edges(reference_sums, name):
+    masses, centers, r_step, edges = band_case(name)
+    want = reference_sums[f"band_{name}"]
+    for workers in (1, 2):
+        got = _step_cdf_sum(masses, centers, r_step, edges, workers)
+        assert np.array_equal(got, want), workers
+
+
+@pytest.mark.parametrize("r1", MIXTURE_STEPS)
+def test_radial_mixture_matches_reference(reference_sums, r1):
     for k in range(3, 7):
-        assert np.array_equal(radial_mixture(k, r1).masses, laws[k])
+        assert np.array_equal(radial_mixture(k, r1).masses,
+                              reference_sums[f"mixture{r1!r}_{k}"])
 
 
 def test_radial_mixture_same_at_any_worker_count():

@@ -24,8 +24,8 @@ ORACLES = {
                 "check",
     "quotient_distance": "the documented scalar entry of the quotient "
                          "distance kernel",
-    "step_kernel_cdf": "scalar law-of-cosines kernel, kept for the banded "
-                       "kernel rework",
+    "step_kernel_cdf": "the kernel formula the tiled step sum is checked "
+                       "against",
 }
 
 # Methods that tests compare live code against; methods of ORACLES classes
