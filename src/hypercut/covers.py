@@ -11,8 +11,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # the desk-scale o(1) verdict's bound on each requirement sequence's last term
 O1_THRESHOLD = 0.1
 # the exponents of the built-in budget families
@@ -61,11 +59,10 @@ class EigenvalueBudget:
                    obj["N"], obj.get("label", ""))
 
 
-def synthetic_density_budget(n_cover: int,
-                             p_values=P_VALUES) -> EigenvalueBudget:
+def synthetic_density_budget(n_cover: int) -> EigenvalueBudget:
     """The standard density-shaped test budget m(p_i) = round(N^{2/p_i})."""
     entries = tuple((p, max(1, round(n_cover ** (2.0 / p))))
-                    for p in p_values)
+                    for p in P_VALUES)
     return EigenvalueBudget(entries, n_cover, "synthetic-A1")
 
 
@@ -77,19 +74,16 @@ def uniform_budget(n_cover: int) -> EigenvalueBudget:
 
 @dataclass(frozen=True)
 class GrowthFunction:
-    """g(R) = slope * R + delta_log * ln R, non-decreasing on R >= 1."""
+    """g(R) = slope * R."""
 
     slope: float = 1.0
-    delta_log: float = 0.0
 
     def __post_init__(self):
         if self.slope < 1.0:
             raise ValueError("slope must be >= 1")
 
-    def __call__(self, R):
-        R = np.asarray(R, dtype=float)
-        out = self.slope * R + self.delta_log * np.log(R)
-        return float(out) if out.ndim == 0 else out
+    def __call__(self, R: float) -> float:
+        return self.slope * R
 
 
 @dataclass
@@ -113,8 +107,9 @@ def normal_cover_requirement(budgets, g: GrowthFunction) -> dict:
     ``O1_THRESHOLD`` (a labeled proxy, not an asymptotic claim).
     """
     ns = [b.n_cover for b in budgets]
-    if len(ns) < 3 or any(b >= a for b, a in zip(ns, ns[1:])):
-        raise ValueError("need budgets for >= 3 strictly increasing covers")
+    if len(ns) < 3 or ns[0] < 2 or any(b >= a for b, a in zip(ns, ns[1:])):
+        raise ValueError("need budgets for >= 3 strictly increasing covers"
+                         " of degree >= 2")
     rows = []
     for budget in budgets:
         gln = g(math.log(budget.n_cover))

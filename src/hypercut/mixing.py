@@ -23,7 +23,8 @@ from .modular import (MODULAR_AREA, QuotientPoint, injectivity_radius,
                       modq_context, quotient_distances_from, quotient_R,
                       quotient_volume, reduce_points_arrays,
                       sample_uniform_quotient)
-from .walks import map_blocks, stream
+from .quadrature import map_blocks, spans
+from .walks import stream
 
 TV_BLOCK = 1 << 16
 # each block steps, reduces and bins its walkers this many at a time, so
@@ -41,7 +42,7 @@ U_TOP = 2.0 / math.sqrt(3.0)
 CUSP_ROWS = 4
 # the fewest samples a tail of concentration_fit may rest on
 CONCENTRATION_MIN_COUNT = 10
-# the smallest injectivity radius a start point may have by default
+# the smallest injectivity radius a start point may have
 R0_FLOOR = 0.1
 # height cap of isoperimetric_check's uniform samples
 ISOPERIMETRY_CUSP_CAP = 30.0
@@ -185,8 +186,8 @@ def _walk_histograms(q, x0, r1, k_grid, n_walkers, partition, seed, workers,
     grid = set(k_grid)
     n_cells = partition.n_cells
     states = []
-    for b, lo in enumerate(range(0, n_walkers, TV_BLOCK)):
-        m = min(TV_BLOCK, n_walkers - lo)
+    for b, walkers in enumerate(spans(n_walkers, TV_BLOCK)):
+        m = walkers.stop - walkers.start
         states.append((stream(seed, tag=2, block=b), np.full(m, x0.base.x),
                        np.full(m, x0.base.y),
                        np.full(m, start_sheet, dtype=np.int64)))
@@ -198,8 +199,7 @@ def _walk_histograms(q, x0, r1, k_grid, n_walkers, partition, seed, workers,
         one draw of the whole block would."""
         rng, x, y, sheets = states[b]
         counts = np.zeros(n_cells, dtype=np.int64) if step in grid else None
-        for lo in range(0, x.size, TV_SLICE):
-            s = slice(lo, lo + TV_SLICE)
+        for s in spans(x.size, TV_SLICE):
             if step:
                 theta = rng.uniform(0.0, math.pi, x[s].size)
                 xs, ys = sphere_step_arrays(x[s], y[s], r1, theta)
@@ -214,11 +214,20 @@ def _walk_histograms(q, x0, r1, k_grid, n_walkers, partition, seed, workers,
     if 0 in grid:
         emit(np.sum([advance(b, 0) for b in range(len(states))], axis=0))
     for step in range(1, max(k_grid, default=0) + 1):
-        parts = map_blocks(lambda b, lo, hi: advance(b, step), n_walkers,
-                           workers, block=TV_BLOCK)
+        parts = map_blocks(lambda b: advance(b, step), range(len(states)),
+                           workers)
         if step in grid:
             emit(np.sum(parts, axis=0))
     return k_grid
+
+
+def _check_start(x0: QuotientPoint):
+    """The start point's injectivity radius, refused below R0_FLOOR."""
+    inj = injectivity_radius(x0, r_max=4.0)
+    if inj.value < R0_FLOOR:
+        raise ConfigError(
+            f"start point has injectivity radius {inj.value:.3g} < {R0_FLOOR}")
+    return inj
 
 
 def _tv_held_bytes(n_walkers: int, n_grid: int = 0, n_cells: int = 0) -> int:
@@ -246,8 +255,7 @@ def _check_tv_capacity(n_walkers: int, n_grid: int = 0,
 
 def tv_profile(q: int, x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
                partition: CellPartition | None = None, seed: int = 0,
-               workers: int = 1, n_boot: int = 200,
-               r0_floor: float = R0_FLOOR) -> TVProfile:
+               workers: int = 1, n_boot: int = 200) -> TVProfile:
     """Plug-in estimate of || walk law at step k - uniform ||_1 on the
     level-q quotient, with a walker bootstrap CI per grid point.
 
@@ -259,17 +267,14 @@ def tv_profile(q: int, x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
     Preconditions enforced: the walker state, and then the walker state
     with the histograms and bootstrap chunks of the partition, fit in
     TV_STATE_CAP_BYTES; the start point has injectivity radius at least
-    r0_floor; and no cell exceeds mu(X)/1000.
+    R0_FLOOR; and no cell exceeds mu(X)/1000.
     """
     if n_walkers < 1 or n_boot < 1:
         raise ConfigError("need n_walkers >= 1 and n_boot >= 1")
     _check_tv_capacity(n_walkers)
     if x0.q != q:
         raise ConfigError("start point lives on a different quotient")
-    inj = injectivity_radius(x0, r_max=max(4.0, 2.5 * r0_floor))
-    if inj.value < r0_floor:
-        raise ConfigError(
-            f"start point has injectivity radius {inj.value:.3g} < {r0_floor}")
+    _check_start(x0)
     if partition is None:
         partition = default_partition(q)
     k_grid = sorted(set(int(k) for k in k_grid))
@@ -288,13 +293,13 @@ def tv_profile(q: int, x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
         # one size=n_boot draw
         p_hat = counts / n
         tv_boot = np.empty(n_boot)
-        for i in range(0, n_boot, BOOT_ROWS):
-            rows = min(BOOT_ROWS, n_boot - i)
-            buf = scaled[:rows]
-            np.divide(boot_rng.multinomial(n, p_hat, size=rows), n, out=buf)
+        for rows in spans(n_boot, BOOT_ROWS):
+            buf = scaled[:rows.stop - rows.start]
+            np.divide(boot_rng.multinomial(n, p_hat, size=len(buf)), n,
+                      out=buf)
             np.subtract(buf, pi, out=buf)
             np.abs(buf, out=buf)
-            np.sum(buf, axis=1, out=tv_boot[i:i + rows])
+            np.sum(buf, axis=1, out=tv_boot[rows])
         lo, hi = np.percentile(tv_boot, [2.5, 97.5])
         return np.abs(p_hat - pi).sum(), lo, hi
 
@@ -363,10 +368,7 @@ def distance_histogram(q: int, x0: QuotientPoint, n_samples: int,
     R = quotient_R(q)
     if r_max < R + 3.0 * math.log(R):
         raise ConfigError("r_max below R_X + 3 ln R_X cannot resolve the tail")
-    inj = injectivity_radius(x0, r_max=4.0)
-    if inj.value < R0_FLOOR:
-        raise ConfigError(
-            f"start point has injectivity radius {inj.value:.3g} < {R0_FLOOR}")
+    inj = _check_start(x0)
     rng = stream(seed, tag=4)
     (xs, ys, sheets), trunc = sample_uniform_quotient(q, cusp_cap, rng,
                                                       n_samples)

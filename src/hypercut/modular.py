@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, DegeneracyError
 from .geometry import ORIGIN, PointH, distance, inverse_ball_radius
+from .quadrature import spans
 
 FUNDAMENTAL_TOL = 1e-12
 MODULAR_AREA = math.pi / 3.0
@@ -448,7 +449,7 @@ class PSLZEnumeration:
         self.a, self.b, self.c, self.norm2 = (np.empty_like(keys)
                                               for _ in range(4))
         mask = (1 << _ENTRY_BITS) - 1
-        for s in _slices(self.size, _ENUM_BLOCK):
+        for s in spans(self.size, _ENUM_BLOCK):
             a, b, c, d = ((keys[s] >> (k * _ENTRY_BITS) & mask)
                           - _ENTRY_OFFSET for k in (3, 2, 1, 0))
             self.a[s], self.b[s], self.c[s] = a, b, c
@@ -468,7 +469,7 @@ class PSLZEnumeration:
             # back into the labels in place
             span = int(self.norm2.max(initial=0)) + 1
             labels = np.empty_like(self.norm2)
-            for s in _slices(self.size, _ENUM_BLOCK):
+            for s in spans(self.size, _ENUM_BLOCK):
                 labels[s] = ctx.labels(self.a[s], self.b[s], self.c[s],
                                        self.d[s]) * span + self.norm2[s]
             order = np.argsort(labels, kind="stable")
@@ -496,10 +497,6 @@ def _check_bound(bound: float) -> None:
         raise CapacityError(
             f"enumeration bound {bound:.3f} exceeds cap {_ENUM_BOUND_CAP}"
             " (element count grows like e^bound)")
-
-
-def _slices(n: int, size: int):
-    return (slice(lo, lo + size) for lo in range(0, n, size))
 
 
 def _row_chunks(widths: np.ndarray):
@@ -732,22 +729,16 @@ def sample_base_domain(n: int, cusp_cap: float, rng):
     return xs, 1.0 / us
 
 
-def sample_uniform_quotient(q: int, cusp_cap: float, rng, n: int | None = None):
-    """Uniform samples of the level-q quotient truncated at height Y.
+def sample_uniform_quotient(q: int, cusp_cap: float, rng, n: int):
+    """n uniform samples of the level-q quotient truncated at height Y.
 
     Sheets are uniform over the cover group; bases follow mu on the
-    truncated domain.  Returns (samples, truncated_fraction): a single
-    QuotientPoint, or (x, y, sheet-index) arrays when n is given.
+    truncated domain.  Returns ((x, y, sheet-index) arrays,
+    truncated_fraction).
     """
-    ctx = modq_context(q)
-    size = 1 if n is None else n
-    xs, ys = sample_base_domain(size, cusp_cap, rng)
-    sheets = rng.integers(0, ctx.size, size)
-    frac = truncated_domain_fraction(cusp_cap)
-    if n is None:
-        sheet = CosetModQ(q, *map(int, ctx.rows(int(sheets[0]))))
-        return QuotientPoint(PointH(float(xs[0]), float(ys[0])), sheet), frac
-    return (xs, ys, sheets), frac
+    xs, ys = sample_base_domain(n, cusp_cap, rng)
+    sheets = rng.integers(0, modq_context(q).size, n)
+    return (xs, ys, sheets), truncated_domain_fraction(cusp_cap)
 
 
 # --- random covers of the level-2 free subgroup -------------------------

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResolutionError
+from .quadrature import map_blocks, spans
 
 # the mass a discretized radial law may lose to its grid
 MASS_TOL = 1e-3
@@ -209,34 +210,25 @@ def _step_cdf_sum(masses, centers, r_step, edges, workers: int = 1):
     unnormalized CDF after one step of length r_step from radii ``centers``.
 
     The cells run in blocks of 20,000,000 // len(edges) rows.  Within a
-    block, each task on ``workers`` threads fills the kernel on TILE_COLS
-    edges (the last tile also takes the len(edges) % PRODUCT_COLS left
-    over) and reduces it by _reduce_tile.  Each block sum thus rounds as
-    the whole-block product does on one BLAS thread, at any worker or BLAS
-    thread count.
+    block, each task on ``workers`` threads fills the kernel on one tile of
+    spans(len(edges), TILE_COLS, PRODUCT_COLS) and reduces it by
+    _reduce_tile.  Each block sum thus rounds as the whole-block product
+    does on one BLAS thread, at any worker or BLAS thread count.
     """
-    from .walks import map_blocks  # walks imports this module
-
     cosh_edges = np.cosh(edges)
     num = np.cosh(centers) * math.cosh(r_step)
     den = np.sinh(centers) * np.sinh(r_step)
-    n_edges = len(edges)
-    n_products = max(1, n_edges // PRODUCT_COLS)
+    tiles = spans(len(edges), TILE_COLS, PRODUCT_COLS)
     cdf = np.zeros_like(edges)
-    block = max(1, 20_000_000 // max(n_edges, 1))
-    for lo in range(0, len(centers), block):
-        hi = min(lo + block, len(centers))
+    block = max(1, 20_000_000 // max(len(edges), 1))
+    for rows in spans(len(centers), block):
         part = np.empty_like(edges)
 
-        def tile_sum(_, p_lo, p_hi):
-            c_lo = p_lo * PRODUCT_COLS
-            c_hi = n_edges if p_hi == n_products else p_hi * PRODUCT_COLS
-            tile = _kernel_tile(num[lo:hi], cosh_edges[c_lo:c_hi],
-                                den[lo:hi])
-            _reduce_tile(masses[lo:hi], tile, part[c_lo:c_hi])
+        def tile_sum(cols):
+            tile = _kernel_tile(num[rows], cosh_edges[cols], den[rows])
+            _reduce_tile(masses[rows], tile, part[cols])
 
-        map_blocks(tile_sum, n_products, workers,
-                   TILE_COLS // PRODUCT_COLS)
+        map_blocks(tile_sum, tiles, workers)
         cdf += part
     return cdf
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericRangeError, ResolutionError
-from .quadrature import doubling, panel_nodes
+from .quadrature import doubling, map_blocks, panel_nodes, spans
 from .radial import (MASS_TOL, RadialGrid, RadialMeasure, convolve_step,
                      default_grid)
 
@@ -102,9 +102,9 @@ def _spherical_sweep(s: np.ndarray, r: float, tol: float, wave):
     if r == 0.0:
         return np.ones_like(s)
     out = np.empty_like(s)
-    for lo in range(0, s.size, SWEEP_CHUNK):
-        sc = s[lo:lo + SWEEP_CHUNK]
-        out[lo:lo + SWEEP_CHUNK], _ = doubling(
+    for chunk in spans(s.size, SWEEP_CHUNK):
+        sc = s[chunk]
+        out[chunk], _ = doubling(
             lambda n: _phi_pass(sc, r, n, wave),
             _first_panels(float(np.max(np.abs(sc))), r), tol, 7)
     return out
@@ -223,16 +223,6 @@ def heat_envelope(t: float, r):
     return r / (t * np.sqrt(1.0 + r + t)) * np.exp(-((r - t) ** 2) / (4.0 * t))
 
 
-def _row_chunks(n: int, size: int):
-    """(lo, hi) chunks of at most ``size`` rows, except that a lone last row
-    joins the chunk before it: numpy reduces a one-row matrix-vector product
-    through a dot routine that rounds differently."""
-    bounds = list(range(0, n, size)) + [n]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return zip(bounds[:-1], bounds[1:])
-
-
 def _heat_density_exact(t: float, r: np.ndarray,
                         workers: int = 1) -> np.ndarray:
     """Radial density of the time-t heat flow, through the classical
@@ -244,10 +234,10 @@ def _heat_density_exact(t: float, r: np.ndarray,
     regularized by s = r + v^2.  Exactly normalized; the discretization is
     renormalized downstream anyway.  The (radii x nodes) integrand is built
     and reduced HEAT_CHUNK_ROWS radii at a time, one chunk per task on
-    ``workers`` threads; each chunk writes only its own rows.
+    ``workers`` threads; each chunk writes only its own rows.  A lone last
+    radius joins the chunk before it: numpy reduces a one-row
+    matrix-vector product through a dot routine that rounds differently.
     """
-    from .walks import map_blocks  # walks imports this module
-
     r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)
     pos = r > 0.0
@@ -255,21 +245,19 @@ def _heat_density_exact(t: float, r: np.ndarray,
     v_hi = np.sqrt(np.sqrt(rp * rp + 220.0 * t) + 4.0 * math.sqrt(t) - rp)
     u, w = panel_nodes(0.0, 1.0, 48)
     integral = np.empty_like(rp)
-    chunks = list(_row_chunks(len(rp), HEAT_CHUNK_ROWS))
 
-    def chunk(b, _lo, _hi):
-        lo, hi = chunks[b]
-        rc = rp[lo:hi, None]
-        v = v_hi[lo:hi, None] * u[None, :]
+    def chunk(rows):
+        rc = rp[rows, None]
+        v = v_hi[rows, None] * u[None, :]
         s = rc + v * v
         den = np.sqrt(2.0 * np.sinh((s + rc) / 2.0)
                       * np.sinh(np.maximum((s - rc) / 2.0, 0.0)))
         with np.errstate(divide="ignore", invalid="ignore"):
             integrand = np.where(den > 0.0, 2.0 * v * s
                                  * np.exp(-s * s / (4.0 * t)) / den, 0.0)
-        integral[lo:hi] = (integrand @ w) * v_hi[lo:hi]
+        integral[rows] = (integrand @ w) * v_hi[rows]
 
-    map_blocks(chunk, len(chunks), workers, block=1)
+    map_blocks(chunk, spans(len(rp), HEAT_CHUNK_ROWS, 2), workers)
     const = math.exp(-t / 4.0) / (2.0 ** 1.5 * math.sqrt(math.pi) * t ** 1.5)
     out[pos] = np.sinh(rp) * const * integral
     return out

@@ -13,13 +13,13 @@ count and any block scheduling order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 from .geometry import PointH, log_sphere_step_arrays
+from .quadrature import map_blocks, spans
 from .spectral import clt_constants
 
 BLOCK = 1 << 14
@@ -38,17 +38,6 @@ def stream(seed: int, tag: int, block: int = 0) -> np.random.Generator:
     if block:
         bg = bg.jumped(block)
     return np.random.Generator(bg)
-
-
-def map_blocks(fn, n_items: int, workers: int = 1, block: int = BLOCK):
-    """Apply fn(block_index, lo, hi) over fixed-size blocks; results come
-    back in block order regardless of the executor."""
-    spans = [(b, lo, min(lo + block, n_items))
-             for b, lo in enumerate(range(0, n_items, block))]
-    if workers <= 1:
-        return [fn(*span) for span in spans]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda s: fn(*s), spans))
 
 
 @dataclass(frozen=True)
@@ -122,9 +111,10 @@ def walk_discrete(config: WalkConfig, workers: int = 1,
     if not 0 <= paths <= min(BLOCK, n):
         raise ConfigError(f"can keep 0..{min(BLOCK, n)} paths, not {paths}")
 
-    def run_block(b, lo, hi):
+    def run_block(block):
+        b, walkers = block
         rng = stream(config.seed, tag=1, block=b)
-        m = hi - lo
+        m = walkers.stop - walkers.start
         x = np.full(m, x0)
         lny = np.full(m, lny0)
         sums = np.zeros((max(k, 1), 5))
@@ -143,7 +133,7 @@ def walk_discrete(config: WalkConfig, workers: int = 1,
             maxd[step] = d.max()
         return sums, maxd, lny.copy(), x.copy(), d, kept
 
-    parts = map_blocks(run_block, n, workers)
+    parts = map_blocks(run_block, enumerate(spans(n, BLOCK)), workers)
     sums = np.sum([p[0] for p in parts], axis=0)
     maxd = np.max([p[1] for p in parts], axis=0)
     final_lny = np.concatenate([p[2] for p in parts])

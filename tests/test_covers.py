@@ -63,9 +63,10 @@ class TestNormalCoverRequirement:
             assert row.req_limit == 0.0
 
     def test_requires_increasing_degrees(self):
-        budgets = [synthetic_density_budget(n) for n in (100, 100, 1000)]
-        with pytest.raises(ValueError):
-            normal_cover_requirement(budgets, GrowthFunction(1.2))
+        for ns in ((100, 100, 1000), (1, 10, 100)):
+            budgets = [synthetic_density_budget(n) for n in ns]
+            with pytest.raises(ValueError):
+                normal_cover_requirement(budgets, GrowthFunction(1.2))
 
     def test_sum_bounded_by_integral_plus_limit(self):
         # the proof's summation-by-parts chain, in requirement units:
@@ -82,13 +83,15 @@ class TestNormalCoverRequirement:
 
     def test_uniform_budgets_do_not_vanish(self):
         budgets = [uniform_budget(n) for n in self.NS]
-        rep = normal_cover_requirement(budgets, GrowthFunction(1.0, 3.0))
+        rep = normal_cover_requirement(budgets,
+                                       lambda R: R + 3.0 * math.log(R))
         assert not rep["vanishing"]
 
     def test_steep_growth_vanishes(self):
         # with slope 2.5 the decay beats the polylog prefactor on this
         # range, so the checker's vanishing verdict has a green path
-        budgets = [synthetic_density_budget(n, p_values=(2.5, 3.0, 4.0))
+        budgets = [EigenvalueBudget(tuple((p, max(1, round(n ** (2.0 / p))))
+                                          for p in (2.5, 3.0, 4.0)), n)
                    for n in self.NS]
         rep = normal_cover_requirement(budgets, GrowthFunction(3.0))
         assert rep["vanishing"]

@@ -16,7 +16,7 @@ from hypercut.modular import (CosetModQ, QuotientPoint, modq_context,
                               quotient_R, quotient_volume)
 from hypercut.spectral import clt_constants
 from hypercut.torus import TorusConfig, torus_l1
-from hypercut.walks import map_blocks, stream
+from hypercut.walks import stream
 from test_modular import reference_reduce_points_arrays
 
 MOD_AREA = math.pi / 3.0
@@ -153,8 +153,10 @@ def reference_histograms(q, x0, r1, k_grid, n_walkers, seed):
                 slot += 1
         return counts
 
-    return np.sum(map_blocks(run_block, n_walkers, 1,
-                             block=mixing.TV_BLOCK), axis=0)
+    block = mixing.TV_BLOCK
+    return np.sum([run_block(b, lo, min(lo + block, n_walkers))
+                   for b, lo in enumerate(range(0, n_walkers, block))],
+                  axis=0)
 
 
 def reference_tv_profile(q, counts, n_walkers, seed, n_boot=200):
@@ -389,9 +391,11 @@ class TestTvProfile:
     def test_precondition_failures(self):
         with pytest.raises(ConfigError):
             tv_profile(2, origin(3), 1.0, [0], 100)
+        # T^2 moves (0, 40) by acosh(1.00125) ~ 0.05, so its injectivity
+        # radius ~ 0.025 lies below R0_FLOOR
         high = QuotientPoint(PointH(0.0, 40.0), CosetModQ.identity(2))
-        with pytest.raises(ConfigError):
-            tv_profile(2, high, 1.0, [0], 100, r0_floor=0.5)
+        with pytest.raises(ConfigError, match="injectivity radius"):
+            tv_profile(2, high, 1.0, [0], 100)
 
 
 class TestCutoffLocator:

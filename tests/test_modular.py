@@ -30,6 +30,14 @@ def qpoint(x, y, q=1, sheet=None):
                          sheet if sheet is not None else CosetModQ.identity(q))
 
 
+def sample_points(q, cusp_cap, rng, n):
+    """n uniform samples of the level-q quotient as QuotientPoints."""
+    (xs, ys, sheets), _ = sample_uniform_quotient(q, cusp_cap, rng, n)
+    cosets = modq_context(q).elements
+    return [QuotientPoint(PointH(float(x), float(y)), cosets[int(s)])
+            for x, y, s in zip(xs, ys, sheets)]
+
+
 class TestGroupElement:
     def test_determinant_enforced(self):
         with pytest.raises(ValueError):
@@ -580,10 +588,7 @@ class TestQuotientDistance:
 
     def test_pseudometric_small_sample(self):
         rng = np.random.default_rng(12)
-        pts = []
-        for _ in range(12):
-            p, _ = sample_uniform_quotient(3, 5.0, rng)
-            pts.append(p)
+        pts = sample_points(3, 5.0, rng, 12)
         dmat = {}
         for i, a in enumerate(pts):
             for j, b in enumerate(pts):
@@ -601,8 +606,7 @@ class TestQuotientDistance:
         # leaves the relative coset, hence the distance, unchanged
         ctx = modq_context(3)
         rng = np.random.default_rng(9)
-        p1, _ = sample_uniform_quotient(3, 5.0, rng)
-        p2, _ = sample_uniform_quotient(3, 5.0, rng)
+        p1, p2 = sample_points(3, 5.0, rng, 2)
         base = quotient_distance(p1, p2, 8.0)
         for h in (ctx.elements[3], ctx.elements[7], ctx.elements[10]):
             moved1 = QuotientPoint(p1.base, h.mul(p1.sheet))

@@ -1,0 +1,72 @@
+import pytest
+
+from hypercut import walks
+from hypercut.quadrature import map_blocks, spans
+from hypercut.radial import PRODUCT_COLS, TILE_COLS
+from hypercut.spectral import HEAT_CHUNK_ROWS
+
+
+# Frozen copies of the two layouts that spans replaced.  Their runs fix how
+# the step-kernel tiles and the heat-density chunks round, so spans must
+# reproduce them run for run.
+def frozen_tiles(n_edges, tile_cols=TILE_COLS, product_cols=PRODUCT_COLS):
+    """The step-kernel tiles as (lo, hi) columns: blocks of product indices,
+    the last tile widened to take the n_edges % product_cols left over."""
+    n_products = max(1, n_edges // product_cols)
+    block = tile_cols // product_cols
+    tiles = []
+    for p_lo in range(0, n_products, block):
+        p_hi = min(p_lo + block, n_products)
+        tiles.append((p_lo * product_cols,
+                      n_edges if p_hi == n_products else p_hi * product_cols))
+    return tiles
+
+
+def frozen_row_chunks(n, size):
+    """(lo, hi) chunks of at most ``size`` rows, a lone last row joined to
+    the chunk before it."""
+    bounds = list(range(0, n, size)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def as_pairs(runs):
+    return [(s.start, s.stop) for s in runs]
+
+
+def test_spans_reproduce_the_tiles():
+    # a grid has at least two edges; with none the old rule gave one empty
+    # tile and spans gives no run
+    for n in range(1, 5001):
+        assert as_pairs(spans(n, TILE_COLS, PRODUCT_COLS)) \
+            == frozen_tiles(n), n
+
+
+def test_spans_reproduce_the_row_chunks():
+    for n in range(5001):
+        assert as_pairs(spans(n, HEAT_CHUNK_ROWS, 2)) \
+            == frozen_row_chunks(n, HEAT_CHUNK_ROWS), n
+    for size in (1, 2, 3, 7):
+        for n in range(600):
+            assert as_pairs(spans(n, size, 2)) \
+                == frozen_row_chunks(n, size), (n, size)
+
+
+@pytest.mark.parametrize("n, size, least", [(0, 4, 1), (1, 4, 3), (9, 4, 1),
+                                            (9, 4, 2), (10, 4, 3),
+                                            (12, 4, 4)])
+def test_spans_cover_in_order(n, size, least):
+    runs = spans(n, size, least)
+    assert [i for s in runs for i in range(s.start, s.stop)] == list(range(n))
+    assert all(s.stop - s.start <= size for s in runs[:-1])
+    if len(runs) > 1:
+        assert least <= runs[-1].stop - runs[-1].start < size + least
+
+
+def test_map_blocks_keeps_item_order():
+    items = spans(1000, 7)
+    want = [s.start for s in items]
+    for workers in (1, 3):
+        assert map_blocks(lambda s: s.start, items, workers) == want
+    assert walks.map_blocks is map_blocks

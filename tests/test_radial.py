@@ -113,7 +113,13 @@ def test_sup_cdf_gap_metric():
 
 # Reference copies of the kernel and of convolve_step as whole-block array
 # expressions, before the tiled evaluation.  The tiled path must give the
-# same bits as they give on one BLAS thread.
+# same bits as they give on one BLAS thread.  The kernel is elementwise, so
+# filling one reused block buffer about KERNEL_CELLS entries at a time gives
+# the same block while its temporaries stay small; each block still reduces
+# by one product.
+KERNEL_CELLS = 1 << 20
+
+
 def reference_step_kernel_cdf(r_new, r_old, r_step):
     r_new = np.asarray(r_new, dtype=float)
     r_old = np.asarray(r_old, dtype=float)
@@ -128,11 +134,15 @@ def reference_step_kernel_cdf(r_new, r_old, r_step):
 def reference_step_cdf_sum(masses, centers, r_step, edges):
     cdf = np.zeros_like(edges)
     block = max(1, 20_000_000 // max(len(edges), 1))
+    step = max(1, KERNEL_CELLS // len(edges))
+    k = np.empty((min(block, len(centers)), len(edges)))
     for lo in range(0, len(centers), block):
-        sl = slice(lo, lo + block)
-        k = reference_step_kernel_cdf(edges[None, :], centers[sl, None],
-                                      r_step)
-        cdf += masses[sl] @ k
+        rows = centers[lo:lo + block]
+        for i in range(0, len(rows), step):
+            sub = rows[i:i + step]
+            k[i:i + len(sub)] = reference_step_kernel_cdf(
+                edges[None, :], sub[:, None], r_step)
+        cdf += masses[lo:lo + block] @ k[:len(rows)]
     return cdf
 
 

@@ -132,3 +132,25 @@ def test_every_oracle_is_defined():
     methods = {f"{owner}.{m}" for owner, m, _ in statements if m is not None}
     assert set(METHOD_ORACLES) <= methods, sorted(set(METHOD_ORACLES)
                                                   - methods)
+
+
+
+def _package_import(node) -> bool:
+    """Whether an import statement loads a module of the package."""
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "hypercut"
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "hypercut" for a in node.names)
+    return False
+
+
+def test_no_package_import_inside_a_function():
+    """Every module imports the package's other modules at module level;
+    only third-party imports (scipy) may be deferred into a function."""
+    deferred = sorted({f"{path.name}:{node.lineno}"
+                       for path in sorted(PACKAGE.glob("*.py"))
+                       for fn in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(fn, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                       for node in ast.walk(fn) if _package_import(node)})
+    assert deferred == [], f"package imports inside functions: {deferred}"
