@@ -4,12 +4,10 @@ case."""
 
 __version__ = "0.1.0"
 
-from .geometry import (MobiusReal, PointH, ball_volume, distance,
-                       inverse_ball_radius, mobius_apply, sphere_point)
-from .modular import (CosetModQ, GroupElement, QuotientPoint, RandomCover,
-                      coset_index, injectivity_radius, quotient_R,
-                      quotient_distance, quotient_volume, random_cover,
-                      reduce_fundamental, sample_uniform_quotient)
+from .geometry import PointH, ball_volume, distance, inverse_ball_radius
+from .modular import (CosetModQ, QuotientPoint, RandomCover, coset_index,
+                      injectivity_radius, quotient_R, quotient_distance,
+                      quotient_volume, random_cover, sample_uniform_quotient)
 from .radial import RadialGrid, RadialMeasure
 from .spectral import (CltConstants, clt_constants, hc_bound,
                        heat_radial_density, helgason_radial, plancherel_check,

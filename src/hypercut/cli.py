@@ -25,8 +25,9 @@ from .covers import (EigenvalueBudget, GrowthFunction,
                      uniform_budget)
 from .errors import CapacityError, ConfigError, NumericError
 from .geometry import PointH
-from .mixing import (concentration_fit, cutoff_locator, default_partition,
-                     distance_histogram, isoperimetric_check, tv_profile)
+from .mixing import (CUSP_CAP, concentration_fit, cutoff_locator,
+                     default_partition, distance_histogram,
+                     isoperimetric_check, tv_profile)
 from .modular import CosetModQ, QuotientPoint, quotient_R, random_cover
 from .spectral import (clt_constants, hc_bound, heat_envelope,
                        heat_radial_density, radial_mixture,
@@ -327,7 +328,7 @@ _COMMON = {"config": (str, None, "JSON config file (flags override it)"),
 _SEED = {"seed": _COMMON["seed"]}
 _SAMPLES = {"q": (int, 5, "congruence level"), "n": (int, 10_000, "samples"),
             "r_max": (float, 8.0, "distance cap"),
-            "cusp_cap": (float, 10.0, "height cap"), **_SEED}
+            "cusp_cap": (float, CUSP_CAP, "height cap"), **_SEED}
 
 _COMMANDS = {
     "constants": (_constants, {"r1": (float, 1.0, "step length")}),
@@ -348,7 +349,7 @@ _COMMANDS = {
     "tv": (_tv, {
         "q": (int, 3, "congruence level"), "r1": (float, 1.0, "step length"),
         "n": (int, 100_000, "walkers"), "k_max": (int, None, "profile length"),
-        "cusp_cap": (float, 10.0, "height cap"),
+        "cusp_cap": (float, CUSP_CAP, "height cap"),
         "n_boot": (int, 200, "bootstrap resamples"), **_SEED}),
     "distances": (_distances, _SAMPLES),
     "concentration": (_concentration, _SAMPLES),

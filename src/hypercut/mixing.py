@@ -24,7 +24,7 @@ from .modular import (MODULAR_AREA, QuotientPoint, injectivity_radius,
                       quotient_volume, reduce_points_arrays,
                       sample_uniform_quotient)
 from .quadrature import map_blocks, spans
-from .walks import stream
+from .walks import log_linear_fit, stream
 
 TV_BLOCK = 1 << 16
 # each block steps, reduces and bins its walkers this many at a time, so
@@ -44,6 +44,8 @@ CUSP_ROWS = 4
 CONCENTRATION_MIN_COUNT = 10
 # the smallest injectivity radius a start point may have
 R0_FLOOR = 0.1
+# height cap of the cell partitions and of distance_histogram's samples
+CUSP_CAP = 10.0
 # height cap of isoperimetric_check's uniform samples
 ISOPERIMETRY_CUSP_CAP = 30.0
 
@@ -110,7 +112,7 @@ class CellPartition:
 
     @classmethod
     def build(cls, q: int, nx: int, nu: int,
-              cusp_cap: float = 10.0) -> "CellPartition":
+              cusp_cap: float = CUSP_CAP) -> "CellPartition":
         if cusp_cap < 2.0:
             raise ConfigError("cusp cap must be >= 2")
         x_edges = np.linspace(-0.5, 0.5, nx + 1)
@@ -128,9 +130,6 @@ class CellPartition:
     def n_cells(self) -> int:
         return self.n_base * self.n_sheets
 
-    def base_total(self) -> float:
-        return float(self.base_measures.sum())
-
     def cell_probabilities(self) -> np.ndarray:
         pi_base = self.base_measures / (self.n_sheets * MODULAR_AREA)
         return np.tile(pi_base, self.n_sheets)
@@ -146,7 +145,7 @@ class CellPartition:
         return sheet_ids * self.n_base + self.base_cells_of(x, 1.0 / np.asarray(y))
 
 
-def default_partition(q: int, cusp_cap: float = 10.0) -> CellPartition:
+def default_partition(q: int, cusp_cap: float = CUSP_CAP) -> CellPartition:
     """Cells sized just under the resolution floor mu(X)/1000: fine enough
     for the precondition, as coarse as allowed so the plug-in bias stays
     comparable across levels."""
@@ -356,7 +355,7 @@ def cutoff_locator(times, tvs, time_scale: float, R_X: float) -> dict:
 
 
 def distance_histogram(q: int, x0: QuotientPoint, n_samples: int,
-                       r_max: float, seed: int = 0, cusp_cap: float = 10.0,
+                       r_max: float, seed: int = 0, cusp_cap: float = CUSP_CAP,
                        gammas=(0.5, 1.0, 2.0)) -> dict:
     """Empirical law of the distance from x0 to a uniform sample.
 
@@ -446,15 +445,11 @@ def concentration_fit(distances, n_exceed: int = 0,
     keep = tails * n >= CONCENTRATION_MIN_COUNT
     if keep.sum() < 3:
         raise ConfigError("tail counts too small to fit")
-    coef = np.polyfit(gamma_grid[keep], np.log(tails[keep]), 1)
-    slope = coef[0]
-    resid = np.log(tails[keep]) - np.polyval(coef, gamma_grid[keep])
-    ss = np.sum((np.log(tails[keep]) - np.log(tails[keep]).mean()) ** 2)
-    r2 = 1.0 - float(np.sum(resid ** 2) / ss) if ss > 0 else 0.0
+    slope, r2 = log_linear_fit(gamma_grid[keep], np.log(tails[keep]))
     q10, q90 = np.quantile(d, [0.1, 0.9]) if n_exceed == 0 else (
         np.quantile(d, 0.1), np.interp(0.9 * n, np.arange(d.size), d))
     return ConcentrationReport(
-        r_med=r_med, a=math.exp(-slope), slope=float(slope), r2=r2,
+        r_med=r_med, a=math.exp(-slope), slope=slope, r2=r2,
         n_samples=n, window_80=float(q90 - q10),
         inconclusive=bool(r2 < 0.7))
 

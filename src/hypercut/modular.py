@@ -33,7 +33,6 @@ FUNDAMENTAL_TOL = 1e-12
 MODULAR_AREA = math.pi / 3.0
 _Q_CAP = 101
 _ENUM_BOUND_CAP = 14.5
-_REDUCE_CAP = 1_000_000
 # Disc pairs per build chunk and elements per decode or labelling block of
 # PSLZEnumeration: its temporaries stay a few MB while the arrays it keeps
 # grow like e^bound.
@@ -46,69 +45,6 @@ _ENTRY_OFFSET = math.isqrt(int(2.0 * math.cosh(_ENUM_BOUND_CAP))) + 1
 _ENTRY_BITS = (2 * _ENTRY_OFFSET).bit_length()
 if 4 * _ENTRY_BITS > 63:
     raise CapacityError("packed enumeration sort key needs over 63 bits")
-
-
-def _canonical_sign(a: int, b: int, c: int, d: int):
-    """Lexicographically larger of +/-(a, b, c, d): first nonzero positive."""
-    for v in (a, b, c, d):
-        if v != 0:
-            if v < 0:
-                return -a, -b, -c, -d
-            break
-    return a, b, c, d
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """An exact-integer element of the projective modular group."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError("determinant must be exactly 1")
-        a, b, c, d = _canonical_sign(self.a, self.b, self.c, self.d)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    @classmethod
-    def identity(cls) -> "GroupElement":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
-    def translation(cls, n: int) -> "GroupElement":
-        return cls(1, n, 0, 1)
-
-    @classmethod
-    def inversion(cls) -> "GroupElement":
-        return cls(0, -1, 1, 0)
-
-    def mul(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inv(self) -> "GroupElement":
-        return GroupElement(self.d, -self.b, -self.c, self.a)
-
-    def apply(self, z: PointH) -> PointH:
-        den2 = (self.c * z.x + self.d) ** 2 + (self.c * z.y) ** 2
-        x = ((self.a * z.x + self.b) * (self.c * z.x + self.d)
-             + self.a * self.c * z.y * z.y) / den2
-        return PointH(x, z.y / den2)
-
-    @property
-    def frobenius_norm2(self) -> int:
-        """||g||_F^2, the certificate cosh d(i, g i) = ||g||_F^2 / 2."""
-        return self.a ** 2 + self.b ** 2 + self.c ** 2 + self.d ** 2
 
 
 @dataclass(frozen=True)
@@ -335,29 +271,6 @@ class QuotientPoint:
 def in_fundamental_domain(x: float, y: float) -> bool:
     return (abs(x) <= 0.5 + FUNDAMENTAL_TOL
             and x * x + y * y >= 1.0 - FUNDAMENTAL_TOL)
-
-
-def reduce_fundamental(z: PointH):
-    """Reduce z into the fundamental domain.
-
-    Returns (z', g) with g an exact group element satisfying g z = z'.
-    Each inversion strictly increases the height, so the loop terminates;
-    the cap guards degenerate inputs.
-    """
-    x, y = z.x, z.y
-    g = GroupElement.identity()
-    for _ in range(_REDUCE_CAP):
-        n = math.floor(x + 0.5)
-        if n != 0:
-            x -= n
-            g = GroupElement.translation(-n).mul(g)
-        n2 = x * x + y * y
-        if n2 < 1.0 - 1e-15:
-            x, y = -x / n2, y / n2
-            g = GroupElement.inversion().mul(g)
-        elif n == 0:
-            return PointH(x, y), g
-    raise DegeneracyError("fundamental-domain reduction hit iteration cap")
 
 
 def reduce_points_arrays(x, y, sheets, ctx: ModQContext, max_iter: int = 400):

@@ -94,13 +94,6 @@ class RadialMeasure:
         meta["normalization_defect"] = total - 1.0
         return RadialMeasure(self.grid, self.masses / total, meta)
 
-    def sup_cdf_gap(self, other: "RadialMeasure") -> float:
-        """Sup over all edge positions of |CDF difference|."""
-        edges = np.union1d(self.grid.edges, other.grid.edges)
-        a = np.interp(edges, self.grid.edges, self.cdf_at_edges())
-        b = np.interp(edges, other.grid.edges, other.cdf_at_edges())
-        return float(np.max(np.abs(a - b)))
-
     @classmethod
     def from_cdf(cls, grid: RadialGrid, cdf,
                  meta: dict | None = None) -> "RadialMeasure":
@@ -159,20 +152,6 @@ def _kernel_cdf(out, num_old, cosh_new, den_old):
     into ``out`` in place."""
     np.arccos(_kernel_arg(out, num_old, cosh_new, den_old), out=out)
     return np.divide(out, math.pi, out=out)
-
-
-def step_kernel_cdf(r_new, r_old, r_step):
-    """P(distance after one step of length r_step from radius r_old <= r_new)
-    for a uniform direction angle; vectorized over r_new and r_old.
-
-    Degenerate radii (r_old or r_step ~ 0) reduce to a step function, which
-    the clip to [-1, 1] handles.
-    """
-    r_new = np.asarray(r_new, dtype=float)
-    r_old = np.asarray(r_old, dtype=float)
-    out = np.empty(np.broadcast_shapes(r_new.shape, r_old.shape))
-    return _kernel_cdf(out, np.cosh(r_old) * math.cosh(r_step),
-                       np.cosh(r_new), np.sinh(r_old) * np.sinh(r_step))[()]
 
 
 def _kernel_tile(num, cosh_new, den):
@@ -254,20 +233,3 @@ def convolve_step(measure: RadialMeasure, r_step: float,
     cdf = _step_cdf_sum(measure.masses, measure.grid.centers, r_step,
                         out_grid.edges, workers)
     return _measure_from_cdf_sum(out_grid, cdf, measure.total_mass())
-
-
-def convolve(m1: RadialMeasure, m2: RadialMeasure,
-             out_grid: RadialGrid | None = None) -> RadialMeasure:
-    """Radial convolution of two measures (both step lengths random): one
-    step from m1 per cell of m2, of the cell's length and weight."""
-    if out_grid is None:
-        out_grid = default_grid(m1.grid.r_max + m2.grid.r_max)
-    edges = out_grid.edges
-    nz1 = m1.masses > 0.0
-    c1, w1 = m1.grid.centers[nz1], m1.masses[nz1]
-    cdf = np.zeros_like(edges)
-    for r2, w2 in zip(m2.grid.centers, m2.masses):
-        if w2 > 0.0:
-            cdf += w2 * _step_cdf_sum(w1, c1, r2, edges)
-    return _measure_from_cdf_sum(out_grid, cdf,
-                                 m1.total_mass() * m2.total_mass())

@@ -74,13 +74,6 @@ class WalkStats:
     dist_quantiles: dict = field(default_factory=dict)
     paths: np.ndarray | None = None
 
-    def equals(self, other: "WalkStats") -> bool:
-        return (self.config == other.config
-                and all(np.array_equal(getattr(self, f), getattr(other, f))
-                        for f in ("mean_lny", "var_lny", "mean_dist",
-                                  "var_dist", "mean_x2", "max_dist",
-                                  "final_lny", "final_x", "final_dist")))
-
 
 def _distances_log(x, lny, x0, lny0):
     """d(z, z0) from (x, log y) state, stable when y underflows."""
@@ -205,20 +198,25 @@ def clt_check(stats: WalkStats) -> dict:
     }
 
 
+def log_linear_fit(xs, ys):
+    """(slope, R^2) of the least-squares line through (xs, ys); R^2 is 0
+    when ys has no spread.  The tail fits pass log tail masses as ys."""
+    slope, intercept = np.polyfit(xs, ys, 1)
+    resid = ys - (slope * xs + intercept)
+    ss_tot = np.sum((ys - ys.mean()) ** 2)
+    r2 = 1.0 - np.sum(resid ** 2) / ss_tot if ss_tot > 0 else 0.0
+    return float(slope), float(r2)
+
+
 def _tail_fit(lams: np.ndarray, probs: np.ndarray, n: int):
     counts = probs * n
     keep = (counts >= TAIL_MIN_COUNT) & (probs < 1.0)
     censored = int(np.count_nonzero(~keep))
     if keep.sum() < 3:
         return {"fit_ok": False, "censored": censored}
-    xs = lams[keep] ** 2
-    ys = np.log(probs[keep])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    ss_tot = np.sum((ys - ys.mean()) ** 2)
-    r2 = 1.0 - np.sum(resid ** 2) / ss_tot if ss_tot > 0 else 0.0
-    return {"fit_ok": True, "slope": float(slope), "c": float(-slope),
-            "r2": float(r2), "censored": censored,
+    slope, r2 = log_linear_fit(lams[keep] ** 2, np.log(probs[keep]))
+    return {"fit_ok": True, "slope": slope, "c": -slope,
+            "r2": r2, "censored": censored,
             "lams": lams[keep], "probs": probs[keep]}
 
 

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercut.errors import NumericRangeError
-from hypercut.geometry import (MobiusReal, PointH, ball_volume, distance,
-                               inverse_ball_radius, mobius_apply,
-                               sphere_point)
+from hypercut.geometry import (PointH, ball_volume, distance,
+                               inverse_ball_radius, log_sphere_step_arrays,
+                               sphere_step_arrays)
+from oracles import MobiusReal, mobius_apply, sphere_point
 
 ORIGIN = PointH(0.0, 1.0)
 
@@ -137,6 +138,30 @@ class TestSpherePoint:
         for t in np.linspace(0, math.pi, 17, endpoint=False):
             assert distance(z, sphere_point(z, 2.0, t)) == pytest.approx(
                 2.0, abs=1e-10)
+
+    def test_array_steps_match_scalar_step(self):
+        # y' is a product, so it agrees relatively; x' = x + y re can
+        # cancel, so it agrees relative to the sizes of x and of the
+        # sphere's Euclidean radius y sinh r
+        rng = np.random.default_rng(1606)
+        for r in rng.uniform(0.0, 10.0, 25):
+            x = rng.uniform(-5.0, 5.0, 200)
+            y = 10.0 ** rng.uniform(-3.0, 3.0, 200)
+            theta = rng.uniform(0.0, math.pi, 200)
+            want = [sphere_point(PointH(a, b), r, t)
+                    for a, b, t in zip(x, y, theta)]
+            wx = np.array([w.x for w in want])
+            wy = np.array([w.y for w in want])
+            x_tol = 1e-12 * (np.abs(x) + y * math.sinh(r))
+            sx, sy = sphere_step_arrays(x, y, r, theta)
+            assert np.all(np.abs(sx - wx) <= x_tol)
+            assert np.allclose(sy, wy, rtol=1e-12, atol=0.0)
+            lx, lny = log_sphere_step_arrays(x, np.log(y), r, theta)
+            assert np.all(np.abs(lx - wx) <= x_tol)
+            assert np.allclose(lny, np.log(wy), rtol=0.0, atol=1e-12)
+            for a, b, c, d in zip(x, y, sx, sy):
+                assert distance(PointH(a, b), PointH(c, d)) == \
+                    pytest.approx(r, abs=1e-9)
 
 
 class TestBallVolume:

@@ -10,16 +10,16 @@ from scipy import stats as sstats
 from hypercut import modular
 from hypercut.errors import CapacityError, ConfigError, DegeneracyError
 from hypercut.geometry import PointH, distance, sphere_step_arrays
-from hypercut.modular import (CosetModQ, GroupElement,
-                              QuotientPoint, RandomCover, coset_index,
-                              PSLZEnumeration, get_enumeration,
+from hypercut.modular import (CosetModQ, QuotientPoint, RandomCover,
+                              coset_index, PSLZEnumeration, get_enumeration,
                               injectivity_radius, in_fundamental_domain,
                               modq_context, psl2q_order, quotient_R,
                               quotient_distance, quotient_distance_pairs,
                               quotient_distances_from, quotient_volume,
-                              random_cover, reduce_fundamental,
-                              reduce_points_arrays, sample_uniform_quotient,
+                              random_cover, reduce_points_arrays,
+                              sample_uniform_quotient,
                               truncated_domain_fraction)
+from oracles import GroupElement, reduce_fundamental
 
 ORIGIN = PointH(0.0, 1.0)
 I1 = CosetModQ.identity(1)

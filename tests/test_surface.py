@@ -1,42 +1,27 @@
 """Every public function, class, method and property of the package has a
 reader outside its own unit tests: a caller in the package, the benchmark,
-or the acceptance suite.  Reference implementations that unit tests compare
-live code against are the only exceptions, each listed with its reason;
-what only they read counts as unread."""
+or the acceptance suite.  The two documented entries below are the only
+exceptions, each listed with its reason; what only they read counts as
+unread.  The references that unit tests compare live code against live in
+tests/oracles.py, outside the package."""
 
 import ast
 import copy
 import pathlib
 
+import hypercut
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hypercut"
 
 ORACLES = {
-    "reduce_fundamental": "exact scalar reduction that reduce_points_arrays "
-                          "is checked against",
-    "GroupElement": "the exact group word reduce_fundamental returns",
-    "sphere_point": "scalar sphere step that the array sphere steps are "
-                    "checked against",
-    "mobius_apply": "the isometry that the distance and walk invariance "
-                    "tests move points by",
-    "MobiusReal": "the matrices mobius_apply applies",
-    "convolve": "two-measure convolution behind radial_mixture's semigroup "
-                "check",
     "quotient_distance": "the documented scalar entry of the quotient "
                          "distance kernel",
-    "step_kernel_cdf": "the kernel formula the tiled step sum is checked "
-                       "against",
 }
 
-# Methods that tests compare live code against; methods of ORACLES classes
-# are oracles too.
+# Methods kept for their documented readers; methods of ORACLES classes
+# count as such too.
 METHOD_ORACLES = {
-    "CellPartition.base_total": "sum of the cell measures that the "
-                                "partition's area check reads",
-    "WalkStats.equals": "bitwise comparison of walks at different worker "
-                        "counts",
-    "RadialMeasure.sup_cdf_gap": "distance between radial laws in the "
-                                 "semigroup and reference checks",
     "RadialMeasure.from_csv": "the documented reader of the CLI's radial "
                               "CSVs",
 }
@@ -133,6 +118,33 @@ def test_every_oracle_is_defined():
     assert set(METHOD_ORACLES) <= methods, sorted(set(METHOD_ORACLES)
                                                   - methods)
 
+
+def _bound_names(path) -> set:
+    """Names that the top-level definitions and assignments of a module
+    bind."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) \
+                and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_oracles_stay_out_of_the_package():
+    """No name of tests/oracles.py is defined at the top level of a
+    package module or as a package method, or exported by hypercut."""
+    oracles = _bound_names(ROOT / "tests" / "oracles.py")
+    package = set().union(*(_bound_names(path)
+                            for path in sorted(PACKAGE.glob("*.py"))))
+    methods = {m for _, m, _ in _package_statements() if m is not None}
+    assert oracles & package == set(), sorted(oracles & package)
+    assert oracles & methods == set(), sorted(oracles & methods)
+    assert oracles & set(hypercut.__all__) == set(), sorted(
+        oracles & set(hypercut.__all__))
 
 
 def _package_import(node) -> bool:
