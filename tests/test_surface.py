@@ -120,17 +120,13 @@ def test_every_oracle_is_defined():
 
 
 def _bound_names(path) -> set:
-    """Names that the top-level definitions and assignments of a module
-    bind."""
+    """Names that a module's top-level definitions and assignments bind."""
     names = set()
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, ast.Assign):
             names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
-        elif isinstance(node, ast.AnnAssign) \
-                and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
     return names
 
 
