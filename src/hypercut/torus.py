@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericRangeError
+from .quadrature import gauss_kronrod
 
 _TAIL_EPS = 1e-14
 _MAX_TERMS = 10_000
@@ -107,6 +108,70 @@ def torus_density(cfg: TorusConfig, x):
     return g if np.ndim(x) else float(g)
 
 
+# the defaults of scipy's brentq: rtol = 4 eps and 100 iterations
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+_BRENT_ITER = 100
+
+
+def _brent(f, a: float, b: float, xtol: float) -> float:
+    """A root of f in [a, b] by Brent's method (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4), operation for operation
+    as scipy's brentq.c runs it.  A NaN value, a bracket without a sign
+    change or no convergence in _BRENT_ITER steps raises NumericRangeError.
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise NumericRangeError(f"root search met NaN at {x!r}")
+        return fx
+
+    def negative(v):  # C's signbit
+        return math.copysign(1.0, v) < 0.0
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise NumericRangeError(f"no sign change of f on [{a!r}, {b!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_ITER):
+        if fpre != 0.0 and fcur != 0.0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise NumericRangeError(f"root search unsettled after {_BRENT_ITER} "
+                            "steps")
+
+
 def _centered_antiderivative(cfg: TorusConfig, x: float) -> float:
     """int_0^x (p - 1) = sum_m e^{-rate m^2} sin(2 pi m x) / (pi m)."""
     m = np.arange(1, cfg.fourier_cutoff() + 1)
@@ -119,22 +184,20 @@ def torus_l1(cfg: TorusConfig, via_quadrature: bool = True) -> float:
 
     The density is symmetric and unimodal, so p - 1 changes sign at one
     point x* in (0, 1/2); adaptive quadrature of |p - 1| splits there.  The
-    Fourier antiderivative gives the same value in closed form and is used
-    as the cross-check (and the fallback for extreme rates).
+    Fourier antiderivative gives the same value in closed form: it is the
+    cross-check of the quadrature, and with ``via_quadrature=False`` the
+    value itself (mixing_time's fast path).
     """
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
-
     dev = lambda x: torus_density(cfg, x) - 1.0
     hi = dev(0.0)
     if hi <= 0.0:  # numerically flat already
         return 0.0
-    x_star = brentq(dev, 1e-12, 0.5, xtol=1e-14)
+    x_star = _brent(dev, 1e-12, 0.5, xtol=1e-14)
     closed = 2.0 * (2.0 * _centered_antiderivative(cfg, x_star))
     if not via_quadrature:
         return closed
-    left, _ = quad(dev, 0.0, x_star, epsabs=1e-12, limit=200)
-    mid, _ = quad(dev, x_star, 0.5, epsabs=1e-12, limit=200)
+    left, _ = gauss_kronrod(dev, 0.0, x_star, epsabs=1e-12)
+    mid, _ = gauss_kronrod(dev, x_star, 0.5, epsabs=1e-12)
     value = 2.0 * (left - mid)
     if abs(value - closed) > 1e-9:
         raise NumericRangeError("quadrature and antiderivative disagree")
@@ -149,12 +212,11 @@ def torus_l1_bounds(cfg: TorusConfig) -> tuple[float, float]:
 
 
 def mixing_time(lam: float, eps: float) -> float:
-    """Smallest t with ||p_t - 1||_1 = eps, by bisection in the rate.
+    """Smallest t with ||p_t - 1||_1 = eps, by Brent's method in the rate
+    on the closed-form distance.
 
     The sandwich brackets the root: rate in [ln(1/eps) - 1, ln(1/eps) + 2].
     """
-    from scipy.optimize import brentq
-
     if not 0.0 < eps < 2.0:
         raise ValueError("eps must lie in (0, 2)")
     f = lambda rate: torus_l1(TorusConfig(1.0, rate), via_quadrature=False) - eps
@@ -168,7 +230,7 @@ def mixing_time(lam: float, eps: float) -> float:
         hi += 2.0
         if hi > 1e6:
             raise NumericRangeError("mixing-time bracket failed (high side)")
-    rate = brentq(f, lo, hi, xtol=1e-12)
+    rate = _brent(f, lo, hi, xtol=1e-12)
     return lam * rate
 
 

@@ -200,17 +200,31 @@ class TestExitCodes:
         assert not (tmp_path / "tv.csv").exists()
 
 
+def scipy_modules_after(code, *args):
+    """The scipy modules loaded once ``code`` has run in a fresh
+    interpreter with ``args`` as its sys.argv[1:]."""
+    code += ("; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(hypercut.__file__))
+    done = subprocess.run([sys.executable, "-c", code, *args], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    return done.stdout.strip().splitlines()[-1]
+
+
 class TestColdStart:
     def test_cli_import_loads_no_scipy(self):
         # scipy is imported where it is used, so subcommands that never
         # reach it do not pay for loading it
-        code = ("import sys, hypercut.cli; print(sorted(m for m in "
-                "sys.modules if m.split('.')[0] == 'scipy'))")
-        src = os.path.dirname(os.path.dirname(hypercut.__file__))
-        done = subprocess.run([sys.executable, "-c", code], check=True,
-                              capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=src))
-        assert done.stdout.strip() == "[]"
+        assert scipy_modules_after("import sys, hypercut.cli") == "[]"
+
+    def test_torus_loads_no_scipy(self, tmp_path):
+        # the torus step's root finder and quadrature rule are the
+        # package's own
+        code = ("import sys; from hypercut.cli import main; "
+                "assert main(['torus', '--no-cutoff', '--out', sys.argv[1]]) "
+                "== 0")
+        assert scipy_modules_after(code, str(tmp_path)) == "[]"
 
 
 class TestBenchmarkHooks:

@@ -1,7 +1,11 @@
+import math
+
+import numpy as np
 import pytest
 
 from hypercut import walks
-from hypercut.quadrature import map_blocks, spans
+from hypercut.errors import QuadratureError
+from hypercut.quadrature import GK_EPSREL, gauss_kronrod, map_blocks, spans
 from hypercut.radial import PRODUCT_COLS, TILE_COLS
 from hypercut.spectral import HEAT_CHUNK_ROWS
 
@@ -70,3 +74,16 @@ def test_map_blocks_keeps_item_order():
     for workers in (1, 3):
         assert map_blocks(lambda s: s.start, items, workers) == want
     assert walks.map_blocks is map_blocks
+
+
+def test_gauss_kronrod_bisects_up_to_its_interval_limit():
+    # 64 periods on [0, 1]: one 21-point pass cannot settle, bisection can;
+    # 16,000 periods leave about 80 in each of the GK_LIMIT intervals
+    exact = (1.0 - math.cos(400.0)) / 400.0
+    value, err = gauss_kronrod(lambda x: np.sin(400.0 * x), 0.0, 1.0,
+                               epsabs=1e-13)
+    assert abs(value - exact) <= 1e-14
+    assert err <= GK_EPSREL * abs(value)
+    with pytest.raises(QuadratureError) as caught:
+        gauss_kronrod(lambda x: np.cos(1e5 * x), 0.0, 1.0, epsabs=1e-12)
+    assert caught.value.achieved > 1e-12

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+from hypercut import torus
 from hypercut.errors import NumericRangeError
+from hypercut.quadrature import gauss_kronrod
 from hypercut.torus import (TorusConfig, fourier_series, mixing_time,
                             no_cutoff_profile, theta_series, torus_density,
                             torus_l1, torus_l1_bounds)
@@ -26,6 +29,25 @@ def reference_cutoff(a):
         if m > 10_000:
             raise NumericRangeError("truncation ran away")
     return m + 1
+
+
+# The (lambda, t) grid of the solver comparisons: short times, whose peaked
+# density makes QUADPACK subdivide, up to times where p - 1 is flat.  At
+# lambda = 1, t = 0.00572645... scipy's QAGS extrapolates and its sum
+# differs from plain bisection's in the last bit.
+LAMS = (0.25, 0.5, 1.0, 2.0, 4.0, 10.0)
+TIMES = (5e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
+GRID = ([(lam, t) for lam in LAMS for t in TIMES]
+        + [(1.0, 0.0057264564467306815)])
+
+
+def sign_changes(grid):
+    """(p - 1, its root x*) at each (lambda, t) where p - 1 is not flat."""
+    for lam, t in grid:
+        cfg = TorusConfig(lam, t)
+        dev = lambda x, cfg=cfg: torus_density(cfg, x) - 1.0
+        if dev(0.0) > 0.0:
+            yield dev, brentq(dev, 1e-12, 0.5, xtol=1e-14)
 
 
 def outcome(cutoff, *args):
@@ -146,3 +168,54 @@ class TestTruncation:
             assert outcome(TorusConfig(1.0, rate).fourier_cutoff) == want
             theta = TorusConfig(1.0, math.pi ** 2 / rate)
             assert outcome(theta.theta_cutoff) == want
+
+
+class TestSolvers:
+    """torus._brent and quadrature.gauss_kronrod against
+    scipy.optimize.brentq and scipy.integrate.quad, which they replace."""
+
+    def test_brent_matches_brentq_on_the_sign_change(self):
+        roots = 0
+        for dev, x_star in sign_changes(GRID):
+            assert torus._brent(dev, 1e-12, 0.5, 1e-14) == x_star
+            roots += 1
+        assert roots >= 60
+
+    def test_mixing_time_matches_brentq(self, monkeypatch):
+        grid = [(lam, T) for lam in (0.5, 1.0, 3.0, 10.0)
+                for T in (0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0)]
+        ours = [mixing_time(lam, math.exp(-T)) for lam, T in grid]
+        monkeypatch.setattr(torus, "_brent", lambda f, a, b, xtol:
+                            brentq(f, a, b, xtol=xtol))
+        assert ours == [mixing_time(lam, math.exp(-T)) for lam, T in grid]
+        assert all(type(t) is float for t in ours)
+
+    def test_gauss_kronrod_matches_quad(self):
+        single = subdivided = 0
+        for dev, x_star in sign_changes(GRID):
+            for a, b in ((0.0, x_star), (x_star, 0.5)):
+                want, want_err, info = quad(dev, a, b, epsabs=1e-12,
+                                            limit=200, full_output=1)
+                got, err = gauss_kronrod(dev, a, b, epsabs=1e-12)
+                if info["neval"] == 21:
+                    assert (got, err) == (want, want_err), (a, b)
+                    single += 1
+                else:
+                    assert abs(got - want) <= 1e-15, (a, b)
+                    subdivided += 1
+        assert single >= 60 and subdivided >= 30
+
+    def test_brent_refuses_nan_and_no_sign_change(self):
+        # NaN at an end point, and at the first step inside the bracket
+        with pytest.raises(NumericRangeError, match="NaN"):
+            torus._brent(lambda x: math.nan, 0.0, 1.0, 1e-12)
+        with pytest.raises(NumericRangeError, match="NaN"):
+            torus._brent(lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan,
+                         0.0, 1.0, 1e-12)
+        with pytest.raises(NumericRangeError, match="sign change"):
+            torus._brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+
+    def test_brent_refuses_to_run_past_its_steps(self, monkeypatch):
+        monkeypatch.setattr(torus, "_BRENT_ITER", 2)
+        with pytest.raises(NumericRangeError, match="unsettled"):
+            torus._brent(lambda x: x ** 3 - 0.3, 0.0, 1.0, 1e-14)
