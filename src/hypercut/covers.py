@@ -24,7 +24,6 @@ class EigenvalueBudget:
 
     entries: tuple
     n_cover: int
-    label: str = ""
 
     def __post_init__(self):
         entries = tuple((float(p), int(m)) for p, m in self.entries)
@@ -47,29 +46,24 @@ class EigenvalueBudget:
             raise ValueError("M is defined for p > 2")
         return sum(m for pi, m in self.entries if pi >= p)
 
-    def to_json(self) -> str:
-        return json.dumps({"label": self.label, "N": self.n_cover,
-                           "entries": [{"p": p, "m": m}
-                                       for p, m in self.entries]})
-
     @classmethod
     def from_json(cls, text: str) -> "EigenvalueBudget":
+        """Read {"N", "entries": [{"p", "m"}, ...]}; any other key, such as
+        a "label", is ignored."""
         obj = json.loads(text)
-        return cls(tuple((e["p"], e["m"]) for e in obj["entries"]),
-                   obj["N"], obj.get("label", ""))
+        return cls(tuple((e["p"], e["m"]) for e in obj["entries"]), obj["N"])
 
 
 def synthetic_density_budget(n_cover: int) -> EigenvalueBudget:
     """The standard density-shaped test budget m(p_i) = round(N^{2/p_i})."""
     entries = tuple((p, max(1, round(n_cover ** (2.0 / p))))
                     for p in P_VALUES)
-    return EigenvalueBudget(entries, n_cover, "synthetic-A1")
+    return EigenvalueBudget(entries, n_cover)
 
 
 def uniform_budget(n_cover: int) -> EigenvalueBudget:
     """A violating budget with N eigenvalues at every exponent of P_VALUES."""
-    return EigenvalueBudget(tuple((p, n_cover) for p in P_VALUES),
-                            n_cover, "uniform-M")
+    return EigenvalueBudget(tuple((p, n_cover) for p in P_VALUES), n_cover)
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,15 @@ class PointH:
 ORIGIN = PointH(0.0, 1.0)
 
 
+def cosh_distance_minus_1(x1, y1, x2, y2):
+    """cosh d - 1 = ((x2-x1)^2 + (y2-y1)^2) / (2 y1 y2) between (x1, y1) and
+    (x2, y2); broadcasts."""
+    return ((x2 - x1) ** 2 + (y2 - y1) ** 2) / (2.0 * y1 * y2)
+
+
 def distance(z: PointH, w: PointH) -> float:
-    """Geodesic distance acosh(1 + ((x'-x)^2 + (y'-y)^2) / (2 y y'))."""
-    q = ((w.x - z.x) ** 2 + (w.y - z.y) ** 2) / (2.0 * z.y * w.y)
+    """Geodesic distance acosh(1 + cosh_distance_minus_1(z, w))."""
+    q = cosh_distance_minus_1(z.x, z.y, w.x, w.y)
     if not math.isfinite(q):
         raise NumericRangeError("distance argument overflowed")
     d = math.acosh(1.0 + q)

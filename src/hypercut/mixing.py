@@ -48,6 +48,9 @@ R0_FLOOR = 0.1
 CUSP_CAP = 10.0
 # height cap of isoperimetric_check's uniform samples
 ISOPERIMETRY_CUSP_CAP = 30.0
+# the exponents gamma of distance_histogram's tail thresholds
+# R_X +- gamma ln R_X
+GAMMAS = (0.5, 1.0, 2.0)
 
 
 def _clip_primitive(x, u_lo: float, u_hi: float):
@@ -159,17 +162,13 @@ def default_partition(q: int, cusp_cap: float = CUSP_CAP) -> CellPartition:
 class TVProfile:
     """Estimated L1 distance to uniform along the walk."""
 
-    q: int
     ks: np.ndarray
     tv: np.ndarray
     ci_lo: np.ndarray
     ci_hi: np.ndarray
-    n_walkers: int
     n_cells: int
     starved_cells: int
     bias_note: float
-    r1: float
-    seed: int
 
 
 def _walk_histograms(q, x0, r1, k_grid, n_walkers, partition, seed, workers,
@@ -210,9 +209,7 @@ def _walk_histograms(q, x0, r1, k_grid, n_walkers, partition, seed, workers,
                                       minlength=n_cells)
         return counts
 
-    if 0 in grid:
-        emit(np.sum([advance(b, 0) for b in range(len(states))], axis=0))
-    for step in range(1, max(k_grid, default=0) + 1):
+    for step in range(max(k_grid, default=-1) + 1):
         parts = map_blocks(lambda b: advance(b, step), range(len(states)),
                            workers)
         if step in grid:
@@ -316,8 +313,8 @@ def tv_profile(q: int, x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
     expected = n * pi
     starved = int(np.count_nonzero((expected < 5.0) & (pi > 0)))
     bias = float(np.sum(np.sqrt(2.0 * pi * (1.0 - pi) / (math.pi * n))))
-    return TVProfile(q, np.array(ks), tv, lo, hi, n, partition.n_cells,
-                     starved, bias, r1, seed)
+    return TVProfile(np.array(ks), tv, lo, hi, partition.n_cells, starved,
+                     bias)
 
 
 def cutoff_locator(times, tvs, time_scale: float, R_X: float) -> dict:
@@ -355,11 +352,11 @@ def cutoff_locator(times, tvs, time_scale: float, R_X: float) -> dict:
 
 
 def distance_histogram(q: int, x0: QuotientPoint, n_samples: int,
-                       r_max: float, seed: int = 0, cusp_cap: float = CUSP_CAP,
-                       gammas=(0.5, 1.0, 2.0)) -> dict:
+                       r_max: float, seed: int = 0,
+                       cusp_cap: float = CUSP_CAP) -> dict:
     """Empirical law of the distance from x0 to a uniform sample.
 
-    Reports, per gamma, the mass below R_X - gamma ln R_X scaled by
+    Reports, per gamma of GAMMAS, the mass below R_X - gamma ln R_X scaled by
     R_X^gamma (the ball-volume floor needs no spectral input), the mass
     beyond R_X + gamma ln R_X, and a small-radius volume comparison.
     Samples farther than r_max are counted as right-tail overflow.
@@ -381,7 +378,7 @@ def distance_histogram(q: int, x0: QuotientPoint, n_samples: int,
     # contribute.
     correction = 1.0 - trunc
     lower, upper = {}, {}
-    for g in gammas:
+    for g in GAMMAS:
         thr_lo = R - g * math.log(R)
         frac_lo = float((finite < thr_lo).sum() / n_samples) * correction
         lower[g] = {"threshold": thr_lo, "fraction": frac_lo,
@@ -411,7 +408,6 @@ class ConcentrationReport:
     a: float
     slope: float
     r2: float
-    n_samples: int
     window_80: float
     inconclusive: bool
 
@@ -450,7 +446,7 @@ def concentration_fit(distances, n_exceed: int = 0,
         np.quantile(d, 0.1), np.interp(0.9 * n, np.arange(d.size), d))
     return ConcentrationReport(
         r_med=r_med, a=math.exp(-slope), slope=slope, r2=r2,
-        n_samples=n, window_80=float(q90 - q10),
+        window_80=float(q90 - q10),
         inconclusive=bool(r2 < 0.7))
 
 

@@ -17,7 +17,6 @@ cosh d(i, g i) = (a^2+b^2+c^2+d^2)/2 below the certified cap.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -26,7 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, ConfigError, DegeneracyError
-from .geometry import ORIGIN, PointH, distance, inverse_ball_radius
+from .geometry import (ORIGIN, PointH, cosh_distance_minus_1, distance,
+                       inverse_ball_radius)
 from .quadrature import spans
 
 FUNDAMENTAL_TOL = 1e-12
@@ -45,6 +45,8 @@ _ENTRY_OFFSET = math.isqrt(int(2.0 * math.cosh(_ENUM_BOUND_CAP))) + 1
 _ENTRY_BITS = (2 * _ENTRY_OFFSET).bit_length()
 if 4 * _ENTRY_BITS > 63:
     raise CapacityError("packed enumeration sort key needs over 63 bits")
+# the most passes reduce_points_arrays makes before it gives up
+REDUCE_MAX_PASSES = 400
 
 
 @dataclass(frozen=True)
@@ -273,7 +275,7 @@ def in_fundamental_domain(x: float, y: float) -> bool:
             and x * x + y * y >= 1.0 - FUNDAMENTAL_TOL)
 
 
-def reduce_points_arrays(x, y, sheets, ctx: ModQContext, max_iter: int = 400):
+def reduce_points_arrays(x, y, sheets, ctx: ModQContext):
     """Vectorized reduction of coordinate arrays with sheet bookkeeping.
 
     Sheets are indices into ctx.elements; every T/S move applied to a point
@@ -285,11 +287,11 @@ def reduce_points_arrays(x, y, sheets, ctx: ModQContext, max_iter: int = 400):
     such a point at the next pass as soon as its next translation n is 0:
     its n2 comes out as before.  So each pass ends by computing the next
     pass's n and carries on only the points it inverted or must translate.
-    The last of max_iter passes may end that way only if it translated no
-    point, so DegeneracyError is raised exactly when a pass-by-pass loop
-    over every point would still move one at pass max_iter.  A translation
-    by n = 0 and a T^0 sheet lookup are the identity, so they run on every
-    carried point without a mask.
+    The last of REDUCE_MAX_PASSES passes may end that way only if it
+    translated no point, so DegeneracyError is raised exactly when a
+    pass-by-pass loop over every point would still move one at the last
+    pass.  A translation by n = 0 and a T^0 sheet lookup are the identity,
+    so they run on every carried point without a mask.
     """
     shape = np.shape(x)
     x = np.array(x, dtype=float).ravel()
@@ -300,7 +302,7 @@ def reduce_points_arrays(x, y, sheets, ctx: ModQContext, max_iter: int = 400):
     ax, ay, asheets = x, y, sheets   # the points still moving
     at = None                        # their positions; None while all are
     n = np.floor(x + 0.5)
-    for passes_left in range(max_iter, 0, -1):
+    for passes_left in range(REDUCE_MAX_PASSES, 0, -1):
         ax -= n
         # the exact int64 residue n % q, as n - (n // q) q: a float modulus
         # is wrong once |n| >= 2**53 / q, and integer % is 4x slower
@@ -480,8 +482,7 @@ def _qarg(a, b, c, d, x1, y1, x2, y2):
     """cosh d(z1, g z2) - 1 for g = (a, b, c, d); broadcasts."""
     den2 = (c * x2 + d) ** 2 + (c * y2) ** 2
     wx = ((a * x2 + b) * (c * x2 + d) + a * c * y2 * y2) / den2
-    wy = y2 / den2
-    return ((wx - x1) ** 2 + (wy - y1) ** 2) / (2.0 * y1 * wy)
+    return cosh_distance_minus_1(x1, y1, wx, y2 / den2)
 
 
 def _quotient_distances(q: int, x1, y1, sheet1, x2, y2, sheet2, r_max: float,
@@ -509,7 +510,7 @@ def _quotient_distances(q: int, x1, y1, sheet1, x2, y2, sheet2, r_max: float,
         return best
     targets = np.broadcast_to(ctx.labels(*_mul(_inv(sheet1), sheet2)),
                               best.shape)
-    dorig1, dorig2 = (np.arccosh(1.0 + _qarg(1, 0, 0, 1, 0.0, 1.0, x, y))
+    dorig1, dorig2 = (np.arccosh(1.0 + cosh_distance_minus_1(0.0, 1.0, x, y))
                       for x, y in ((x1, y1), (x2, y2)))
     need = r_max + float(dorig1.max()) + float(dorig2.max())
     if enum is None or enum.bound < need:
@@ -686,17 +687,6 @@ class RandomCover:
                     seen.add(j)
                     frontier.append(j)
         return len(seen) == self.n
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n,
-                           "sigma_A": self.sigma_a.tolist(),
-                           "sigma_B": self.sigma_b.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "RandomCover":
-        obj = json.loads(text)
-        return cls(obj["n"], np.array(obj["sigma_A"], dtype=np.int64),
-                   np.array(obj["sigma_B"], dtype=np.int64))
 
 
 def random_cover(n: int, rng) -> RandomCover:

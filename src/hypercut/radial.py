@@ -90,13 +90,11 @@ class RadialMeasure:
         total = self.total_mass()
         if total <= 0.0:
             raise ValueError("cannot normalize a zero measure")
-        meta = dict(self.meta)
-        meta["normalization_defect"] = total - 1.0
-        return RadialMeasure(self.grid, self.masses / total, meta)
+        return RadialMeasure(self.grid, self.masses / total,
+                             {"normalization_defect": total - 1.0})
 
     @classmethod
-    def from_cdf(cls, grid: RadialGrid, cdf,
-                 meta: dict | None = None) -> "RadialMeasure":
+    def from_cdf(cls, grid: RadialGrid, cdf) -> "RadialMeasure":
         vals = np.asarray(cdf(grid.edges), dtype=float)
         masses = np.diff(vals)
         if np.any(masses < -1e-12):
@@ -105,7 +103,7 @@ class RadialMeasure:
         if defect > MASS_TOL:
             raise ResolutionError(
                 f"grid drops {defect:.3g} of the mass (tol {MASS_TOL:g})")
-        return cls(grid, np.maximum(masses, 0.0), meta or {})
+        return cls(grid, np.maximum(masses, 0.0))
 
     @classmethod
     def from_csv(cls, path) -> "RadialMeasure":
@@ -220,16 +218,13 @@ def _measure_from_cdf_sum(out_grid, cdf, total: float) -> RadialMeasure:
     return RadialMeasure(out_grid, np.diff(cdf) * total)
 
 
-def convolve_step(measure: RadialMeasure, r_step: float,
-                  out_grid: RadialGrid | None = None,
+def convolve_step(measure: RadialMeasure, r_step: float, out_grid: RadialGrid,
                   workers: int = 1) -> RadialMeasure:
     """One law-of-cosines step of fixed length r_step applied to a radial
     measure.  The new CDF at each edge is the mass-weighted kernel CDF; the
     midpoint rule over cells is exact in the masses and second order in the
     smooth kernel.  The result does not depend on ``workers``.
     """
-    if out_grid is None:
-        out_grid = default_grid(measure.grid.r_max + r_step)
     cdf = _step_cdf_sum(measure.masses, measure.grid.centers, r_step,
                         out_grid.edges, workers)
     return _measure_from_cdf_sum(out_grid, cdf, measure.total_mass())

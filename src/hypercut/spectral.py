@@ -202,12 +202,10 @@ def radial_mixture(k: int, r1: float, grid: RadialGrid | None = None,
         raise ValueError("need r1 > 0")
     measure = RadialMeasure.from_cdf(
         default_grid(2.0 * r1) if grid is None or k > 2 else grid,
-        lambda r: two_step_cdf(r, r1), meta={"k": 2, "r1": r1})
+        lambda r: two_step_cdf(r, r1))
     for j in range(3, k + 1):
         out = default_grid(j * r1) if grid is None or j < k else grid
-        measure = RadialMeasure(out, convolve_step(measure, r1, out,
-                                                   workers).masses,
-                                {"k": j, "r1": r1})
+        measure = convolve_step(measure, r1, out, workers)
     defect = abs(measure.total_mass() - 1.0)
     if defect > MASS_TOL:
         raise ResolutionError(
@@ -280,7 +278,7 @@ def heat_radial_density(t: float, grid: RadialGrid | None = None,
     p_edges = _heat_density_exact(t, edges, workers)
     p_centers = _heat_density_exact(t, centers, workers)
     masses = grid.width / 6.0 * (p_edges[:-1] + 4.0 * p_centers + p_edges[1:])
-    measure = RadialMeasure(grid, masses, {"t": t})
+    measure = RadialMeasure(grid, masses)
     defect = abs(measure.total_mass() - 1.0)
     if defect > 1e-6:
         raise ResolutionError(
@@ -353,5 +351,4 @@ def gaussian_radial_bump() -> RadialMeasure:
     c = grid.centers
     h = np.exp(-((c - center) ** 2) / (2.0 * width ** 2))
     density = 2.0 * math.pi * np.sinh(c) * h
-    return RadialMeasure(grid, density * grid.width,
-                         {"center": center, "width": width})
+    return RadialMeasure(grid, density * grid.width)

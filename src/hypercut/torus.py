@@ -183,10 +183,11 @@ def torus_l1(cfg: TorusConfig, via_quadrature: bool = True) -> float:
     """||p - 1||_1 on [0, 1].
 
     The density is symmetric and unimodal, so p - 1 changes sign at one
-    point x* in (0, 1/2); adaptive quadrature of |p - 1| splits there.  The
-    Fourier antiderivative gives the same value in closed form: it is the
-    cross-check of the quadrature, and with ``via_quadrature=False`` the
-    value itself (mixing_time's fast path).
+    point x* in (0, 1/2); adaptive quadrature of |p - 1| splits there, and
+    at small rates once more just past it.  The Fourier antiderivative
+    gives the same value in closed form: it is the cross-check of the
+    quadrature, and with ``via_quadrature=False`` the value itself
+    (mixing_time's fast path).
     """
     dev = lambda x: torus_density(cfg, x) - 1.0
     hi = dev(0.0)
@@ -197,8 +198,14 @@ def torus_l1(cfg: TorusConfig, via_quadrature: bool = True) -> float:
     if not via_quadrature:
         return closed
     left, _ = gauss_kronrod(dev, 0.0, x_star, epsabs=1e-12)
-    mid, _ = gauss_kronrod(dev, x_star, 0.5, epsabs=1e-12)
-    value = 2.0 * (left - mid)
+    # the density's tail past x* is about sqrt(rate) / pi wide; at small
+    # rates a first 21-point rule over [x*, 1/2] puts no node in it and
+    # settles on a wrong value, so [x*, 1/2] splits four widths past x*
+    cut = x_star + 4.0 * math.sqrt(cfg.rate) / math.pi
+    ends = (x_star, cut, 0.5) if cut < 0.5 else (x_star, 0.5)
+    right = sum(gauss_kronrod(dev, lo, hi, epsabs=1e-12)[0]
+                for lo, hi in zip(ends, ends[1:]))
+    value = 2.0 * (left - right)
     if abs(value - closed) > 1e-9:
         raise NumericRangeError("quadrature and antiderivative disagree")
     return value

@@ -29,6 +29,8 @@ AD_CRIT_1PCT = 3.857
 MIN_STEP_LENGTH = 0.05
 # tail probabilities resting on fewer walkers than this stay out of the fits
 TAIL_MIN_COUNT = 20
+# the deviation scales lambda at which tail_checks measures each tail
+LAMBDA_GRID = np.linspace(0.25, 3.0, 12)
 
 
 def stream(seed: int, tag: int, block: int = 0) -> np.random.Generator:
@@ -66,8 +68,6 @@ class WalkStats:
     var_lny: np.ndarray
     mean_dist: np.ndarray
     var_dist: np.ndarray
-    mean_x2: np.ndarray
-    max_dist: np.ndarray
     final_lny: np.ndarray
     final_x: np.ndarray
     final_dist: np.ndarray
@@ -110,8 +110,7 @@ def walk_discrete(config: WalkConfig, workers: int = 1,
         m = walkers.stop - walkers.start
         x = np.full(m, x0)
         lny = np.full(m, lny0)
-        sums = np.zeros((max(k, 1), 5))
-        maxd = np.zeros(max(k, 1))
+        sums = np.zeros((max(k, 1), 4))
         d = np.zeros(m)
         n_kept = paths if b == 0 else 0
         kept = np.empty((k + 1, 2, n_kept))
@@ -122,29 +121,25 @@ def walk_discrete(config: WalkConfig, workers: int = 1,
             kept[step + 1] = x[:n_kept], lny[:n_kept]
             d = _distances_log(x, lny, x0, lny0)
             sums[step] = (lny.sum(), (lny ** 2).sum(), d.sum(),
-                          (d ** 2).sum(), (np.minimum(x, 1e150) ** 2).sum())
-            maxd[step] = d.max()
-        return sums, maxd, lny.copy(), x.copy(), d, kept
+                          (d ** 2).sum())
+        return sums, lny.copy(), x.copy(), d, kept
 
     parts = map_blocks(run_block, enumerate(spans(n, BLOCK)), workers)
     sums = np.sum([p[0] for p in parts], axis=0)
-    maxd = np.max([p[1] for p in parts], axis=0)
-    final_lny = np.concatenate([p[2] for p in parts])
-    final_x = np.concatenate([p[3] for p in parts])
-    final_dist = np.concatenate([p[4] for p in parts])
+    final_lny = np.concatenate([p[1] for p in parts])
+    final_x = np.concatenate([p[2] for p in parts])
+    final_dist = np.concatenate([p[3] for p in parts])
     mean_lny = sums[:, 0] / n
     var_lny = sums[:, 1] / n - mean_lny ** 2
     mean_dist = sums[:, 2] / n
     var_dist = sums[:, 3] / n - mean_dist ** 2
-    mean_x2 = sums[:, 4] / n
     if k == 0:
-        mean_lny = var_lny = mean_dist = var_dist = mean_x2 = maxd = \
-            np.zeros(0)
+        mean_lny = var_lny = mean_dist = var_dist = np.zeros(0)
     qs = (0.1, 0.25, 0.5, 0.75, 0.9)
     quantiles = dict(zip(qs, np.quantile(final_dist, qs))) if k else {}
-    return WalkStats(config, mean_lny, var_lny, mean_dist, var_dist, mean_x2,
-                     maxd, final_lny, final_x, final_dist, quantiles,
-                     parts[0][5].transpose(2, 0, 1))
+    return WalkStats(config, mean_lny, var_lny, mean_dist, var_dist,
+                     final_lny, final_x, final_dist, quantiles,
+                     parts[0][4].transpose(2, 0, 1))
 
 
 def ad_statistic_normal(x: np.ndarray) -> float:
@@ -216,14 +211,13 @@ def _tail_fit(lams: np.ndarray, probs: np.ndarray, n: int):
         return {"fit_ok": False, "censored": censored}
     slope, r2 = log_linear_fit(lams[keep] ** 2, np.log(probs[keep]))
     return {"fit_ok": True, "slope": slope, "c": -slope,
-            "r2": r2, "censored": censored,
-            "lams": lams[keep], "probs": probs[keep]}
+            "r2": r2, "censored": censored}
 
 
-def tail_checks(stats: WalkStats, lambda_grid=None) -> dict:
+def tail_checks(stats: WalkStats) -> dict:
     """Empirical tail decay of a walk's three deviation families
     (log-height, horizontal coordinate squared, distance), each fitted
-    log-linearly in lambda^2.
+    log-linearly in lambda^2 over LAMBDA_GRID.
 
     Step lengths below 0.05 are refused: the constants degrade as the step
     shrinks and the fits stop meaning anything.
@@ -232,9 +226,7 @@ def tail_checks(stats: WalkStats, lambda_grid=None) -> dict:
     if config.r1 < MIN_STEP_LENGTH:
         raise ConfigError(f"step length {config.r1} below {MIN_STEP_LENGTH}; "
                           "tail fits are unreliable in that regime")
-    if lambda_grid is None:
-        lambda_grid = np.linspace(0.25, 3.0, 12)
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
+    lambda_grid = LAMBDA_GRID
     consts = clt_constants(config.r1)
     k, n, r1 = config.k, config.n_walkers, config.r1
     drift = consts.alpha * r1 * k
@@ -251,5 +243,4 @@ def tail_checks(stats: WalkStats, lambda_grid=None) -> dict:
     dev_d = np.abs(stats.final_dist - drift)
     probs = np.array([(dev_d >= lam * sqk).mean() for lam in lambda_grid])
     reports["distance"] = _tail_fit(lambda_grid, probs, n)
-    reports["constants"] = {"alpha": consts.alpha, "sigma2": consts.sigma2}
     return reports

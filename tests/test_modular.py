@@ -16,7 +16,7 @@ from hypercut.modular import (CosetModQ, QuotientPoint, RandomCover,
                               modq_context, psl2q_order, quotient_R,
                               quotient_distance, quotient_distance_pairs,
                               quotient_distances_from, quotient_volume,
-                              random_cover, reduce_points_arrays,
+                              reduce_points_arrays,
                               sample_uniform_quotient,
                               truncated_domain_fraction)
 from oracles import GroupElement, reduce_fundamental
@@ -315,7 +315,7 @@ class TestReduceFundamental:
             if want is not None:
                 assert same_bits(got, want)
 
-    def test_degeneracy_error_at_the_same_iteration_cap(self):
+    def test_degeneracy_error_at_the_same_iteration_cap(self, monkeypatch):
         ctx = modq_context(5)
         rng = np.random.default_rng(41)
         x, y = adversarial_points(rng)
@@ -324,8 +324,8 @@ class TestReduceFundamental:
         for max_iter in range(0, 16):
             want = reduce_outcome(reference_reduce_points_arrays, x, y,
                                   sheets, ctx, max_iter=max_iter)
-            got = reduce_outcome(reduce_points_arrays, x, y, sheets, ctx,
-                                 max_iter=max_iter)
+            monkeypatch.setattr(modular, "REDUCE_MAX_PASSES", max_iter)
+            got = reduce_outcome(reduce_points_arrays, x, y, sheets, ctx)
             assert (got is None) == (want is None), max_iter
             if want is not None:
                 assert same_bits(got, want)
@@ -338,9 +338,11 @@ class TestReduceFundamental:
             args = (np.array([px]), np.array([py]), np.array([0]), ctx)
             with pytest.raises(DegeneracyError):
                 reference_reduce_points_arrays(*args, max_iter=passes - 1)
+            monkeypatch.setattr(modular, "REDUCE_MAX_PASSES", passes - 1)
             with pytest.raises(DegeneracyError):
-                reduce_points_arrays(*args, max_iter=passes - 1)
-            assert same_bits(reduce_points_arrays(*args, max_iter=passes),
+                reduce_points_arrays(*args)
+            monkeypatch.setattr(modular, "REDUCE_MAX_PASSES", passes)
+            assert same_bits(reduce_points_arrays(*args),
                              reference_reduce_points_arrays(
                                  *args, max_iter=passes))
 
@@ -516,6 +518,10 @@ class TestEnumeration:
         assert enumeration_digest(enum) == CAP_DIGEST
 
     def test_build_and_labels_peak_memory(self):
+        """Traced peaks of the build and of coset labelling against what
+        each keeps.  tracemalloc does not see the merge buffer of numpy's
+        stable argsort, so the labelling bound can under-read the true
+        peak by up to n/2 indices."""
         modq_context(5)
         tracemalloc.start()
         try:
@@ -799,10 +805,3 @@ class TestRandomCover:
         assert not RandomCover(n, cycles, np.arange(n)).is_transitive()
         assert RandomCover(n, cycles, np.roll(np.arange(n), n // 2)
                            ).is_transitive()
-
-    def test_json_round_trip(self):
-        cover = random_cover(9, np.random.default_rng(13))
-        back = RandomCover.from_json(cover.to_json())
-        assert back.n == 9
-        assert np.array_equal(back.sigma_a, cover.sigma_a)
-        assert np.array_equal(back.sigma_b, cover.sigma_b)

@@ -82,7 +82,7 @@ def test_step_kernel_degenerate_radius():
 def test_convolve_step_mass_and_support():
     grid = RadialGrid(0.0, 1.0, 500)
     m = RadialMeasure.from_cdf(grid, lambda r: np.clip(r, 0, 1))
-    out = convolve_step(m, 0.5)
+    out = convolve_step(m, 0.5, default_grid(1.5))
     assert out.total_mass() == pytest.approx(1.0, abs=1e-9)
     assert out.grid.r_max >= 1.5 - 1e-12
     # all mass inside the reachable interval
@@ -100,8 +100,8 @@ def test_convolve_matches_fixed_step_on_atom_like_measure():
     masses[np.searchsorted(atom_grid.centers, 0.8)] = 1.0
     atom = RadialMeasure(atom_grid, masses)
     via_pair = convolve(m, atom)
-    via_step = convolve_step(m, float(
-        atom_grid.centers[np.searchsorted(atom_grid.centers, 0.8)]))
+    r_step = float(atom_grid.centers[np.searchsorted(atom_grid.centers, 0.8)])
+    via_step = convolve_step(m, r_step, default_grid(1.0 + r_step))
     assert sup_cdf_gap(via_pair, via_step) <= 2e-3
 
 

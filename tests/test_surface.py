@@ -1,9 +1,10 @@
-"""Every public function, class, method and property of the package has a
-reader outside its own unit tests: a caller in the package, the benchmark,
-or the acceptance suite.  The two documented entries below are the only
-exceptions, each listed with its reason; what only they read counts as
-unread.  The references that unit tests compare live code against live in
-tests/oracles.py, outside the package."""
+"""Every public function, class, method and property of the package, and
+every field of its records, has a reader outside its own unit tests: a
+caller in the package, the benchmark, or the acceptance suite.  The
+documented entries below are the only exceptions, each listed with its
+reason; what only they read counts as unread.  The references that unit
+tests compare live code against live in tests/oracles.py, outside the
+package."""
 
 import ast
 import copy
@@ -24,6 +25,14 @@ ORACLES = {
 METHOD_ORACLES = {
     "RadialMeasure.from_csv": "the documented reader of the CLI's radial "
                               "CSVs",
+}
+
+# Fields kept for their documented readers, though only unit tests read
+# them.
+FIELD_ORACLES = {
+    "InjectivityRadius.stabilizer_order": "the documented torsion count of "
+                                          "the start point, read by the "
+                                          "torsion unit tests",
 }
 
 
@@ -117,6 +126,68 @@ def test_every_oracle_is_defined():
     methods = {f"{owner}.{m}" for owner, m, _ in statements if m is not None}
     assert set(METHOD_ORACLES) <= methods, sorted(set(METHOD_ORACLES)
                                                   - methods)
+    fields = {f"{cls.name}.{f}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for cls in ast.parse(path.read_text()).body
+              if isinstance(cls, ast.ClassDef) for f in _record_fields(cls)}
+    assert set(FIELD_ORACLES) <= fields, sorted(set(FIELD_ORACLES) - fields)
+
+
+def _record_fields(node) -> list:
+    """Field names of a dataclass or NamedTuple class definition, else []."""
+    def name(expr):
+        expr = expr.func if isinstance(expr, ast.Call) else expr
+        return getattr(expr, "id", getattr(expr, "attr", None))
+
+    if "dataclass" not in map(name, node.decorator_list) \
+            and "NamedTuple" not in map(name, node.bases):
+        return []
+    return [n.target.id for n in node.body
+            if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+
+
+def _fields_read(tree) -> set:
+    """Attribute names a syntax tree loads, and strings that are
+    identifiers (getattr and the benchmark read fields by name)."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            read.add(node.value)
+    return read
+
+
+def test_record_fields_have_readers():
+    """Every field of a package dataclass or NamedTuple has a reader: a
+    package statement outside its class, a method of its class other than
+    __post_init__ (whose reads only validate or derive), the benchmark, or
+    the acceptance suite.  The check is by name, so a field sharing a
+    common name such as q, seed or r1 with some other attribute passes
+    whether or not anything reads it."""
+    outside = set().union(*(
+        _fields_read(ast.parse(path.read_text()))
+        for path in [*sorted((ROOT / "perfbench").glob("*.py")),
+                     ROOT / "tests" / "test_acceptance.py"]))
+    statements = [node for path in sorted(PACKAGE.glob("*.py"))
+                  if path.name != "__init__.py"
+                  for node in ast.parse(path.read_text()).body]
+    unread = []
+    for cls in statements:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        readers = outside.union(
+            *(_fields_read(other) for other in statements if other is not cls),
+            *(_fields_read(m) for m in cls.body
+              if isinstance(m, ast.FunctionDef) and m.name != "__post_init__"))
+        unread += [f"{cls.name}.{f}" for f in _record_fields(cls)
+                   if f"{cls.name}.{f}" not in FIELD_ORACLES
+                   and f not in readers]
+    assert unread == [], (
+        f"fields read only in __post_init__ or by unit tests: {unread}; "
+        "give each a reader, list it in FIELD_ORACLES with a reason, or "
+        "delete it")
 
 
 def _bound_names(path) -> set:

@@ -100,6 +100,16 @@ class TestL1Distance:
         val = torus_l1(cfg)
         assert lo < val < hi
 
+    @pytest.mark.parametrize("rate", [4.7e-7, 8e-7, 1.1e-6])
+    def test_small_rates_match_closed_form(self, rate):
+        # rates at which the density's tail past x* is so narrow that one
+        # first rule over [x*, 1/2] put no node in it
+        cfg = TorusConfig(1.0, rate)
+        lo, hi = torus_l1_bounds(cfg)
+        val = torus_l1(cfg)
+        assert lo <= val <= hi
+        assert abs(val - torus_l1(cfg, via_quadrature=False)) <= 1e-9
+
     def test_short_time_saturates(self):
         assert torus_l1(TorusConfig(1.0, 0.0005)) > 1.9
         assert torus_l1(TorusConfig(1.0, 0.005)) > \

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from hypercut import walks
 from hypercut.errors import ConfigError
 from hypercut.geometry import PointH, distance
 from hypercut.spectral import clt_constants, heat_radial_density
-from hypercut.walks import (AD_CRIT_1PCT, WalkConfig, ad_statistic_normal,
-                            clt_check, stream, tail_checks, walk_discrete)
+from hypercut.walks import (AD_CRIT_1PCT, BLOCK, WalkConfig,
+                            ad_statistic_normal, clt_check, stream,
+                            tail_checks, walk_discrete)
 from oracles import MobiusReal, mobius_apply, sphere_point, walk_stats_equal
 
 ORIGIN = PointH(0.0, 1.0)
@@ -52,10 +54,14 @@ class TestWalkDiscrete:
         assert not walk_stats_equal(a, b)
 
     def test_support_in_ball(self):
+        # step k stays in the ball of radius k r1: every walker at the last
+        # step, and every kept path at every step
         cfg = WalkConfig(0.9, 30, 20_000, 5)
-        stats = walk_discrete(cfg)
-        assert np.all(stats.max_dist <= 0.9 * np.arange(1, 31) + 1e-9)
+        stats = walk_discrete(cfg, paths=BLOCK)
         assert float(stats.final_dist.max()) <= 0.9 * 30 + 1e-9
+        x, y = stats.paths[..., 0], np.exp(stats.paths[..., 1])
+        dist = np.arccosh(1.0 + (x * x + (y - 1.0) ** 2) / (2.0 * y))
+        assert np.all(dist <= 0.9 * np.arange(31) + 1e-9)
 
     def test_isometry_equivariance_distribution(self):
         # conjugating the start point by an isometry leaves the distance
@@ -148,10 +154,10 @@ class TestTailChecks:
         dev = np.abs(stats.final_lny + consts.alpha * 60)
         assert (dev >= 0.0).mean() == 1.0
 
-    def test_censoring_reported(self):
+    def test_censoring_reported(self, monkeypatch):
         cfg = WalkConfig(1.0, 60, 20_000, 4)
-        rep = tail_checks(walk_discrete(cfg),
-                          lambda_grid=np.linspace(0.5, 8.0, 10))
+        monkeypatch.setattr(walks, "LAMBDA_GRID", np.linspace(0.5, 8.0, 10))
+        rep = tail_checks(walk_discrete(cfg))
         assert rep["log_height"]["censored"] > 0
 
 
