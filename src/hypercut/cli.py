@@ -129,6 +129,9 @@ def _constants(cfg, args) -> dict:
 
 
 def _spherical(cfg, args) -> dict:
+    if not (cfg["s_step"] > 0.0 and cfg["s_max"] >= 0.0):
+        raise ConfigError(f"need s_step > 0 and s_max >= 0, not "
+                          f"{cfg['s_step']} and {cfg['s_max']}")
     s = np.arange(0.0, cfg["s_max"] + cfg["s_step"] / 2.0, cfg["s_step"])
     phi = spherical_principal_grid(s, cfg["r"], tol=1e-8)
     bound = hc_bound(cfg["r"], cfg["p"])
@@ -271,9 +274,12 @@ def _density(cfg, args) -> dict:
                 budgets.append(EigenvalueBudget.from_json(fh.read()))
     else:
         ns = [int(v) for v in str(cfg["n_values"]).split(",")]
-        maker = (synthetic_density_budget if cfg["family"] == "density"
-                 else uniform_budget)
-        budgets = [maker(n) for n in ns]
+        makers = {"density": synthetic_density_budget,
+                  "uniform": uniform_budget}
+        if cfg["family"] not in makers:
+            raise ConfigError(f"family is density or uniform, not "
+                              f"{cfg['family']!r}")
+        budgets = [makers[cfg["family"]](n) for n in ns]
     result = normal_cover_requirement(budgets, GrowthFunction(cfg["g_slope"]))
     print(f"vanishing={result['vanishing']}")
     return {"density.csv": (

@@ -126,5 +126,4 @@ def normal_cover_requirement(budgets, g: GrowthFunction) -> dict:
         seq = [getattr(r, attr) for r in rows]
         decreasing = all(b < a for a, b in zip(seq, seq[1:]))
         verdict = verdict and decreasing and seq[-1] < O1_THRESHOLD
-    return {"rows": rows, "vanishing": bool(verdict),
-            "o1_threshold": O1_THRESHOLD}
+    return {"rows": rows, "vanishing": bool(verdict)}

@@ -217,8 +217,11 @@ def _walk_histograms(q, x0, r1, k_grid, n_walkers, partition, seed, workers,
     return k_grid
 
 
-def _check_start(x0: QuotientPoint):
-    """The start point's injectivity radius, refused below R0_FLOOR."""
+def _check_start(q: int, x0: QuotientPoint):
+    """The start point's injectivity radius; a point off the level-q
+    quotient, or one whose radius is below R0_FLOOR, is refused."""
+    if x0.q != q:
+        raise ConfigError(f"start point lives on X_{x0.q}, not X_{q}")
     inj = injectivity_radius(x0, r_max=4.0)
     if inj.value < R0_FLOOR:
         raise ConfigError(
@@ -262,17 +265,18 @@ def tv_profile(q: int, x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
 
     Preconditions enforced: the walker state, and then the walker state
     with the histograms and bootstrap chunks of the partition, fit in
-    TV_STATE_CAP_BYTES; the start point has injectivity radius at least
-    R0_FLOOR; and no cell exceeds mu(X)/1000.
+    TV_STATE_CAP_BYTES; the start point and the partition are of level q;
+    the start point has injectivity radius at least R0_FLOOR; and no cell
+    exceeds mu(X)/1000.
     """
     if n_walkers < 1 or n_boot < 1:
         raise ConfigError("need n_walkers >= 1 and n_boot >= 1")
     _check_tv_capacity(n_walkers)
-    if x0.q != q:
-        raise ConfigError("start point lives on a different quotient")
-    _check_start(x0)
+    _check_start(q, x0)
     if partition is None:
         partition = default_partition(q)
+    if partition.q != q:
+        raise ConfigError(f"partition covers X_{partition.q}, not X_{q}")
     k_grid = sorted(set(int(k) for k in k_grid))
     _check_tv_capacity(n_walkers, len(k_grid), partition.n_cells)
     if partition.max_cell_fraction() > 1.0 / 1000.0 + 1e-12:
@@ -361,10 +365,12 @@ def distance_histogram(q: int, x0: QuotientPoint, n_samples: int,
     beyond R_X + gamma ln R_X, and a small-radius volume comparison.
     Samples farther than r_max are counted as right-tail overflow.
     """
+    if n_samples < 1:
+        raise ConfigError(f"need n_samples >= 1, not {n_samples}")
     R = quotient_R(q)
     if r_max < R + 3.0 * math.log(R):
         raise ConfigError("r_max below R_X + 3 ln R_X cannot resolve the tail")
-    inj = _check_start(x0)
+    inj = _check_start(q, x0)
     rng = stream(seed, tag=4)
     (xs, ys, sheets), trunc = sample_uniform_quotient(q, cusp_cap, rng,
                                                       n_samples)
@@ -462,17 +468,19 @@ def isoperimetric_check(q: int, center, r0: float, r: float, p: float,
 
     Y is the ball of radius r0 about the QuotientPoint ``center``, whose
     dilated set is the exact ball of radius r0 + r.  ``p`` must be a
-    certified upper bound for the surface's integrability exponent.
+    certified upper bound for the surface's integrability exponent, so at
+    least 2.  The center is checked as tv_profile checks its start.
     """
-    if r > 5.0:
-        raise ConfigError("dilation radius above 5 not supported")
+    if not (r0 > 0.0 and 0.0 <= r <= 5.0 and p >= 2.0 and n_mc >= 1):
+        raise ConfigError(f"need r0 > 0, 0 <= r <= 5, p >= 2 and n_mc >= 1, "
+                          f"not {r0}, {r}, {p} and {n_mc}")
+    inj = _check_start(q, center)
+    if r0 > inj.value:
+        raise ConfigError("seed ball exceeds the injectivity radius")
     vol = quotient_volume(q)
     rng = stream(seed, tag=5)
     (xs, ys, sheets), trunc = sample_uniform_quotient(
         q, ISOPERIMETRY_CUSP_CAP, rng, n_mc)
-    inj = injectivity_radius(center, r_max=4.0)
-    if r0 > inj.value:
-        raise ConfigError("seed ball exceeds the injectivity radius")
     c = ball_volume(r0) / vol
     dists = quotient_distances_from(center, xs, ys, sheets,
                                     min(r0 + r + 0.5, 8.0))

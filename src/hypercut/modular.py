@@ -540,8 +540,8 @@ def _quotient_distances(q: int, x1, y1, sheet1, x2, y2, sheet2, r_max: float,
     return np.where(dist <= r_max, dist, math.inf).reshape(best.shape)
 
 
-def quotient_distance(p1: QuotientPoint, p2: QuotientPoint, r_max: float,
-                      enum: PSLZEnumeration | None = None) -> float:
+def quotient_distance(p1: QuotientPoint, p2: QuotientPoint,
+                      r_max: float) -> float:
     """Distance on the level-q quotient, or math.inf when it exceeds r_max.
 
     The returned value is the exact minimum over the certified enumeration;
@@ -553,17 +553,17 @@ def quotient_distance(p1: QuotientPoint, p2: QuotientPoint, r_max: float,
         raise ValueError("r_max above 30 is not supported")
     return float(_quotient_distances(
         p1.q, p1.base.x, p1.base.y, p1.sheet.key(),
-        p2.base.x, p2.base.y, p2.sheet.key(), r_max, enum)[0])
+        p2.base.x, p2.base.y, p2.sheet.key(), r_max, None)[0])
 
 
-def quotient_distances_from(p0: QuotientPoint, xs, ys, sheet_ids, r_max: float,
-                            enum: PSLZEnumeration | None = None) -> np.ndarray:
+def quotient_distances_from(p0: QuotientPoint, xs, ys, sheet_ids,
+                            r_max: float) -> np.ndarray:
     """Distances from a fixed point to many (x, y, sheet-index) samples;
     entries beyond r_max come back as inf."""
     ctx = modq_context(p0.q)
     return _quotient_distances(
         p0.q, p0.base.x, p0.base.y, p0.sheet.key(), xs, ys,
-        ctx.rows(np.asarray(sheet_ids, dtype=np.int64)), r_max, enum)
+        ctx.rows(np.asarray(sheet_ids, dtype=np.int64)), r_max, None)
 
 
 def quotient_distance_pairs(q: int, xs1, ys1, sheets1, xs2, ys2, sheets2,

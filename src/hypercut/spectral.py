@@ -186,8 +186,7 @@ def two_step_cdf(r, r1: float):
     return np.arccos(np.clip(arg, -1.0, 1.0)) / math.pi
 
 
-def radial_mixture(k: int, r1: float, grid: RadialGrid | None = None,
-                   workers: int = 1) -> RadialMeasure:
+def radial_mixture(k: int, r1: float, workers: int = 1) -> RadialMeasure:
     """The radial law of the k-step fixed-length walk, as a density on
     [0, k r1].
 
@@ -200,12 +199,10 @@ def radial_mixture(k: int, r1: float, grid: RadialGrid | None = None,
         raise ValueError("the k-step radial law is a density only for k >= 2")
     if r1 <= 0.0:
         raise ValueError("need r1 > 0")
-    measure = RadialMeasure.from_cdf(
-        default_grid(2.0 * r1) if grid is None or k > 2 else grid,
-        lambda r: two_step_cdf(r, r1))
+    measure = RadialMeasure.from_cdf(default_grid(2.0 * r1),
+                                     lambda r: two_step_cdf(r, r1))
     for j in range(3, k + 1):
-        out = default_grid(j * r1) if grid is None or j < k else grid
-        measure = convolve_step(measure, r1, out, workers)
+        measure = convolve_step(measure, r1, default_grid(j * r1), workers)
     defect = abs(measure.total_mass() - 1.0)
     if defect > MASS_TOL:
         raise ResolutionError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import PointH, log_sphere_step_arrays
+from .geometry import log_sphere_step_arrays
 from .quadrature import map_blocks, spans
 from .spectral import clt_constants
 
@@ -50,7 +50,6 @@ class WalkConfig:
     k: int
     n_walkers: int
     seed: int
-    z0: PointH = PointH(0.0, 1.0)
 
     def __post_init__(self):
         if self.r1 <= 0.0:
@@ -75,13 +74,12 @@ class WalkStats:
     paths: np.ndarray | None = None
 
 
-def _distances_log(x, lny, x0, lny0):
-    """d(z, z0) from (x, log y) state, stable when y underflows."""
+def _distances_log(x, lny):
+    """d(z, i) from (x, log y) state, stable when y underflows."""
     y = np.exp(lny)
-    y0 = math.exp(lny0)
-    num = (x - x0) ** 2 + (y - y0) ** 2
+    num = x ** 2 + (y - 1.0) ** 2
     with np.errstate(divide="ignore"):
-        big_log = np.log(num) - math.log(2.0) - lny - lny0
+        big_log = np.log(num) - math.log(2.0) - lny
     small = big_log < 30.0
     out = np.empty_like(x)
     out[small] = np.arccosh(1.0 + np.exp(big_log[small]))
@@ -92,15 +90,15 @@ def _distances_log(x, lny, x0, lny0):
 
 def walk_discrete(config: WalkConfig, workers: int = 1,
                   paths: int = 0) -> WalkStats:
-    """Run the ensemble and aggregate per-step statistics.
+    """Run the ensemble from i and aggregate per-step statistics.
 
-    Walkers evolve in (x, log y); distances to the start are computed in a
-    log-robust form, so long walks do not overflow.  ``paths`` > 0 also
-    keeps the (x, log y) of the first ``paths`` walkers of block 0 at steps
-    0..k, as ``stats.paths`` of shape (paths, k + 1, 2).
+    The half-plane is homogeneous, so every start point is an isometric
+    image of i.  Walkers evolve in (x, log y); distances to the start are
+    computed in a log-robust form, so long walks do not overflow.
+    ``paths`` > 0 also keeps the (x, log y) of the first ``paths`` walkers
+    of block 0 at steps 0..k, as ``stats.paths`` of shape (paths, k + 1, 2).
     """
     k, n = config.k, config.n_walkers
-    x0, lny0 = config.z0.x, math.log(config.z0.y)
     if not 0 <= paths <= min(BLOCK, n):
         raise ConfigError(f"can keep 0..{min(BLOCK, n)} paths, not {paths}")
 
@@ -108,8 +106,8 @@ def walk_discrete(config: WalkConfig, workers: int = 1,
         b, walkers = block
         rng = stream(config.seed, tag=1, block=b)
         m = walkers.stop - walkers.start
-        x = np.full(m, x0)
-        lny = np.full(m, lny0)
+        x = np.zeros(m)
+        lny = np.zeros(m)
         sums = np.zeros((max(k, 1), 4))
         d = np.zeros(m)
         n_kept = paths if b == 0 else 0
@@ -119,7 +117,7 @@ def walk_discrete(config: WalkConfig, workers: int = 1,
             theta = rng.uniform(0.0, math.pi, m)
             x, lny = log_sphere_step_arrays(x, lny, config.r1, theta)
             kept[step + 1] = x[:n_kept], lny[:n_kept]
-            d = _distances_log(x, lny, x0, lny0)
+            d = _distances_log(x, lny)
             sums[step] = (lny.sum(), (lny ** 2).sum(), d.sum(),
                           (d ** 2).sum())
         return sums, lny.copy(), x.copy(), d, kept

@@ -10,7 +10,7 @@ import pytest
 
 import hypercut
 from hypercut import mixing
-from hypercut.cli import main
+from hypercut.cli import _COMMANDS, main
 from hypercut.errors import ConfigError
 from hypercut.geometry import log_sphere_step_arrays
 from hypercut.walks import BLOCK, WalkConfig, stream, walk_discrete
@@ -186,6 +186,45 @@ class TestExitCodes:
         monkeypatch.setenv("HYPERCUT_WORKERS", "0")
         assert main(["constants", "--r1", "1.0", "--out", str(tmp_path)]) == 0
 
+    def test_every_numeric_option_at_zero_and_minus_one(self, tmp_path,
+                                                        capsys):
+        # each int or float option but the seed, alone at 0 and at -1: an
+        # exit code of the contract, never an escaped exception
+        codes, errors = {}, {}
+        for command, (_, options) in _COMMANDS.items():
+            for key, (typ, _, _) in options.items():
+                if typ not in (int, float) or key == "seed":
+                    continue
+                for value in ("0", "-1"):
+                    case = (command, key, value)
+                    try:
+                        codes[case] = main([
+                            command, f"--{key.replace('_', '-')}", value,
+                            "--workers", "1", "--out", str(tmp_path)])
+                    except Exception as exc:
+                        codes[case] = type(exc).__name__
+                    errors[case] = capsys.readouterr().err
+        assert {case: code for case, code in codes.items()
+                if code not in (0, 2, 3, 4)} == {}
+        for case in [("spherical", "s_step", "0"),
+                     ("spherical", "s_step", "-1"),
+                     ("spherical", "s_max", "-1"), ("distances", "n", "0"),
+                     ("concentration", "n", "0"), ("isoperimetry", "n", "0"),
+                     ("isoperimetry", "p", "0"), ("isoperimetry", "p", "-1"),
+                     ("isoperimetry", "r", "-1"), ("isoperimetry", "r0", "0")]:
+            assert codes[case] == 2, case
+            assert errors[case].startswith("config error: ")
+            assert errors[case].count("\n") == 1, case
+
+    @pytest.mark.parametrize("argv,code", [
+        (["density", "--family", "foo"], 2), (["torus", "--t", "40"], 4)])
+    def test_refused_inputs_print_one_line(self, tmp_path, capsys, argv,
+                                           code):
+        assert main(argv + ["--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_tv_walker_state_over_cap_is_capacity_error(self, tmp_path):
         assert main(["tv", "--q", "2", "--k-max", "2", "--n", "50000000",
                      "--out", str(tmp_path)]) == 3
@@ -246,8 +285,8 @@ class TestBenchmarkHooks:
 # rows must give the same bits.
 def reference_trajectory_rows(wcfg, n_dump):
     rows = []
-    x = np.full(n_dump, wcfg.z0.x)
-    lny = np.full(n_dump, math.log(wcfg.z0.y))
+    x = np.full(n_dump, 0.0)
+    lny = np.full(n_dump, 0.0)
     rng = stream(wcfg.seed, tag=1, block=0)
     block_n = min(BLOCK, wcfg.n_walkers)
     for w in range(n_dump):

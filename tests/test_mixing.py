@@ -397,6 +397,12 @@ class TestTvProfile:
         with pytest.raises(ConfigError, match="injectivity radius"):
             tv_profile(2, high, 1.0, [0], 100)
 
+    def test_partition_of_another_level_refused(self):
+        # a level-5 partition at level 2 read tv 1.80 at k = 30, where the
+        # level-2 partition gives 0.24
+        with pytest.raises(ConfigError, match="partition covers X_5"):
+            tv_profile(2, origin(2), 1.0, [0], 100, default_partition(5))
+
 
 class TestCutoffLocator:
     def test_step_profile_zero_width(self):
@@ -435,6 +441,10 @@ class TestDistanceHistogram:
     def test_requires_spanning_r_max(self):
         with pytest.raises(ConfigError):
             distance_histogram(5, origin(5), 100, 3.0)
+
+    def test_start_of_another_level_refused(self):
+        with pytest.raises(ConfigError, match="lives on X_5, not X_3"):
+            distance_histogram(3, origin(5), 100, 8.0)
 
     def test_small_radius_matches_ball_volume(self):
         # valid while the ball embeds: at the level-5 origin the
@@ -494,3 +504,18 @@ class TestIsoperimetry:
     def test_ball_exceeding_injectivity_refused(self):
         with pytest.raises(ConfigError):
             isoperimetric_check(5, origin(5), 2.5, 0.5, 4.0, 100)
+
+    def test_center_of_another_level_refused(self):
+        with pytest.raises(ConfigError, match="lives on X_5, not X_3"):
+            isoperimetric_check(3, origin(5), 0.7, 0.6, 4.0, 100)
+        # the start check of tv_profile holds for the center too
+        high = QuotientPoint(PointH(0.0, 40.0), CosetModQ.identity(2))
+        with pytest.raises(ConfigError, match="injectivity radius"):
+            isoperimetric_check(2, high, 0.01, 0.6, 4.0, 100)
+
+    @pytest.mark.parametrize("r0, r, p, n_mc", [
+        (0.0, 1.0, 4.0, 100), (0.8, -1.0, 4.0, 100), (0.8, 1.0, 1.5, 100),
+        (0.8, 1.0, 4.0, 0)])
+    def test_out_of_range_inputs_refused(self, r0, r, p, n_mc):
+        with pytest.raises(ConfigError):
+            isoperimetric_check(5, origin(5), r0, r, p, n_mc)

@@ -692,12 +692,12 @@ class TestDistanceKernel:
             q, np.full(n, x[0]), np.full(n, y[0]), np.full(n, s[0]),
             x[b], y[b], s[b], 4.0, enum)
         assert np.array_equal(
-            quotient_distances_from(p0, x[b], y[b], s[b], 4.0, enum=enum),
+            quotient_distances_from(p0, x[b], y[b], s[b], 4.0),
             from_ref)
         for j in range(0, n, 13):
             p = QuotientPoint(PointH(float(x[n + j]), float(y[n + j])),
                               ctx.elements[int(s[n + j])])
-            d = quotient_distance(p0, p, 4.0, enum=enum)
+            d = quotient_distance(p0, p, 4.0)
             assert d == from_ref[j] or (math.isinf(d)
                                         and math.isinf(from_ref[j]))
 

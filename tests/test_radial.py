@@ -331,7 +331,8 @@ def test_convolve_matches_reference_on_semigroup_shape():
 
 def test_convolve_matches_reference_on_two_plus_two_steps():
     # the 2-step law with itself, a zero-mass tail past 2 r1 = 1.6 included
-    m2 = radial_mixture(2, 0.8, grid=RadialGrid(0.0, 2.0, 200))
+    m2 = RadialMeasure.from_cdf(RadialGrid(0.0, 2.0, 200),
+                                lambda r: two_step_cdf(r, 0.8))
     assert np.count_nonzero(m2.masses == 0.0) > 0
     grid = RadialGrid(0.0, 4.0, 400)
     got = convolve(m2, m2, grid)

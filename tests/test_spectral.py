@@ -289,7 +289,8 @@ class TestRadialMixture:
         # the 4-step law equals the 2-step law convolved with itself
         # (coarse grids keep the pairwise kernel tensor small)
         m4 = radial_mixture(4, 1.0)
-        m2 = radial_mixture(2, 1.0, grid=RadialGrid(0.0, 2.0, 400))
+        m2 = RadialMeasure.from_cdf(RadialGrid(0.0, 2.0, 400),
+                                    lambda r: two_step_cdf(r, 1.0))
         paired = convolve(m2, m2, RadialGrid(0.0, 4.0, 800))
         assert sup_cdf_gap(m4, paired) <= 1e-3
 

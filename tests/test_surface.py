@@ -1,16 +1,14 @@
 """Every public function, class, method and property of the package, and
-every field of its records, has a reader outside its own unit tests: a
-caller in the package, the benchmark, or the acceptance suite.  The
-documented entries below are the only exceptions, each listed with its
-reason; what only they read counts as unread.  The references that unit
-tests compare live code against live in tests/oracles.py, outside the
-package."""
+every field of its records, has a reader outside its own unit tests, and
+every defaulted parameter or field a setter there: a caller in the
+package, the benchmark, or the acceptance suite.  The documented entries
+below are the only exceptions, each listed with its reason; what only
+they read counts as unread.  The references that unit tests compare live
+code against live in tests/oracles.py, outside the package."""
 
 import ast
 import copy
 import pathlib
-
-import hypercut
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hypercut"
@@ -33,6 +31,16 @@ FIELD_ORACLES = {
     "InjectivityRadius.stabilizer_order": "the documented torsion count of "
                                           "the start point, read by the "
                                           "torsion unit tests",
+}
+
+# Defaulted parameters and fields kept for their documented setters, though
+# only unit tests pass them.
+OPTION_ORACLES = {
+    "heat_radial_density.grid": "the semigroup and convolution oracles need "
+                                "coarse grids: the default grid at t = 1 has "
+                                "about 10,000 cells, and the pairwise "
+                                "oracle's cost grows with the square of the "
+                                "cell count",
 }
 
 
@@ -65,11 +73,9 @@ def _units(node):
 
 def _package_statements():
     """(defined name or None, method name or None, identifiers read) of
-    each top-level statement of the package, classes split by _units; the
-    re-exports of __init__.py reach nothing, so that file is left out."""
+    each top-level statement of the package, classes split by _units."""
     return [(getattr(node, "name", None), method, used)
             for path in sorted(PACKAGE.glob("*.py"))
-            if path.name != "__init__.py"
             for node in ast.parse(path.read_text()).body
             for method, used in _units(node)]
 
@@ -131,6 +137,9 @@ def test_every_oracle_is_defined():
               for cls in ast.parse(path.read_text()).body
               if isinstance(cls, ast.ClassDef) for f in _record_fields(cls)}
     assert set(FIELD_ORACLES) <= fields, sorted(set(FIELD_ORACLES) - fields)
+    options = set(_package_options())
+    assert set(OPTION_ORACLES) <= options, sorted(set(OPTION_ORACLES)
+                                                  - options)
 
 
 def _record_fields(node) -> list:
@@ -171,7 +180,6 @@ def test_record_fields_have_readers():
         for path in [*sorted((ROOT / "perfbench").glob("*.py")),
                      ROOT / "tests" / "test_acceptance.py"]))
     statements = [node for path in sorted(PACKAGE.glob("*.py"))
-                  if path.name != "__init__.py"
                   for node in ast.parse(path.read_text()).body]
     unread = []
     for cls in statements:
@@ -190,6 +198,96 @@ def test_record_fields_have_readers():
         "delete it")
 
 
+def _defaulted(fn, owner=None) -> list:
+    """(label, position or None, keyword) of each defaulted parameter of a
+    function definition; a method's first parameter is bound, so positions
+    count from the one after it.  __init__ options are labelled after the
+    class alone, as its calls name it."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    if owner is not None and not any(getattr(d, "id", None) == "staticmethod"
+                                     for d in fn.decorator_list):
+        positional = positional[1:]
+    prefix = (owner if fn.name == "__init__"
+              else f"{owner}.{fn.name}" if owner else fn.name)
+    first = len(positional) - len(args.defaults)
+    return ([(f"{prefix}.{a.arg}", i, a.arg)
+             for i, a in enumerate(positional) if i >= first]
+            + [(f"{prefix}.{a.arg}", None, a.arg)
+               for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def _init_field(stmt) -> bool:
+    """Whether a record field's default is a field(init=False) call."""
+    value = stmt.value
+    return isinstance(value, ast.Call) and any(
+        k.arg == "init" and getattr(k.value, "value", True) is False
+        for k in value.keywords)
+
+
+def _package_options() -> dict:
+    """{label: (called name, position or None, keyword)} of every
+    defaulted parameter of a package function or method, and of every
+    defaulted field of a package record, which its class's calls set."""
+    options = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                for label, pos, kw in _defaulted(node):
+                    options[label] = (node.name, pos, kw)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    called = node.name if fn.name == "__init__" else fn.name
+                    for label, pos, kw in _defaulted(fn, node.name):
+                        options[label] = (called, pos, kw)
+            if _record_fields(node):
+                fields = [n for n in node.body if isinstance(n, ast.AnnAssign)
+                          and isinstance(n.target, ast.Name)
+                          and not _init_field(n)]
+                for i, n in enumerate(fields):
+                    if n.value is not None:
+                        options[f"{node.name}.{n.target.id}"] = (
+                            node.name, i, n.target.id)
+    return options
+
+
+def _passes(call, pos, kw) -> bool:
+    """Whether a call passes the parameter at ``pos`` or named ``kw``: by
+    keyword, by position, or through *args or **kwargs."""
+    return (any(k.arg in (kw, None) for k in call.keywords)
+            or pos is not None
+            and any(isinstance(arg, ast.Starred) or i == pos
+                    for i, arg in enumerate(call.args)))
+
+
+def test_options_have_setters():
+    """Every defaulted parameter of a package function or method, and every
+    defaulted field of a package dataclass or NamedTuple, is passed at some
+    call of that name in the package, the benchmark, or the acceptance
+    suite; a call of a class counts for its fields and its __init__.  The
+    match is by the called name only, so a call of another callable that
+    shares the name counts too, and a callable reached only under another
+    name (a callback, cls(...)) has no setters."""
+    calls = {}
+    for path in [*sorted(PACKAGE.glob("*.py")),
+                 *sorted((ROOT / "perfbench").glob("*.py")),
+                 ROOT / "tests" / "test_acceptance.py"]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id",
+                               getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unset = [label for label, (name, pos, kw) in _package_options().items()
+             if label not in OPTION_ORACLES
+             and not any(_passes(c, pos, kw) for c in calls.get(name, []))]
+    assert unset == [], (
+        f"options only unit tests set: {unset}; give each a caller, list it "
+        "in OPTION_ORACLES with a reason, or delete it")
+
+
 def _bound_names(path) -> set:
     """Names that a module's top-level definitions and assignments bind."""
     names = set()
@@ -203,15 +301,19 @@ def _bound_names(path) -> set:
 
 def test_oracles_stay_out_of_the_package():
     """No name of tests/oracles.py is defined at the top level of a
-    package module or as a package method, or exported by hypercut."""
+    package module or as a package method."""
     oracles = _bound_names(ROOT / "tests" / "oracles.py")
     package = set().union(*(_bound_names(path)
                             for path in sorted(PACKAGE.glob("*.py"))))
     methods = {m for _, m, _ in _package_statements() if m is not None}
     assert oracles & package == set(), sorted(oracles & package)
     assert oracles & methods == set(), sorted(oracles & methods)
-    assert oracles & set(hypercut.__all__) == set(), sorted(
-        oracles & set(hypercut.__all__))
+
+
+def test_package_root_binds_only_the_version():
+    """Library names are imported from their submodules; the package root
+    re-exports none of them."""
+    assert _bound_names(PACKAGE / "__init__.py") == {"__version__"}
 
 
 def _package_import(node) -> bool:

@@ -110,6 +110,27 @@ class TestL1Distance:
         assert lo <= val <= hi
         assert abs(val - torus_l1(cfg, via_quadrature=False)) <= 1e-9
 
+    def test_edge_of_double_resolution(self):
+        # p - 1 is about 2e^{-rate}, some 1000 units of the last place of
+        # 1.0 at rate 30, where the value lies inside the sandwich; at the
+        # rate of geomspace(4.7e-7, 50, 400) nearest 37.9, p - 1 rounds to 0
+        # at the left end of the root bracket, and the closed form found
+        # there leaves the sandwich
+        cfg = TorusConfig(1.0, 30.0)
+        lo, hi = torus_l1_bounds(cfg)
+        assert lo <= torus_l1(cfg) <= hi
+        with pytest.raises(NumericRangeError, match="sandwich"):
+            torus_l1(TorusConfig(1.0, 37.86737147247634))
+
+    @pytest.mark.parametrize("rate", [37.9, 40.0, 45.6])
+    @pytest.mark.parametrize("via_quadrature", [True, False])
+    def test_rates_below_double_resolution_refused(self, rate,
+                                                   via_quadrature):
+        # here p - 1 sinks below double resolution: the sign change is
+        # lost or the value leaves the sandwich, never l1 = 0
+        with pytest.raises(NumericRangeError):
+            torus_l1(TorusConfig(1.0, rate), via_quadrature)
+
     def test_short_time_saturates(self):
         assert torus_l1(TorusConfig(1.0, 0.0005)) > 1.9
         assert torus_l1(TorusConfig(1.0, 0.005)) > \
