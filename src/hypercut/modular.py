@@ -93,6 +93,8 @@ class CosetModQ:
 
 def psl2q_order(q: int) -> int:
     """|PSL_2(Z/q)| = q^3 prod_{p | q} (1 - p^-2), halved for q > 2."""
+    if q < 1:
+        raise ValueError("modulus must be >= 1")
     if q == 1:
         return 1
     order = q ** 3

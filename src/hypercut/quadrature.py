@@ -1,11 +1,13 @@
 """Composite Gauss-Legendre panels, QUADPACK's adaptive 21-point
 Gauss-Kronrod rule, the one doubling loop that the spherical-function sweep
-and the CLT variance quadrature both run, and the one span rule by which
-every fixed-size chunk loop splits its work.
+and the CLT variance quadrature both run, the one span rule by which every
+fixed-size chunk loop splits its work, and the one tile budget and product
+rule by which every (rows x nodes) kernel is reduced.
 
 Everything here is deterministic: node layouts depend only on the requested
-panel counts, and spans only on the requested sizes, so repeated runs sum
-in the same order at any worker count.
+panel counts, spans only on the requested sizes, and reduced tiles round as
+the whole product does on one BLAS thread, so repeated runs sum in the same
+order at any worker or BLAS thread count.
 """
 
 from __future__ import annotations
@@ -20,6 +22,15 @@ from .errors import QuadratureError
 
 # Gauss-Legendre nodes per panel
 GAUSS_NODES = 16
+# bytes of float64 temporaries one kernel task may hold at once, near one
+# core's 2 MB L2; each kernel derives its tile's rows or columns from it
+TILE_BYTES = 1 << 21
+# the width of the products that reduce a tile.  OpenBLAS shares a
+# matrix-vector product's outputs among its threads at least 4 at a time and
+# rounds the outputs past a share's last multiple of 4 on another path, so a
+# 4-wide product is never split, and a product widened by the remainder
+# rounds its last outputs as the whole product does on one thread.
+PRODUCT_COLS = 4
 
 
 @lru_cache(maxsize=1)
@@ -162,3 +173,21 @@ def map_blocks(fn, items, workers: int = 1) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def tile_lines(length: int, arrays: int) -> int:
+    """How many lines of ``length`` float64 entries fit ``arrays`` times in
+    TILE_BYTES, as a multiple of PRODUCT_COLS and at least PRODUCT_COLS."""
+    lines = TILE_BYTES // (8 * length * arrays)
+    return max(PRODUCT_COLS, lines - lines % PRODUCT_COLS)
+
+
+def reduce_rows(matrix, vector, out) -> None:
+    """out = matrix @ vector as products of PRODUCT_COLS rows of ``matrix``,
+    the last one widened by the row count mod PRODUCT_COLS."""
+    rows, width = matrix.shape
+    head = max(rows - PRODUCT_COLS - rows % PRODUCT_COLS, 0)
+    if head:
+        out[:head] = (matrix[:head].reshape(-1, PRODUCT_COLS, width)
+                      @ vector).ravel()
+    out[head:] = matrix[head:] @ vector

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResolutionError
-from .quadrature import map_blocks, spans
+from .quadrature import (PRODUCT_COLS, map_blocks, reduce_rows, spans,
+                         tile_lines)
 
 # the mass a discretized radial law may lose to its grid
 MASS_TOL = 1e-3
@@ -119,16 +120,6 @@ class RadialMeasure:
         return cls(grid, d * width)
 
 
-# edges per kernel task, and the width of the products that reduce a task's
-# tile.  OpenBLAS shares a matrix-vector product's outputs among its threads
-# at least 4 at a time and rounds the outputs past a share's last multiple
-# of 4 on another path, so a 4-wide product is never split, and a product
-# widened by the remainder rounds its last outputs as the whole product does
-# on one thread.
-TILE_COLS = 256
-PRODUCT_COLS = 4
-
-
 def _kernel_arg(out, num_old, cosh_new, den_old):
     """clip((num_old - cosh_new) / den_old, -1, 1) written into ``out`` in
     place, with num_old = cosh r_old cosh r_step and den_old = sinh r_old
@@ -169,33 +160,20 @@ def _kernel_tile(num, cosh_new, den):
     return tile
 
 
-def _reduce_tile(masses, tile, out):
-    """out = masses @ tile as products PRODUCT_COLS columns wide, the last
-    one widened by the tile's width mod PRODUCT_COLS."""
-    rows, width = tile.shape
-    n = width // PRODUCT_COLS - (width % PRODUCT_COLS != 0)
-    head = n * PRODUCT_COLS
-    if n > 0:
-        out[:head] = (masses @ tile[:, :head].reshape(rows, n, PRODUCT_COLS)
-                      .transpose(1, 0, 2)).ravel()
-    if head < width:
-        out[head:] = masses @ tile[:, head:]
-
-
 def _step_cdf_sum(masses, centers, r_step, edges, workers: int = 1):
     """Sum over cells of mass times the kernel CDF at each edge: the
     unnormalized CDF after one step of length r_step from radii ``centers``.
 
     The cells run in blocks of 20,000,000 // len(edges) rows.  Within a
     block, each task on ``workers`` threads fills the kernel on one tile of
-    spans(len(edges), TILE_COLS, PRODUCT_COLS) and reduces it by
-    _reduce_tile.  Each block sum thus rounds as the whole-block product
-    does on one BLAS thread, at any worker or BLAS thread count.
+    tile_lines(rows, 1) edges (spans with PRODUCT_COLS as the least) and
+    reduces it by quadrature.reduce_rows.  Each block sum thus rounds as
+    the whole-block product does on one BLAS thread, at any worker or BLAS
+    thread count.
     """
     cosh_edges = np.cosh(edges)
     num = np.cosh(centers) * math.cosh(r_step)
     den = np.sinh(centers) * np.sinh(r_step)
-    tiles = spans(len(edges), TILE_COLS, PRODUCT_COLS)
     cdf = np.zeros_like(edges)
     block = max(1, 20_000_000 // max(len(edges), 1))
     for rows in spans(len(centers), block):
@@ -203,9 +181,10 @@ def _step_cdf_sum(masses, centers, r_step, edges, workers: int = 1):
 
         def tile_sum(cols):
             tile = _kernel_tile(num[rows], cosh_edges[cols], den[rows])
-            _reduce_tile(masses[rows], tile, part[cols])
+            reduce_rows(tile.T, masses[rows], part[cols])
 
-        map_blocks(tile_sum, tiles, workers)
+        width = tile_lines(rows.stop - rows.start, 1)
+        map_blocks(tile_sum, spans(len(edges), width, PRODUCT_COLS), workers)
         cdf += part
     return cdf
 

@@ -25,13 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericRangeError, ResolutionError
-from .quadrature import doubling, map_blocks, panel_nodes, spans
+from .quadrature import (PRODUCT_COLS, doubling, map_blocks, panel_nodes,
+                         reduce_rows, spans, tile_lines)
 from .radial import (MASS_TOL, RadialGrid, RadialMeasure, convolve_step,
                      default_grid)
 
 _R_CAP = 600.0
-# radii per chunk of the heat-density integrand (x 768 quadrature nodes)
-HEAT_CHUNK_ROWS = 256
+# (radii x nodes) arrays that one heat-density chunk holds at once
+HEAT_ARRAYS = 6
 # spectral parameters per chunk of the spherical-function sweep
 SWEEP_CHUNK = 512
 # the largest spectral parameter of plancherel_check's decay probe
@@ -81,11 +82,18 @@ def _first_panels(smax: float, r: float) -> int:
 def _phi_pass(s: np.ndarray, r: float, n_panels: int, wave) -> np.ndarray:
     """(sqrt 2 / pi) r int wave(s r x) base dx for each s at one radius
     r > 0, on ``n_panels`` Gauss panels, with wave = np.cos for the
-    principal series and np.cosh for the complementary one."""
+    principal series and np.cosh for the complementary one.  The (s x
+    nodes) table is built tile_lines(nodes, 1) parameters at a time and
+    reduced by quadrature.reduce_rows, so it rounds as one whole product on
+    one BLAS thread."""
     u, w = panel_nodes(0.0, 1.0, n_panels)
     x, base = _integrand_base(r, u)
-    arg = np.outer(s, r * x)
-    vals = wave(arg, out=arg) @ (base * w)
+    rx, bw = r * x, base * w
+    vals = np.empty_like(s)
+    for rows in spans(s.size, tile_lines(rx.size, 1), PRODUCT_COLS):
+        arg = np.multiply.outer(s[rows], rx)
+        reduce_rows(wave(arg, out=arg), bw, vals[rows])
+        del arg  # freed before the next tile is built
     vals *= math.sqrt(2.0) / math.pi * r
     return vals
 
@@ -228,10 +236,11 @@ def _heat_density_exact(t: float, r: np.ndarray,
 
     regularized by s = r + v^2.  Exactly normalized; the discretization is
     renormalized downstream anyway.  The (radii x nodes) integrand is built
-    and reduced HEAT_CHUNK_ROWS radii at a time, one chunk per task on
-    ``workers`` threads; each chunk writes only its own rows.  A lone last
-    radius joins the chunk before it: numpy reduces a one-row
-    matrix-vector product through a dot routine that rounds differently.
+    tile_lines(nodes, HEAT_ARRAYS) radii at a time, one chunk per task on
+    ``workers`` threads, and reduced by quadrature.reduce_rows; each chunk
+    writes only its own rows.  A last chunk of fewer than PRODUCT_COLS
+    radii joins the chunk before it: numpy reduces a one-row matrix-vector
+    product through a dot routine that rounds differently.
     """
     r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)
@@ -250,9 +259,11 @@ def _heat_density_exact(t: float, r: np.ndarray,
         with np.errstate(divide="ignore", invalid="ignore"):
             integrand = np.where(den > 0.0, 2.0 * v * s
                                  * np.exp(-s * s / (4.0 * t)) / den, 0.0)
-        integral[rows] = (integrand @ w) * v_hi[rows]
+        reduce_rows(integrand, w, integral[rows])
+        integral[rows] *= v_hi[rows]
 
-    map_blocks(chunk, spans(len(rp), HEAT_CHUNK_ROWS, 2), workers)
+    rows = tile_lines(u.size, HEAT_ARRAYS)
+    map_blocks(chunk, spans(len(rp), rows, PRODUCT_COLS), workers)
     const = math.exp(-t / 4.0) / (2.0 ** 1.5 * math.sqrt(math.pi) * t ** 1.5)
     out[pos] = np.sinh(rp) * const * integral
     return out

@@ -211,10 +211,15 @@ class TestExitCodes:
                      ("spherical", "s_max", "-1"), ("distances", "n", "0"),
                      ("concentration", "n", "0"), ("isoperimetry", "n", "0"),
                      ("isoperimetry", "p", "0"), ("isoperimetry", "p", "-1"),
-                     ("isoperimetry", "r", "-1"), ("isoperimetry", "r0", "0")]:
+                     ("isoperimetry", "r", "-1"), ("isoperimetry", "r0", "0"),
+                     ("tv", "q", "0"), ("tv", "q", "-1")]:
             assert codes[case] == 2, case
             assert errors[case].startswith("config error: ")
             assert errors[case].count("\n") == 1, case
+        for case in [("tv", "q", "0"), ("tv", "q", "-1"),
+                     ("distances", "q", "-1")]:
+            assert errors[case] == "config error: modulus must be >= 1\n", \
+                case
 
     @pytest.mark.parametrize("argv,code", [
         (["density", "--family", "foo"], 2), (["torus", "--t", "40"], 4)])
@@ -363,41 +368,27 @@ class TestDeterminism:
             bodies.append(csv_body(out / name))
         assert bodies[0] == bodies[1]
 
-    def test_heat_at_any_blas_thread_count(self, tmp_path):
-        # the heat chunk products run on worker threads, and each is too
-        # small for OpenBLAS to split across its own threads
+    @pytest.mark.parametrize("argv", [
+        ["spherical", "--r", "8"], ["spherical", "--r", "2"],
+        ["mixture", "--k", "6"], ["mixture", "--k", "4", "--r1", "2.5"],
+        ["heat", "--t", "4"], ["heat", "--t", "0.05"]],
+        ids=["spherical-r8", "spherical-r2", "mixture-k6", "mixture-k4-r2.5",
+             "heat-t4", "heat-t0.05"])
+    def test_kernel_tables_at_any_blas_thread_count(self, tmp_path, argv):
+        # every (rows x nodes) kernel reduces by products 4 rows wide, which
+        # OpenBLAS does not split across its own threads
         src = os.path.dirname(os.path.dirname(hypercut.__file__))
         bodies = {}
-        for blas in ("1", "2"):
-            for t in ("0.05", "4"):
-                out = tmp_path / f"{blas}_{t}"
-                env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=blas,
-                           OPENBLAS_NUM_THREADS=blas, MKL_NUM_THREADS=blas)
-                subprocess.run([sys.executable, "-m", "hypercut.cli", "heat",
-                                "--t", t, "--workers", "2", "--out", str(out)],
-                               env=env, check=True, capture_output=True)
-                bodies[blas, t] = csv_body(out / "heat.csv")
-        for t in ("0.05", "4"):
-            assert bodies["1", t] == bodies["2", t], t
-
-    def test_mixture_at_any_blas_thread_count(self, tmp_path):
-        # each tile of the step kernel is reduced by products 4 columns
-        # wide, which OpenBLAS does not split across its own threads
-        src = os.path.dirname(os.path.dirname(hypercut.__file__))
-        cases = (("--k", "6"), ("--k", "4", "--r1", "2.5"))
-        bodies = {}
-        for blas in ("1", "2"):
-            for case in cases:
-                out = tmp_path / "_".join((blas,) + case)
-                env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=blas,
-                           OPENBLAS_NUM_THREADS=blas, MKL_NUM_THREADS=blas)
-                subprocess.run([sys.executable, "-m", "hypercut.cli",
-                                "mixture", *case, "--workers", "2",
-                                "--out", str(out)],
-                               env=env, check=True, capture_output=True)
-                bodies[blas, case] = csv_body(out / "mixture.csv")
-        for case in cases:
-            assert bodies["1", case] == bodies["2", case], case
+        for blas in ("1", "2", "3"):
+            out = tmp_path / blas
+            env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=blas,
+                       OPENBLAS_NUM_THREADS=blas, MKL_NUM_THREADS=blas)
+            subprocess.run([sys.executable, "-m", "hypercut.cli", *argv,
+                            "--workers", "2", "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            bodies[blas] = csv_body(out / f"{argv[0]}.csv")
+        assert bodies["2"] == bodies["1"]
+        assert bodies["3"] == bodies["1"]
 
     def test_emitted_config_round_trip(self, tmp_path):
         a = tmp_path / "a"

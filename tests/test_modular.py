@@ -103,6 +103,9 @@ class TestCosetModQ:
         # |PSL_2(Z/q)| = q^3 prod (1 - p^-2), halved for q > 2
         assert [psl2q_order(q) for q in (1, 2, 3, 4, 5, 6, 7)] == \
             [1, 6, 12, 24, 60, 72, 168]
+        for q in (0, -1):
+            with pytest.raises(ValueError, match="modulus must be >= 1"):
+                psl2q_order(q)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7])
     def test_enumeration_matches_closed_form(self, q):

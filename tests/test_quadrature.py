@@ -5,24 +5,26 @@ import pytest
 
 from hypercut import walks
 from hypercut.errors import QuadratureError
-from hypercut.quadrature import GK_EPSREL, gauss_kronrod, map_blocks, spans
-from hypercut.radial import PRODUCT_COLS, TILE_COLS
-from hypercut.spectral import HEAT_CHUNK_ROWS
+from hypercut.quadrature import (GK_EPSREL, PRODUCT_COLS, gauss_kronrod,
+                                 map_blocks, spans)
+
+# the step-kernel tile width and heat-density chunk rows of those layouts
+TILE_COLS = 256
+HEAT_CHUNK_ROWS = 256
 
 
-# Frozen copies of the two layouts that spans replaced.  Their runs fix how
-# the step-kernel tiles and the heat-density chunks round, so spans must
-# reproduce them run for run.
-def frozen_tiles(n_edges, tile_cols=TILE_COLS, product_cols=PRODUCT_COLS):
+# Frozen copies of the two layouts that spans replaced, at their sizes of
+# the time: spans must reproduce them run for run.
+def frozen_tiles(n_edges):
     """The step-kernel tiles as (lo, hi) columns: blocks of product indices,
-    the last tile widened to take the n_edges % product_cols left over."""
-    n_products = max(1, n_edges // product_cols)
-    block = tile_cols // product_cols
+    the last tile widened to take the n_edges % PRODUCT_COLS left over."""
+    n_products = max(1, n_edges // PRODUCT_COLS)
+    block = TILE_COLS // PRODUCT_COLS
     tiles = []
     for p_lo in range(0, n_products, block):
         p_hi = min(p_lo + block, n_products)
-        tiles.append((p_lo * product_cols,
-                      n_edges if p_hi == n_products else p_hi * product_cols))
+        tiles.append((p_lo * PRODUCT_COLS,
+                      n_edges if p_hi == n_products else p_hi * PRODUCT_COLS))
     return tiles
 
 

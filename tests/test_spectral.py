@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 import hypercut
 from hypercut import spectral
 from hypercut.errors import NumericRangeError, QuadratureError, ResolutionError
-from hypercut.quadrature import doubling, panel_nodes
+from hypercut.quadrature import (PRODUCT_COLS, TILE_BYTES, doubling,
+                                 panel_nodes, tile_lines)
 from hypercut.radial import RadialGrid, RadialMeasure
 from hypercut.spectral import (CltConstants, clt_constants,
                                complementary_lower_envelope,
@@ -30,7 +32,8 @@ def legendre_oracle(s: complex, r: float) -> float:
 def reference_sweep(s, r, tol, wave):
     """The spherical-function sweep as it stood before it ran on
     quadrature.doubling, integrand included.  Kept frozen as the bit-level
-    reference for spherical_principal_grid and spherical_complementary."""
+    reference for spherical_principal_grid and spherical_complementary,
+    computed by the reference_sweeps fixture."""
     if r == 0.0:
         return np.ones_like(s)
     out = np.empty_like(s)
@@ -80,20 +83,63 @@ def reference_trapezoid_doubling(f, a, b, *, tol=1e-12, n0=64,
         achieved=err)
 
 
+def one_blas_thread_child(code, path):
+    """Run ``code`` with ``path`` as its sys.argv[1] in a child process with
+    one BLAS thread and this directory importable; return the arrays it
+    saved there with np.savez."""
+    src = os.path.dirname(os.path.dirname(hypercut.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                   check=True)
+    with np.load(path) as data:
+        return dict(data)
+
+
+# 801 and 1,200 parameters make two and three sweep chunks
+PRINCIPAL_SIZES = (801, 1200)
+PRINCIPAL_RADII = (0.5, 2.0, 8.0)
+COMPLEMENTARY_P = (2.5, 4.0, 8.0)
+COMPLEMENTARY_RADII = (0.5, 3.0, 10.0)
+
+SWEEP_CHILD = """
+import sys
+import numpy as np
+import test_spectral as ts
+out = {f"principal{r!r}_{n}": ts.reference_sweep(np.linspace(0.0, 40.0, n),
+                                                r, 1e-8, np.cos)
+       for r in ts.PRINCIPAL_RADII for n in ts.PRINCIPAL_SIZES}
+out.update({f"complementary{p!r}_{r!r}": ts.reference_sweep(
+    np.array([0.5 - 1.0 / p]), r, 1e-10, np.cosh)
+    for p in ts.COMPLEMENTARY_P for r in ts.COMPLEMENTARY_RADII})
+np.savez(sys.argv[1], **out)
+"""
+
+
+@pytest.fixture(scope="module")
+def reference_sweeps(tmp_path_factory):
+    """The reference sweeps, computed in a child process with one BLAS
+    thread.  The reference's whole-chunk products are split across BLAS
+    threads, which changes how they round; the sweep's 4-row products are
+    not, so it must match the one-thread reference at any BLAS thread
+    count."""
+    return one_blas_thread_child(
+        SWEEP_CHILD, tmp_path_factory.mktemp("sweep") / "reference.npz")
+
+
 class TestFrozenReferences:
-    @pytest.mark.parametrize("n", [801, 1200])
-    @pytest.mark.parametrize("r", [0.5, 2.0, 8.0])
-    def test_principal_grid_bits(self, r, n):
-        # 801 and 1,200 parameters make two and three sweep chunks
+    @pytest.mark.parametrize("n", PRINCIPAL_SIZES)
+    @pytest.mark.parametrize("r", PRINCIPAL_RADII)
+    def test_principal_grid_bits(self, reference_sweeps, r, n):
         s = np.linspace(0.0, 40.0, n)
         assert np.array_equal(spherical_principal_grid(s, r),
-                              reference_sweep(s, r, 1e-8, np.cos))
+                              reference_sweeps[f"principal{r!r}_{n}"])
 
-    @pytest.mark.parametrize("p", [2.5, 4.0, 8.0])
-    def test_complementary_bits(self, p):
-        for r in (0.5, 3.0, 10.0):
-            want = reference_sweep(np.array([0.5 - 1.0 / p]), r, 1e-10,
-                                   np.cosh)
+    @pytest.mark.parametrize("p", COMPLEMENTARY_P)
+    def test_complementary_bits(self, reference_sweeps, p):
+        for r in COMPLEMENTARY_RADII:
+            want = reference_sweeps[f"complementary{p!r}_{r!r}"]
             assert spherical_complementary(p, r) == float(want[0]), r
 
     @pytest.mark.parametrize("r1", [0.3, 1.0, 5.0, 12.0])
@@ -354,15 +400,8 @@ def reference_heat(tmp_path_factory):
     radii is split across BLAS threads by row count, which changes how it
     rounds; the chunked products are not split that way, so they must match
     the one-thread reference at any BLAS thread count."""
-    path = tmp_path_factory.mktemp("heat") / "reference.npz"
-    src = os.path.dirname(os.path.dirname(hypercut.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
-    subprocess.run([sys.executable, "-c", REFERENCE_CHILD, str(path)],
-                   env=env, check=True)
-    with np.load(path) as data:
-        return dict(data)
+    return one_blas_thread_child(
+        REFERENCE_CHILD, tmp_path_factory.mktemp("heat") / "reference.npz")
 
 
 class TestHeatKernel:
@@ -411,13 +450,15 @@ class TestHeatKernel:
         assert np.allclose(m.density[idx], spectral_route, rtol=2e-5)
 
     def test_matches_reference_at_every_length(self, reference_heat):
-        # covers chunk ends at 256 and 512 rows and a lone last row at 257
-        # and 513, which joins the chunk before it
+        # covers every chunk end below 600 rows, and last chunks of 1, 2
+        # and 3 rows, which join the chunk before it
+        rows = tile_lines(768, spectral.HEAT_ARRAYS)
+        assert rows < 300
         for r in sweep_radii():
             want = reference_heat[f"n{len(r)}"]
             assert np.array_equal(spectral._heat_density_exact(SWEEP_T, r),
                                   want), len(r)
-            if len(r) in (257, 513):
+            if len(r) > rows and len(r) % rows < PRODUCT_COLS:
                 assert np.array_equal(
                     spectral._heat_density_exact(SWEEP_T, r, 3), want)
 
@@ -525,3 +566,22 @@ class TestPhiOnRadii:
                                                        tol=1e-10)
                               for i in picked]).T
         assert np.max(np.abs(table[:, picked] - certified)) <= 1e-10
+
+
+@pytest.mark.parametrize("call, workers", [
+    (lambda: spherical_principal_grid(np.arange(0, 40.025, 0.05), 8.0), 1),
+    (lambda: radial_mixture(6, 1.0, workers=2), 2),
+    (lambda: heat_radial_density(4.0, workers=2), 2)],
+    ids=["spherical", "mixture", "heat"])
+def test_kernel_peak_within_tile_budget(call, workers):
+    """Each kernel task holds at most TILE_BYTES of (rows x nodes) tiles;
+    one budget more covers the output and the per-grid arrays (nodes,
+    edges, their cosh and sinh, partial sums), a few hundred kB here."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= TILE_BYTES * (workers + 1)
