@@ -38,13 +38,6 @@ _ENUM_BOUND_CAP = 14.5
 # grow like e^bound.
 _ENUM_PAIRS = 1 << 14
 _ENUM_BLOCK = 1 << 14
-# An enumerated entry is at most sqrt(2 cosh(_ENUM_BOUND_CAP)) in absolute
-# value; offset by _ENTRY_OFFSET it fits in _ENTRY_BITS bits, so the four
-# entries pack into one int64 sort key that orders rows like np.lexsort.
-_ENTRY_OFFSET = math.isqrt(int(2.0 * math.cosh(_ENUM_BOUND_CAP))) + 1
-_ENTRY_BITS = (2 * _ENTRY_OFFSET).bit_length()
-if 4 * _ENTRY_BITS > 63:
-    raise CapacityError("packed enumeration sort key needs over 63 bits")
 # the most passes reduce_points_arrays makes before it gives up
 REDUCE_MAX_PASSES = 400
 
@@ -108,6 +101,30 @@ def psl2q_order(q: int) -> int:
     if n > 1:
         order = order // (n * n) * (n * n - 1)
     return order // 2 if q > 2 else order
+
+
+def _packing(bound_cap: float, q_cap: int) -> tuple[int, int]:
+    """(offset, bits) of PSLZEnumeration's packed sort key under these
+    caps: an entry is at most sqrt(2 cosh(bound_cap)) in absolute value,
+    so offset by ``offset`` it fits in ``bits`` bits, and the four entries
+    pack into one int64 key that orders rows like np.lexsort.  Raises
+    CapacityError if a cap would overflow what the enumeration stores:
+    int32 norms, int16 entries, int32 coset labels or the 63-bit key."""
+    norm_cap = 2.0 * math.cosh(bound_cap)
+    entry_cap = math.isqrt(int(norm_cap))
+    if norm_cap >= 2 ** 31:
+        raise CapacityError(f"norm cap {norm_cap:.4g} overflows int32")
+    if entry_cap >= 2 ** 15:
+        raise CapacityError(f"entry bound {entry_cap} overflows int16")
+    if psl2q_order(q_cap) >= 2 ** 31:
+        raise CapacityError(f"cosets mod {q_cap} overflow int32 labels")
+    bits = (2 * entry_cap + 2).bit_length()
+    if 4 * bits > 63:
+        raise CapacityError("packed enumeration sort key needs over 63 bits")
+    return entry_cap + 1, bits
+
+
+_ENTRY_OFFSET, _ENTRY_BITS = _packing(_ENUM_BOUND_CAP, _Q_CAP)
 
 
 def _ext_gcd(a: np.ndarray, b: np.ndarray):
@@ -343,13 +360,15 @@ def _ragged_ranges(starts: np.ndarray, counts: np.ndarray):
 
 class PSLZEnumeration:
     """All projective integer matrices with Frobenius norm^2 <= 2 cosh(bound),
-    i.e. all g with d(i, g i) <= bound, as flat int arrays.
+    i.e. all g with d(i, g i) <= bound, as an (n, 4) int16 table of rows
+    (a, b, c, d) and their int32 Frobenius norms^2.
 
     Built by exhausting coprime first columns and the integer line of
     completions, so completeness needs no connectivity argument.  The rows
     a of first columns are worked through in chunks of at most _ENUM_PAIRS
     disc pairs, each keeping only the packed sort keys of its elements;
-    the keys are then sorted and decoded _ENUM_BLOCK elements at a time.
+    the keys are then sorted and decoded _ENUM_BLOCK elements at a time,
+    each key's 8 bytes into its own row's four int16 entries.
     """
 
     def __init__(self, bound: float):
@@ -363,16 +382,17 @@ class PSLZEnumeration:
                                for rows in _row_chunks(2 * c_caps + 1)])
         keys.sort()
         self.size = int(keys.size)
-        self.a, self.b, self.c, self.norm2 = (np.empty_like(keys)
-                                              for _ in range(4))
+        # row i is the bytes of key i, so decoding a block of keys before
+        # writing it back overwrites no key still to be read
+        self.entries = keys.view(np.int16).reshape(self.size, 4)
+        self.a, self.b, self.c, self.d = self.entries.T
+        self.norm2 = np.empty(self.size, dtype=np.int32)
         mask = (1 << _ENTRY_BITS) - 1
         for s in spans(self.size, _ENUM_BLOCK):
             a, b, c, d = ((keys[s] >> (k * _ENTRY_BITS) & mask)
                           - _ENTRY_OFFSET for k in (3, 2, 1, 0))
-            self.a[s], self.b[s], self.c[s] = a, b, c
             self.norm2[s] = a * a + b * b + c * c + d * d
-            keys[s] = d
-        self.d = keys
+            self.a[s], self.b[s], self.c[s], self.d[s] = a, b, c, d
         self._members: dict[int, tuple[np.ndarray, ...]] = {}
 
     def coset_labels(self, q: int) -> np.ndarray:
@@ -380,17 +400,25 @@ class PSLZEnumeration:
         members in ascending Frobenius norm for members_of."""
         if q not in self._members:
             ctx = modq_context(q)
-            # labels < |PSL2(Z/_Q_CAP)| < 2^19 and norm2 < 2^21 under the
-            # caps, so the key fits easily; a stable sort keeps lexsort's
-            # order among equal (label, norm2), and the keys then divide
-            # back into the labels in place
+            # one int64 key per element, (label, norm2, index) from the top
+            # bits down; under the caps labels < 2^19, norm2 < 2^21 and
+            # indices < 2^23 fill 63 bits, which _member_shift checks.  The
+            # keys are unique, so an in-place sort orders the elements as a
+            # stable argsort of (label, norm2) would, without its int64
+            # index array and merge buffer
             span = int(self.norm2.max(initial=0)) + 1
-            labels = np.empty_like(self.norm2)
+            shift = _member_shift(self.size, ctx.size, span)
+            labels = np.empty(self.size, dtype=np.int32)
+            keys = np.empty(self.size, dtype=np.int64)
             for s in spans(self.size, _ENUM_BLOCK):
-                labels[s] = ctx.labels(self.a[s], self.b[s], self.c[s],
-                                       self.d[s]) * span + self.norm2[s]
-            order = np.argsort(labels, kind="stable")
-            labels //= span
+                label = ctx.labels(*self.entries[s].T)
+                labels[s] = label
+                keys[s] = ((label * span + self.norm2[s]) << shift
+                           | np.arange(s.start, s.stop))
+            keys.sort()
+            keys &= (1 << shift) - 1
+            order = keys.astype(np.int32)
+            del keys  # before bincount copies the labels to int64
             starts = np.zeros(ctx.size + 1, dtype=np.int64)
             np.cumsum(np.bincount(labels, minlength=ctx.size),
                       out=starts[1:])
@@ -402,6 +430,17 @@ class PSLZEnumeration:
         self.coset_labels(q)
         _, order, starts = self._members[q]
         return order[starts[coset_id]:starts[coset_id + 1]]
+
+
+def _member_shift(n: int, cosets: int, span: int) -> int:
+    """Bits of the element index in coset_labels' member sort key, for n
+    elements in ``cosets`` cosets with norms^2 below ``span``; raises
+    CapacityError unless the indices fit int32 and the key 63 bits."""
+    shift = (n - 1).bit_length()
+    if n > 2 ** 31 or (cosets * span) << shift > 2 ** 63:
+        raise CapacityError(f"{n} elements with norm^2 below {span} in "
+                            f"{cosets} cosets overflow the member sort key")
+    return shift
 
 
 def _check_bound(bound: float) -> None:
@@ -533,9 +572,10 @@ def _quotient_distances(q: int, x1, y1, sheet1, x2, y2, sheet2, r_max: float,
                 break
             hi = min(int(np.searchsorted(norms, limit.max(), "right")),
                      lo + max(1, _BLOCK_CELLS // active.size))
-            g = members[lo:hi, None]
-            qarg = _qarg(enum.a[g], enum.b[g], enum.c[g], enum.d[g],
-                         x1[active], y1[active], x2[active], y2[active])
+            # widened before any product, which int16 would overflow; in
+            # float64 a * c (below 2^21) is exact, so no bit moves
+            g = enum.entries[members[lo:hi]].T[:, :, None].astype(float)
+            qarg = _qarg(*g, x1[active], y1[active], x2[active], y2[active])
             best[active] = np.minimum(best[active], qarg.min(axis=0))
             lo = hi
     dist = np.array([math.acosh(1.0 + v) for v in best.ravel().tolist()])
@@ -598,14 +638,11 @@ def injectivity_radius(p: QuotientPoint,
     enum = get_enumeration(r_max + 2.0 * distance(ORIGIN, z))
     q = p.q
     ctx = modq_context(q)
-    idx = enum.members_of(q, ctx.coset_of(1, 0, 0, 1))
-    keep = ~((enum.a[idx] == 1) & (enum.b[idx] == 0)
-             & (enum.c[idx] == 0) & (enum.d[idx] == 1))
-    idx = idx[keep]
-    if idx.size == 0:
+    g = enum.entries[enum.members_of(q, ctx.coset_of(1, 0, 0, 1))]
+    g = g[(g != (1, 0, 0, 1)).any(axis=1)].T.astype(float)
+    if g.shape[1] == 0:
         return InjectivityRadius(math.inf, 1)
-    dists = np.arccosh(1.0 + _qarg(enum.a[idx], enum.b[idx], enum.c[idx],
-                                   enum.d[idx], z.x, z.y, z.x, z.y))
+    dists = np.arccosh(1.0 + _qarg(*g, z.x, z.y, z.x, z.y))
     fixing = dists < 1e-9
     stab = int(np.count_nonzero(fixing)) + 1
     moving = dists[~fixing]

@@ -275,14 +275,50 @@ class TestBenchmarkHooks:
     def test_traced_benchmark_finds_every_wrapped_function(self):
         # perfbench/layers.py wraps hypercut functions by name; a rename
         # makes the traced benchmark run fail before it measures anything
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        path = os.pathsep.join(os.path.join(root, d)
-                               for d in ("src", "perfbench"))
-        code = "import layers, tracing; layers.instrument(tracing.Tracer())"
-        done = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=path))
+        done = benchmark_child(
+            "import layers, tracing; layers.instrument(tracing.Tracer())")
         assert done.returncode == 0, done.stderr
+
+    def test_traced_spans_give_the_enumeration_metrics(self):
+        # the wrapped enumeration, labelling, pair query and block map
+        # run under the tracer, its attribute readers (enum.size,
+        # enum.bound) and the tracemalloc replay of the build included,
+        # and the layer metrics read back what was run
+        done = benchmark_child(TRACED_CHILD)
+        assert done.returncode == 0, done.stderr
+
+
+def benchmark_child(code):
+    """Run ``code`` in a child process with src/ and perfbench/
+    importable."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(os.path.join(root, d)
+                           for d in ("src", "perfbench"))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+TRACED_CHILD = """
+import layers, tracing
+tracer = tracing.Tracer()
+layers.instrument(tracer)
+from hypercut import quadrature
+from hypercut.modular import get_enumeration, quotient_distance_pairs
+enum = get_enumeration(3.0)
+enum.coset_labels(2)
+quotient_distance_pairs(2, [0.1], [1.5], [0], [0.2], [2.0], [1], 1.0,
+                        enum=enum)
+assert quadrature.map_blocks(abs, [-1, -2, -3], workers=2) == [1, 2, 3]
+layers.replay_enumerations(tracer)
+got = {name.split(".", 1)[1]: m["value"] for name, m in
+       layers.layer_metrics("geometry_build", tracer.spans).items()}
+assert got["modular.enum_builds"] == 1, got
+assert got["modular.enum_elements"] == enum.size, got
+for name in ("enum_elements_per_s", "coset_labels_elements_per_s",
+             "enum_peak_mb", "distance_pairs_per_s"):
+    assert got["modular." + name] > 0, got
+assert layers.SpanView(tracer.spans).parallel_efficiency() > 0
+"""
 
 
 # Reference copy of the trajectory dump as it was before walk_discrete kept

@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -465,8 +468,10 @@ class TestEnumeration:
                         e = GroupElement(a, b, c, d)
                         rows.add((e.a, e.b, e.c, e.d))
         expected = np.array(sorted(rows), dtype=np.int64)
+        assert enum.entries.dtype == np.int16
+        assert enum.norm2.dtype == np.int32
+        assert np.array_equal(enum.entries, expected)
         got = np.stack([enum.a, enum.b, enum.c, enum.d], axis=1)
-        assert got.dtype == np.int64
         assert np.array_equal(got, expected)
         assert np.array_equal(enum.norm2, (expected ** 2).sum(axis=1))
 
@@ -499,12 +504,15 @@ class TestEnumeration:
         enum = PSLZEnumeration(bound)
         want = reference_enumeration(bound)
         assert enum.size == want[0].size
-        for got, ref in zip((enum.a, enum.b, enum.c, enum.d, enum.norm2),
-                            want):
-            assert got.dtype == np.int64
+        for got, ref, dtype in zip(
+                (enum.a, enum.b, enum.c, enum.d, enum.norm2), want,
+                (np.int16,) * 4 + (np.int32,)):
+            assert got.dtype == dtype
             assert np.array_equal(got, ref)
         for q in (2, 3, 5):
             labels, order, starts = reference_coset_members(want, q)
+            assert enum.coset_labels(q).dtype == np.int32
+            assert enum.members_of(q, 0).dtype == np.int32
             assert np.array_equal(enum.coset_labels(q), labels)
             for i in range(starts.size - 1):
                 assert np.array_equal(enum.members_of(q, i),
@@ -521,25 +529,74 @@ class TestEnumeration:
         assert enumeration_digest(enum) == CAP_DIGEST
 
     def test_build_and_labels_peak_memory(self):
-        """Traced peaks of the build and of coset labelling against what
-        each keeps.  tracemalloc does not see the merge buffer of numpy's
-        stable argsort, so the labelling bound can under-read the true
-        peak by up to n/2 indices."""
+        """Traced peaks of the build and of coset labelling, in bytes per
+        element.  The enumeration keeps 12 (int16 entries, int32 norms)
+        and each labelled level 8 (int32 labels and member order).  At
+        bound 12 (488,114 elements) the build peaked at 18.0 and the
+        labelling at 16.2, the int64 chunk keys and member keys with
+        about 1 MB of block temporaries; the bounds leave 2 bytes per
+        element (about 1 MB) above that."""
         modq_context(5)
         tracemalloc.start()
         try:
             enum = PSLZEnumeration(12.0)
             _, peak = tracemalloc.get_traced_memory()
-            kept = sum(v.nbytes for v in (enum.a, enum.b, enum.c, enum.d,
-                                          enum.norm2))
-            assert peak <= 1.5 * kept
+            n = enum.size
+            assert enum.entries.nbytes + enum.norm2.nbytes == 12 * n
+            assert peak <= 20 * n
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
             enum.coset_labels(5)
             after, peak = tracemalloc.get_traced_memory()
-            assert peak - before <= 1.6 * (after - before)
+            labels, order, _ = enum._members[5]
+            assert labels.nbytes + order.nbytes == 8 * n
+            assert peak - before <= 18 * n
         finally:
             tracemalloc.stop()
+
+    def test_build_and_labels_peak_rss_in_a_fresh_process(self):
+        """ru_maxrss growth of a fresh process over its post-import
+        baseline while it builds PSLZEnumeration(12.0) and labels it mod
+        5.  Unlike tracemalloc it sees every allocation, numpy's own
+        buffers and the chunk keys the C heap keeps after the build.
+        Measured: 35.9 bytes per element (66.1 with int64 storage); the
+        bound leaves 6 bytes per element (about 2.9 MB) above that."""
+        code = ("import resource\n"
+                "from hypercut.modular import PSLZEnumeration, modq_context\n"
+                "modq_context(5)\n"
+                "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "enum = PSLZEnumeration(12.0)\n"
+                "enum.coset_labels(5)\n"
+                "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "print(enum.size, (peak - base) * 1024)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(modular.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        n, grown = map(int, done.stdout.split())
+        assert grown <= 42 * n
+
+    @pytest.mark.parametrize("bound, q, message", [
+        (20.2, 101, "63 bits"), (21.0, 101, "int16"),
+        (21.9, 101, "norm cap"), (14.5, 2000, "int32 labels")])
+    def test_packing_refuses_caps_that_overflow(self, bound, q, message):
+        # 2 cosh 20.2 = 5.9e8 needs 16-bit key fields, 2 cosh 21 = 1.3e9
+        # entries of 36,000, 2 cosh 21.9 = 3.2e9 norms past 2^31, and
+        # |PSL2(Z/2000)| = 2.9e9 labels past 2^31
+        with pytest.raises(CapacityError, match=message):
+            modular._packing(bound, q)
+
+    def test_keys_fit_at_the_caps(self):
+        assert modular._packing(modular._ENUM_BOUND_CAP, modular._Q_CAP) \
+            == (modular._ENTRY_OFFSET, modular._ENTRY_BITS)
+        # labels < 2^19 times norms^2 < 2^21 leave 23 bits for the index,
+        # and the cap's 5,946,834 elements need 23
+        cosets = psl2q_order(modular._Q_CAP)
+        span = int(2.0 * math.cosh(modular._ENUM_BOUND_CAP)) + 1
+        assert modular._member_shift(CAP_SIZE, cosets, span) == 23
+        for n, cosets in ((2 ** 23 + 1, cosets), (2 ** 31 + 1, 1)):
+            with pytest.raises(CapacityError, match="member sort key"):
+                modular._member_shift(n, cosets, span)
 
 
 class TestQuotientDistance:
