@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, ResolutionError
 from .geometry import ball_volume, sphere_step_arrays
-from .modular import (MODULAR_AREA, QuotientPoint, injectivity_radius,
-                      modq_context, quotient_distances_from, quotient_R,
-                      quotient_volume, reduce_points_arrays,
-                      sample_uniform_quotient)
+from .modular import (MODULAR_AREA, U_TOP, QuotientPoint,
+                      injectivity_radius, modq_context,
+                      quotient_distances_from, quotient_R, quotient_volume,
+                      reduce_points_arrays, sample_uniform_quotient)
 from .quadrature import map_blocks, spans
 from .walks import log_linear_fit, stream
 
@@ -37,7 +37,6 @@ TV_STATE_CAP_BYTES = 1 << 30
 # bootstrap resamples per multinomial call; bounds the bootstrap's memory
 BOOT_ROWS = 32
 EPS_GRID = (1.9, 1.5, 1.0, 0.5, 0.1)
-U_TOP = 2.0 / math.sqrt(3.0)
 # rows of cells in the strip above the cusp cap
 CUSP_ROWS = 4
 # the fewest samples a tail of concentration_fit may rest on
@@ -79,13 +78,6 @@ def _edge_bins(edges, v) -> np.ndarray:
     return (len(edges) - 2) - above.astype(np.intp)
 
 
-def _cell_measure(x_lo, x_hi, u_lo: float, u_hi: float) -> float:
-    if u_hi <= u_lo:
-        return 0.0
-    return float(_clip_primitive(x_hi, u_lo, u_hi)
-                 - _clip_primitive(x_lo, u_lo, u_hi))
-
-
 @dataclass
 class CellPartition:
     """Rectangular (x, u) cells clipped to the fundamental domain, with
@@ -104,14 +96,9 @@ class CellPartition:
     def __post_init__(self):
         ctx = modq_context(self.q)
         self.n_sheets = ctx.size
-        nx, nu = len(self.x_edges) - 1, len(self.u_edges) - 1
-        meas = np.empty(nx * nu)
-        for iu in range(nu):
-            for ix in range(nx):
-                meas[iu * nx + ix] = _cell_measure(
-                    self.x_edges[ix], self.x_edges[ix + 1],
-                    self.u_edges[iu], self.u_edges[iu + 1])
-        self.base_measures = meas
+        self.base_measures = np.concatenate([
+            np.diff(_clip_primitive(self.x_edges, u_lo, u_hi))
+            for u_lo, u_hi in zip(self.u_edges[:-1], self.u_edges[1:])])
 
     @classmethod
     def build(cls, q: int, nx: int, nu: int,

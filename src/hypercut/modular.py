@@ -31,6 +31,8 @@ from .quadrature import spans
 
 FUNDAMENTAL_TOL = 1e-12
 MODULAR_AREA = math.pi / 3.0
+# the largest u = 1/y on the standard fundamental domain, at its corners
+U_TOP = 2.0 / math.sqrt(3.0)
 _Q_CAP = 101
 _ENUM_BOUND_CAP = 14.5
 # Disc pairs per build chunk and elements per decode or labelling block of
@@ -665,7 +667,6 @@ def sample_base_domain(n: int, cusp_cap: float, rng):
     by rejection in the (x, 1/y) strip where mu is Lebesgue."""
     if cusp_cap < 2.0:
         raise ValueError("cusp cap must be >= 2")
-    u_hi = 2.0 / math.sqrt(3.0)
     u_lo = 1.0 / cusp_cap
     xs = np.empty(n)
     us = np.empty(n)
@@ -673,7 +674,7 @@ def sample_base_domain(n: int, cusp_cap: float, rng):
     while got < n:
         m = max(1024, int(1.2 * (n - got)))
         x = rng.uniform(-0.5, 0.5, m)
-        u = rng.uniform(u_lo, u_hi, m)
+        u = rng.uniform(u_lo, U_TOP, m)
         ok = u <= 1.0 / np.sqrt(1.0 - x * x)
         take = min(int(ok.sum()), n - got)
         xs[got:got + take] = x[ok][:take]

@@ -1,8 +1,8 @@
 """Composite Gauss-Legendre panels, QUADPACK's adaptive 21-point
 Gauss-Kronrod rule, the one doubling loop that the spherical-function sweep
 and the CLT variance quadrature both run, the one span rule by which every
-fixed-size chunk loop splits its work, and the one tile budget and product
-rule by which every (rows x nodes) kernel is reduced.
+fixed-size chunk loop splits its work, and the one tiled product by which
+every (lines x nodes) kernel table is reduced.
 
 Everything here is deterministic: node layouts depend only on the requested
 panel counts, spans only on the requested sizes, and reduced tiles round as
@@ -23,7 +23,7 @@ from .errors import QuadratureError
 # Gauss-Legendre nodes per panel
 GAUSS_NODES = 16
 # bytes of float64 temporaries one kernel task may hold at once, near one
-# core's 2 MB L2; each kernel derives its tile's rows or columns from it
+# core's 2 MB L2; tiled_products sizes every kernel's tiles from it
 TILE_BYTES = 1 << 21
 # the width of the products that reduce a tile.  OpenBLAS shares a
 # matrix-vector product's outputs among its threads at least 4 at a time and
@@ -175,19 +175,34 @@ def map_blocks(fn, items, workers: int = 1) -> list:
         return list(pool.map(fn, items))
 
 
-def tile_lines(length: int, arrays: int) -> int:
-    """How many lines of ``length`` float64 entries fit ``arrays`` times in
-    TILE_BYTES, as a multiple of PRODUCT_COLS and at least PRODUCT_COLS."""
-    lines = TILE_BYTES // (8 * length * arrays)
-    return max(PRODUCT_COLS, lines - lines % PRODUCT_COLS)
+def tiled_products(fill, vector, n_lines: int, arrays: int, workers: int):
+    """fill(lines) @ vector for lines = range(n_lines), where fill(lines)
+    returns the (lines x len(vector)) table of a slice of lines.
 
+    This is the one rule by which every kernel table is reduced.  The
+    tiles hold as many lines as fit ``arrays`` tables of them in
+    TILE_BYTES, a multiple of PRODUCT_COLS and at least PRODUCT_COLS; a
+    last tile shorter than PRODUCT_COLS joins the one before it, since
+    numpy reduces a one-line product through a dot routine that rounds
+    differently.  Each tile is one map_blocks task on ``workers`` threads,
+    reduced by products of PRODUCT_COLS lines, the last one widened by the
+    line count mod PRODUCT_COLS.  The result thus rounds as the whole
+    product does on one BLAS thread, at any worker or BLAS thread count,
+    save for a table of one line in all: its dot product is split across
+    BLAS threads past 10,000 entries by OpenBLAS.
+    """
+    width = len(vector)
+    size = TILE_BYTES // (8 * width * arrays)
+    size = max(PRODUCT_COLS, size - size % PRODUCT_COLS)
+    out = np.empty(n_lines)
 
-def reduce_rows(matrix, vector, out) -> None:
-    """out = matrix @ vector as products of PRODUCT_COLS rows of ``matrix``,
-    the last one widened by the row count mod PRODUCT_COLS."""
-    rows, width = matrix.shape
-    head = max(rows - PRODUCT_COLS - rows % PRODUCT_COLS, 0)
-    if head:
-        out[:head] = (matrix[:head].reshape(-1, PRODUCT_COLS, width)
-                      @ vector).ravel()
-    out[head:] = matrix[head:] @ vector
+    def reduce_tile(lines):
+        table = fill(lines)
+        head = max(len(table) - PRODUCT_COLS - len(table) % PRODUCT_COLS, 0)
+        if head:
+            out[lines.start:lines.start + head] = (
+                table[:head].reshape(-1, PRODUCT_COLS, width) @ vector).ravel()
+        out[lines.start + head:lines.stop] = table[head:] @ vector
+
+    map_blocks(reduce_tile, spans(n_lines, size, PRODUCT_COLS), workers)
+    return out

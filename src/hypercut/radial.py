@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResolutionError
-from .quadrature import (PRODUCT_COLS, map_blocks, reduce_rows, spans,
-                         tile_lines)
+from .quadrature import spans, tiled_products
 
 # the mass a discretized radial law may lose to its grid
 MASS_TOL = 1e-3
@@ -165,11 +164,8 @@ def _step_cdf_sum(masses, centers, r_step, edges, workers: int = 1):
     unnormalized CDF after one step of length r_step from radii ``centers``.
 
     The cells run in blocks of 20,000,000 // len(edges) rows.  Within a
-    block, each task on ``workers`` threads fills the kernel on one tile of
-    tile_lines(rows, 1) edges (spans with PRODUCT_COLS as the least) and
-    reduces it by quadrature.reduce_rows.  Each block sum thus rounds as
-    the whole-block product does on one BLAS thread, at any worker or BLAS
-    thread count.
+    block, the (edges x rows) kernel is reduced by quadrature.tiled_products
+    on ``workers`` threads.
     """
     cosh_edges = np.cosh(edges)
     num = np.cosh(centers) * math.cosh(r_step)
@@ -177,15 +173,10 @@ def _step_cdf_sum(masses, centers, r_step, edges, workers: int = 1):
     cdf = np.zeros_like(edges)
     block = max(1, 20_000_000 // max(len(edges), 1))
     for rows in spans(len(centers), block):
-        part = np.empty_like(edges)
-
-        def tile_sum(cols):
-            tile = _kernel_tile(num[rows], cosh_edges[cols], den[rows])
-            reduce_rows(tile.T, masses[rows], part[cols])
-
-        width = tile_lines(rows.stop - rows.start, 1)
-        map_blocks(tile_sum, spans(len(edges), width, PRODUCT_COLS), workers)
-        cdf += part
+        cdf += tiled_products(
+            lambda cols: _kernel_tile(num[rows], cosh_edges[cols],
+                                      den[rows]).T,
+            masses[rows], len(edges), 1, workers)
     return cdf
 
 

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericRangeError, ResolutionError
-from .quadrature import (PRODUCT_COLS, doubling, map_blocks, panel_nodes,
-                         reduce_rows, spans, tile_lines)
-from .radial import (MASS_TOL, RadialGrid, RadialMeasure, convolve_step,
-                     default_grid)
+from .quadrature import doubling, panel_nodes, spans, tiled_products
+from .radial import (MASS_TOL, RadialGrid, RadialMeasure, _kernel_cdf,
+                     convolve_step, default_grid)
 
 _R_CAP = 600.0
 # (radii x nodes) arrays that one heat-density chunk holds at once
@@ -83,17 +82,16 @@ def _phi_pass(s: np.ndarray, r: float, n_panels: int, wave) -> np.ndarray:
     """(sqrt 2 / pi) r int wave(s r x) base dx for each s at one radius
     r > 0, on ``n_panels`` Gauss panels, with wave = np.cos for the
     principal series and np.cosh for the complementary one.  The (s x
-    nodes) table is built tile_lines(nodes, 1) parameters at a time and
-    reduced by quadrature.reduce_rows, so it rounds as one whole product on
-    one BLAS thread."""
+    nodes) table is reduced by quadrature.tiled_products."""
     u, w = panel_nodes(0.0, 1.0, n_panels)
     x, base = _integrand_base(r, u)
-    rx, bw = r * x, base * w
-    vals = np.empty_like(s)
-    for rows in spans(s.size, tile_lines(rx.size, 1), PRODUCT_COLS):
+    rx = r * x
+
+    def fill(rows):
         arg = np.multiply.outer(s[rows], rx)
-        reduce_rows(wave(arg, out=arg), bw, vals[rows])
-        del arg  # freed before the next tile is built
+        return wave(arg, out=arg)
+
+    vals = tiled_products(fill, base * w, s.size, 1, 1)
     vals *= math.sqrt(2.0) / math.pi * r
     return vals
 
@@ -189,9 +187,9 @@ def two_step_cdf(r, r1: float):
     """Closed-form CDF of the radius after two steps of length r1:
     acos((cosh^2 r1 - cosh r) / sinh^2 r1) / pi on [0, 2 r1].
     """
-    arg = (math.cosh(r1) ** 2 - np.cosh(np.asarray(r, dtype=float))) \
-        / math.sinh(r1) ** 2
-    return np.arccos(np.clip(arg, -1.0, 1.0)) / math.pi
+    c = np.cosh(np.asarray(r, dtype=float))
+    return _kernel_cdf(np.empty_like(c), math.cosh(r1) ** 2, c,
+                       math.sinh(r1) ** 2)
 
 
 def radial_mixture(k: int, r1: float, workers: int = 1) -> RadialMeasure:
@@ -235,12 +233,9 @@ def _heat_density_exact(t: float, r: np.ndarray,
                   * int_r^inf s e^{-s^2/4t} / sqrt(cosh s - cosh r) ds,
 
     regularized by s = r + v^2.  Exactly normalized; the discretization is
-    renormalized downstream anyway.  The (radii x nodes) integrand is built
-    tile_lines(nodes, HEAT_ARRAYS) radii at a time, one chunk per task on
-    ``workers`` threads, and reduced by quadrature.reduce_rows; each chunk
-    writes only its own rows.  A last chunk of fewer than PRODUCT_COLS
-    radii joins the chunk before it: numpy reduces a one-row matrix-vector
-    product through a dot routine that rounds differently.
+    renormalized downstream anyway.  The (radii x nodes) integrand, of
+    which HEAT_ARRAYS arrays are live at once, is reduced by
+    quadrature.tiled_products on ``workers`` threads.
     """
     r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)
@@ -248,22 +243,19 @@ def _heat_density_exact(t: float, r: np.ndarray,
     rp = r[pos]
     v_hi = np.sqrt(np.sqrt(rp * rp + 220.0 * t) + 4.0 * math.sqrt(t) - rp)
     u, w = panel_nodes(0.0, 1.0, 48)
-    integral = np.empty_like(rp)
 
-    def chunk(rows):
+    def fill(rows):
         rc = rp[rows, None]
         v = v_hi[rows, None] * u[None, :]
         s = rc + v * v
         den = np.sqrt(2.0 * np.sinh((s + rc) / 2.0)
                       * np.sinh(np.maximum((s - rc) / 2.0, 0.0)))
         with np.errstate(divide="ignore", invalid="ignore"):
-            integrand = np.where(den > 0.0, 2.0 * v * s
-                                 * np.exp(-s * s / (4.0 * t)) / den, 0.0)
-        reduce_rows(integrand, w, integral[rows])
-        integral[rows] *= v_hi[rows]
+            return np.where(den > 0.0, 2.0 * v * s
+                            * np.exp(-s * s / (4.0 * t)) / den, 0.0)
 
-    rows = tile_lines(u.size, HEAT_ARRAYS)
-    map_blocks(chunk, spans(len(rp), rows, PRODUCT_COLS), workers)
+    integral = tiled_products(fill, w, len(rp), HEAT_ARRAYS, workers)
+    integral *= v_hi
     const = math.exp(-t / 4.0) / (2.0 ** 1.5 * math.sqrt(math.pi) * t ** 1.5)
     out[pos] = np.sinh(rp) * const * integral
     return out

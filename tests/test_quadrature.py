@@ -5,8 +5,10 @@ import pytest
 
 from hypercut import walks
 from hypercut.errors import QuadratureError
-from hypercut.quadrature import (GK_EPSREL, PRODUCT_COLS, gauss_kronrod,
-                                 map_blocks, spans)
+from hypercut.quadrature import (GK_EPSREL, PRODUCT_COLS, TILE_BYTES,
+                                 gauss_kronrod, map_blocks, spans,
+                                 tiled_products)
+from test_spectral import one_blas_thread_child
 
 # the step-kernel tile width and heat-density chunk rows of those layouts
 TILE_COLS = 256
@@ -76,6 +78,67 @@ def test_map_blocks_keeps_item_order():
     for workers in (1, 3):
         assert map_blocks(lambda s: s.start, items, workers) == want
     assert walks.map_blocks is map_blocks
+
+
+# (table width, arrays per tile): tiles of 32 lines of 1,024 entries, and
+# of 76 lines of 3,332, as the step kernel's tiles of edges over the
+# 3,332-cell blocks of mixture --k 6
+TILE_SHAPES = ((1024, 8), (3332, 1))
+
+
+def tile_size(width, arrays):
+    lines = TILE_BYTES // (8 * width * arrays)
+    return lines - lines % PRODUCT_COLS
+
+
+def product_table(width, arrays, order):
+    """A fixed (lines x width) table with two tiles and a remainder of
+    PRODUCT_COLS lines, in C or Fortran order (the step kernel's tiles are
+    transposed), and a fixed vector."""
+    rng = np.random.default_rng(width)
+    n = 2 * tile_size(width, arrays) + PRODUCT_COLS
+    return (np.asarray(rng.standard_normal((n, width)), order=order),
+            rng.standard_normal(width))
+
+
+PRODUCTS_CHILD = """
+import sys
+import numpy as np
+import test_quadrature as tq
+out = {}
+for width, arrays in tq.TILE_SHAPES:
+    for order in "CF":
+        table, vector = tq.product_table(width, arrays, order)
+        for n in range(1, len(table) + 1):
+            out[f"{width}{order}{n}"] = table[:n] @ vector
+np.savez(sys.argv[1], **out)
+"""
+
+
+@pytest.fixture(scope="module")
+def one_thread_products(tmp_path_factory):
+    """Every leading block of the product tables times their vector, each
+    one whole product on one BLAS thread."""
+    return one_blas_thread_child(
+        PRODUCTS_CHILD, tmp_path_factory.mktemp("products") / "ref.npz")
+
+
+@pytest.mark.parametrize("order", "CF")
+@pytest.mark.parametrize("width, arrays", TILE_SHAPES)
+def test_tiled_products_round_as_one_thread(one_thread_products, width,
+                                            arrays, order):
+    # every line count up to two full tiles and PRODUCT_COLS more: each
+    # remainder mod PRODUCT_COLS, fewer lines than PRODUCT_COLS, last tiles
+    # of 1 to 3 lines that join the tile before them, and two full tiles,
+    # at this process's BLAS thread count
+    table, vector = product_table(width, arrays, order)
+    assert tile_size(width, arrays) >= 8 * PRODUCT_COLS
+    for n in range(1, len(table) + 1):
+        want = one_thread_products[f"{width}{order}{n}"]
+        for workers in (1, 2, 3):
+            got = tiled_products(lambda lines: table[lines], vector, n,
+                                 arrays, workers)
+            assert np.array_equal(got, want), (n, workers)
 
 
 def test_gauss_kronrod_bisects_up_to_its_interval_limit():

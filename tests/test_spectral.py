@@ -12,7 +12,7 @@ import hypercut
 from hypercut import spectral
 from hypercut.errors import NumericRangeError, QuadratureError, ResolutionError
 from hypercut.quadrature import (PRODUCT_COLS, TILE_BYTES, doubling,
-                                 panel_nodes, tile_lines)
+                                 panel_nodes)
 from hypercut.radial import RadialGrid, RadialMeasure
 from hypercut.spectral import (CltConstants, clt_constants,
                                complementary_lower_envelope,
@@ -452,7 +452,8 @@ class TestHeatKernel:
     def test_matches_reference_at_every_length(self, reference_heat):
         # covers every chunk end below 600 rows, and last chunks of 1, 2
         # and 3 rows, which join the chunk before it
-        rows = tile_lines(768, spectral.HEAT_ARRAYS)
+        rows = TILE_BYTES // (8 * 768 * spectral.HEAT_ARRAYS)
+        rows -= rows % PRODUCT_COLS
         assert rows < 300
         for r in sweep_radii():
             want = reference_heat[f"n{len(r)}"]

@@ -361,3 +361,21 @@ def test_deferred_imports_are_listed():
                             f"{path.stem}.{fn.name}: {module}")
     assert sorted(deferred.values()) == \
         ["walks.ad_statistic_normal: scipy.special"], sorted(deferred.values())
+
+
+def test_tile_rule_lives_in_quadrature():
+    """No package module but quadrature.py reads or imports PRODUCT_COLS or
+    TILE_BYTES: every kernel table is tiled and reduced by
+    quadrature.tiled_products, whose rule keeps its sums rounding as on one
+    BLAS thread."""
+    rule = {"PRODUCT_COLS", "TILE_BYTES"}
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        if path.name != "quadrature.py" \
+                and rule & (_names_used(tree) | imported):
+            readers.append(path.name)
+    assert readers == [], f"tile rule read outside quadrature: {readers}"
