@@ -205,11 +205,12 @@ def _walk_histograms(q, x0, r1, k_grid, n_walkers, partition, seed, workers,
 
 
 def _check_start(q: int, x0: QuotientPoint):
-    """The start point's injectivity radius; a point off the level-q
-    quotient, or one whose radius is below R0_FLOOR, is refused."""
+    """The start point's certified injectivity radius (finite at every
+    level); a point off the level-q quotient, or one whose radius is below
+    R0_FLOOR, is refused."""
     if x0.q != q:
         raise ConfigError(f"start point lives on X_{x0.q}, not X_{q}")
-    inj = injectivity_radius(x0, r_max=4.0)
+    inj = injectivity_radius(x0)
     if inj.value < R0_FLOOR:
         raise ConfigError(
             f"start point has injectivity radius {inj.value:.3g} < {R0_FLOOR}")
@@ -435,8 +436,8 @@ def concentration_fit(distances, n_exceed: int = 0,
     if keep.sum() < 3:
         raise ConfigError("tail counts too small to fit")
     slope, r2 = log_linear_fit(gamma_grid[keep], np.log(tails[keep]))
-    q10, q90 = np.quantile(d, [0.1, 0.9]) if n_exceed == 0 else (
-        np.quantile(d, 0.1), np.interp(0.9 * n, np.arange(d.size), d))
+    # overflow samples count at their floor, which no finite sample exceeds
+    q10, q90 = np.quantile(np.append(d, [exceed_floor] * n_exceed), [0.1, 0.9])
     return ConcentrationReport(
         r_med=r_med, a=math.exp(-slope), slope=slope, r2=r2,
         window_80=float(q90 - q10),
@@ -456,7 +457,8 @@ def isoperimetric_check(q: int, center, r0: float, r: float, p: float,
     Y is the ball of radius r0 about the QuotientPoint ``center``, whose
     dilated set is the exact ball of radius r0 + r.  ``p`` must be a
     certified upper bound for the surface's integrability exponent, so at
-    least 2.  The center is checked as tv_profile checks its start.
+    least 2.  The center is checked as tv_profile checks its start, and
+    r0 above its injectivity radius is refused, so the seed ball embeds.
     """
     if not (r0 > 0.0 and 0.0 <= r <= 5.0 and p >= 2.0 and n_mc >= 1):
         raise ConfigError(f"need r0 > 0, 0 <= r <= 5, p >= 2 and n_mc >= 1, "
@@ -469,8 +471,7 @@ def isoperimetric_check(q: int, center, r0: float, r: float, p: float,
     (xs, ys, sheets), trunc = sample_uniform_quotient(
         q, ISOPERIMETRY_CUSP_CAP, rng, n_mc)
     c = ball_volume(r0) / vol
-    dists = quotient_distances_from(center, xs, ys, sheets,
-                                    min(r0 + r + 0.5, 8.0))
+    dists = quotient_distances_from(center, xs, ys, sheets, r0 + r + 0.5)
     hits = dists <= r0 + r
     c_prime = float(hits.mean()) * (1.0 - trunc)
     ci = 3.0 * math.sqrt(max(c_prime * (1.0 - c_prime), 1e-12) / n_mc)

@@ -517,7 +517,7 @@ def get_enumeration(bound: float) -> PSLZEnumeration:
 
 # members x samples cells per block of the distance kernel
 _BLOCK_CELLS = 1 << 12
-# distance slack covering rounding in the pruning bound
+# distance slack covering rounding in the pruning and radius bounds
 _PRUNE_SLACK = 1e-6
 
 
@@ -593,8 +593,6 @@ def quotient_distance(p1: QuotientPoint, p2: QuotientPoint,
     """
     if p1.q != p2.q:
         raise ValueError("points live on different quotients")
-    if r_max > 30.0:
-        raise ValueError("r_max above 30 is not supported")
     return float(_quotient_distances(
         p1.q, p1.base.x, p1.base.y, p1.sheet.key(),
         p2.base.x, p2.base.y, p2.sheet.key(), r_max, None)[0])
@@ -626,32 +624,28 @@ class InjectivityRadius(NamedTuple):
     stabilizer_order: int
 
 
-def injectivity_radius(p: QuotientPoint,
-                       r_max: float = 8.0) -> InjectivityRadius:
-    """Half the smallest displacement of the base point under nontrivial
-    level-q elements (displacement searched up to r_max).
+def injectivity_radius(p: QuotientPoint) -> InjectivityRadius:
+    """Half the smallest displacement of the base point z = x + iy under
+    the level-q elements that move it.
 
-    Torsion elements fixing the point contribute distance 0 and are
-    excluded; their count (including the identity) is reported as the
-    stabilizer order.  Returns value = inf when every nontrivial
-    displacement exceeds r_max.
+    T^q = [[1, q], [0, 1]] lies in the level-q group and moves z by exactly
+    2 asinh(q / 2y), so the minimum is at most that.  Any g moving z that
+    little has d(i, g i) <= 2 asinh(q / 2y) + 2 d(i, z), and the enumeration
+    is complete below that bound (plus a slack for rounding in its norm
+    cap), so the value is certified and finite.  Torsion elements fixing
+    the point contribute distance 0 and are excluded; their count, the
+    identity included, is reported as the stabilizer order.
     """
     z = p.base
-    enum = get_enumeration(r_max + 2.0 * distance(ORIGIN, z))
     q = p.q
+    enum = get_enumeration(2.0 * math.asinh(q / (2.0 * z.y))
+                           + 2.0 * distance(ORIGIN, z) + _PRUNE_SLACK)
     ctx = modq_context(q)
     g = enum.entries[enum.members_of(q, ctx.coset_of(1, 0, 0, 1))]
-    g = g[(g != (1, 0, 0, 1)).any(axis=1)].T.astype(float)
-    if g.shape[1] == 0:
-        return InjectivityRadius(math.inf, 1)
-    dists = np.arccosh(1.0 + _qarg(*g, z.x, z.y, z.x, z.y))
+    dists = np.arccosh(1.0 + _qarg(*g.T.astype(float), z.x, z.y, z.x, z.y))
     fixing = dists < 1e-9
-    stab = int(np.count_nonzero(fixing)) + 1
-    moving = dists[~fixing]
-    moving = moving[moving <= r_max]
-    if moving.size == 0:
-        return InjectivityRadius(math.inf, stab)
-    return InjectivityRadius(float(moving.min()) / 2.0, stab)
+    return InjectivityRadius(float(dists[~fixing].min()) / 2.0,
+                             int(np.count_nonzero(fixing)))
 
 
 CUSP_TAIL_OVER = 1.0  # mu{y > Y} inside the domain strip is exactly 1/Y

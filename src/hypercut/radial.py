@@ -171,6 +171,8 @@ def _step_cdf_sum(masses, centers, r_step, edges, workers: int = 1):
     num = np.cosh(centers) * math.cosh(r_step)
     den = np.sinh(centers) * np.sinh(r_step)
     cdf = np.zeros_like(edges)
+    # tiled_products' TILE_BYTES bounds the memory; the blocks stay only
+    # because they fix the order in which the block sums add up
     block = max(1, 20_000_000 // max(len(edges), 1))
     for rows in spans(len(centers), block):
         cdf += tiled_products(

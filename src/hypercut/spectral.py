@@ -32,7 +32,9 @@ from .radial import (MASS_TOL, RadialGrid, RadialMeasure, _kernel_cdf,
 _R_CAP = 600.0
 # (radii x nodes) arrays that one heat-density chunk holds at once
 HEAT_ARRAYS = 6
-# spectral parameters per chunk of the spherical-function sweep
+# spectral parameters per chunk of the spherical-function sweep; the
+# doubling is decided per chunk, so this fixes where each parameter's panel
+# count comes from (tiled_products' TILE_BYTES already bounds the memory)
 SWEEP_CHUNK = 512
 # the largest spectral parameter of plancherel_check's decay probe
 PLANCHEREL_S_CAP = 80.0
@@ -100,9 +102,8 @@ def _spherical_sweep(s: np.ndarray, r: float, tol: float, wave):
     """_phi_pass for each s at one radius r, certified to ``tol``.
 
     The panel count starts at _first_panels and is doubled until the whole
-    chunk moves by less than ``tol``.  Chunking over s, SWEEP_CHUNK
-    parameters at a time, keeps the node tensors bounded regardless of the
-    sweep size.
+    chunk moves by less than ``tol``.  The parameters of one SWEEP_CHUNK
+    chunk share that decision and its starting count.
     """
     r = float(_check_radii(float(r)))
     if r == 0.0:

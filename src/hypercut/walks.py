@@ -224,21 +224,17 @@ def tail_checks(stats: WalkStats) -> dict:
     if config.r1 < MIN_STEP_LENGTH:
         raise ConfigError(f"step length {config.r1} below {MIN_STEP_LENGTH}; "
                           "tail fits are unreliable in that regime")
-    lambda_grid = LAMBDA_GRID
     consts = clt_constants(config.r1)
     k, n, r1 = config.k, config.n_walkers, config.r1
     drift = consts.alpha * r1 * k
     sqk = math.sqrt(k)
-    reports = {}
-    dev_lny = np.abs(stats.final_lny + drift)
-    probs = np.array([(dev_lny >= lam * r1 * sqk).mean()
-                      for lam in lambda_grid])
-    reports["log_height"] = _tail_fit(lambda_grid, probs, n)
-    log_x2 = 2.0 * np.log(np.abs(stats.final_x) + 1e-300)
-    probs = np.array([(log_x2 >= lam * r1 * sqk).mean()
-                      for lam in lambda_grid])
-    reports["x_squared"] = _tail_fit(lambda_grid, probs, n)
-    dev_d = np.abs(stats.final_dist - drift)
-    probs = np.array([(dev_d >= lam * sqk).mean() for lam in lambda_grid])
-    reports["distance"] = _tail_fit(lambda_grid, probs, n)
-    return reports
+    families = {
+        "log_height": (np.abs(stats.final_lny + drift),
+                       LAMBDA_GRID * r1 * sqk),
+        "x_squared": (2.0 * np.log(np.abs(stats.final_x) + 1e-300),
+                      LAMBDA_GRID * r1 * sqk),
+        "distance": (np.abs(stats.final_dist - drift), LAMBDA_GRID * sqk)}
+    return {name: _tail_fit(LAMBDA_GRID,
+                            np.array([(dev >= t).mean() for t in thresholds]),
+                            n)
+            for name, (dev, thresholds) in families.items()}

@@ -21,6 +21,13 @@ def csv_body(path):
         return [line for line in fh if not line.startswith("#")]
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and ±Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def run(args, tmp_path, name=None):
     code = main(args + ["--out", str(tmp_path)])
     return code
@@ -29,7 +36,7 @@ def run(args, tmp_path, name=None):
 class TestSubcommands:
     def test_constants(self, tmp_path):
         assert run(["constants", "--r1", "1.0"], tmp_path) == 0
-        payload = json.loads((tmp_path / "constants.json").read_text())
+        payload = strict_json((tmp_path / "constants.json").read_text())
         assert payload["alpha"] == pytest.approx(0.2402290139, abs=1e-9)
         assert "config_hash" in payload["meta"]
 
@@ -49,9 +56,18 @@ class TestSubcommands:
     def test_walk_reports(self, tmp_path):
         assert run(["walk", "--r1", "1.0", "--k", "8", "--n", "2000",
                     "--seed", "3", "--workers", "1"], tmp_path) == 0
-        payload = json.loads((tmp_path / "walk.json").read_text())
+        payload = strict_json((tmp_path / "walk.json").read_text())
         assert payload["config"]["k"] == 8
+        assert "tail_checks" not in payload
         assert len(csv_body(tmp_path / "walk_steps.csv")) == 9
+
+    def test_walk_tail_checks(self, tmp_path):
+        assert run(["walk", "--r1", "1.0", "--k", "8", "--n", "2000",
+                    "--seed", "3", "--workers", "1", "--run-tail-checks"],
+                   tmp_path) == 0
+        payload = strict_json((tmp_path / "walk.json").read_text())
+        assert sorted(payload["tail_checks"]) == ["distance", "log_height",
+                                                  "x_squared"]
 
     def test_tv_csv(self, tmp_path):
         assert run(["tv", "--q", "2", "--r1", "1.0", "--n", "20000",
@@ -64,19 +80,29 @@ class TestSubcommands:
     def test_distances_and_concentration(self, tmp_path):
         assert run(["distances", "--q", "2", "--n", "4000", "--r-max",
                     "8.0", "--seed", "2"], tmp_path) == 0
-        report = json.loads(
+        report = strict_json(
             (tmp_path / "distances_report.json").read_text())
         assert report["R_X"] == pytest.approx(1.316957, abs=1e-5)
         assert run(["concentration", "--q", "2", "--n", "12000", "--r-max",
                     "8.0", "--seed", "2"], tmp_path) == 0
-        rep = json.loads((tmp_path / "concentration.json").read_text())
+        rep = strict_json((tmp_path / "concentration.json").read_text())
         assert rep["r_med"] > 0
+
+    def test_distances_radius_finite_past_level_7(self, tmp_path):
+        # the start point's radius at level 8 is asinh(4), found at any
+        # r_max
+        assert run(["distances", "--q", "8", "--n", "300", "--r-max", "9.7"],
+                   tmp_path) == 0
+        report = strict_json(
+            (tmp_path / "distances_report.json").read_text())
+        assert report["injectivity_radius"] == pytest.approx(
+            math.asinh(4.0), abs=1e-12)
 
     def test_isoperimetry(self, tmp_path):
         assert run(["isoperimetry", "--q", "2", "--r", "0.5", "--p", "4.0",
                     "--r0", "0.6", "--n", "4000", "--seed", "4"],
                    tmp_path) == 0
-        rep = json.loads((tmp_path / "isoperimetry.json").read_text())
+        rep = strict_json((tmp_path / "isoperimetry.json").read_text())
         assert rep["passes"] or rep["inconclusive"]
 
     def test_density_families(self, tmp_path):
@@ -95,7 +121,7 @@ class TestSubcommands:
 
     def test_cover_file(self, tmp_path):
         assert run(["cover", "--n", "6", "--seed", "9"], tmp_path) == 0
-        payload = json.loads((tmp_path / "cover.json").read_text())
+        payload = strict_json((tmp_path / "cover.json").read_text())
         assert sorted(payload["sigma_A"]) == list(range(6))
         assert sorted(payload["sigma_B"]) == list(range(6))
 

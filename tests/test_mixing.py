@@ -487,6 +487,19 @@ class TestConcentrationFit:
         with pytest.raises(ConfigError):
             concentration_fit(rng.random(20_000), n_exceed=5)
 
+    def test_overflow_window_is_the_padded_sample_quantile(self):
+        # the 3 % of samples beyond the floor count as lying above every
+        # finite distance, for q90 as for q10
+        rng = np.random.default_rng(8)
+        sample = rng.normal(3.0, 1.0, 20_000)
+        floor = float(np.quantile(sample, 0.97))
+        finite = sample[sample <= floor]
+        n_exceed = sample.size - finite.size
+        rep = concentration_fit(finite, n_exceed, floor)
+        padded = np.append(finite, np.full(n_exceed, np.inf))
+        q10, q90 = np.quantile(padded, [0.1, 0.9])
+        assert rep.window_80 == float(q90 - q10)
+
 
 class TestIsoperimetry:
     def test_kappa_value(self):
@@ -504,6 +517,18 @@ class TestIsoperimetry:
     def test_ball_exceeding_injectivity_refused(self):
         with pytest.raises(ConfigError):
             isoperimetric_check(5, origin(5), 2.5, 0.5, 4.0, 100)
+
+    def test_seed_ball_refused_at_every_level(self):
+        # at level 8 the radius at i is asinh(4) = 2.09, found only by a
+        # search reaching 2 asinh(4) = 4.19
+        with pytest.raises(ConfigError, match="seed ball exceeds"):
+            isoperimetric_check(8, origin(8), 3.0, 0.5, 4.0, 100)
+
+    def test_dilation_past_distance_8_counts_its_hits(self):
+        # r0 + r = 8.0 against 8.1: the samples between are hits too
+        lo, hi = (isoperimetric_check(23, origin(23), 3.1, r, 4.0, 2000,
+                                      seed=3)["c_prime"] for r in (4.9, 5.0))
+        assert hi > lo
 
     def test_center_of_another_level_refused(self):
         with pytest.raises(ConfigError, match="lives on X_5, not X_3"):

@@ -633,6 +633,11 @@ class TestQuotientDistance:
                     sheet=modq_context(5).elements[13])
         assert quotient_distance(p1, p2, 0.5) == math.inf
 
+    def test_r_max_past_the_cap_names_the_bound(self):
+        p = qpoint(0.0, 1.0, q=5)
+        with pytest.raises(CapacityError, match="enumeration bound 31.000"):
+            quotient_distance(p, p, 31.0)
+
     def test_below_direct_lift_distance(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
@@ -773,14 +778,14 @@ class TestDistanceKernel:
 
 class TestInjectivityRadius:
     def test_q2_at_origin(self):
-        rep = injectivity_radius(qpoint(0.0, 1.0, q=2), r_max=6.0)
+        rep = injectivity_radius(qpoint(0.0, 1.0, q=2))
         assert rep.value == pytest.approx(0.5 * math.acosh(3.0), abs=1e-12)
         assert rep.stabilizer_order == 1
 
     def test_q1_elliptic_point(self):
         # i is fixed by the inversion: stabilizer of order 2, radius from
         # the shortest translation acosh(3/2)
-        rep = injectivity_radius(qpoint(0.0, 1.0), r_max=6.0)
+        rep = injectivity_radius(qpoint(0.0, 1.0))
         assert rep.stabilizer_order == 2
         assert rep.value == pytest.approx(0.5 * math.acosh(1.5), abs=1e-12)
 
@@ -788,13 +793,21 @@ class TestInjectivityRadius:
         # high points: radius ~ half the distance of the level-q horizontal
         # translation z -> z + q
         for q, y in ((3, 6.0), (5, 8.0)):
-            rep = injectivity_radius(qpoint(0.0, y, q=q), r_max=8.0)
+            rep = injectivity_radius(qpoint(0.0, y, q=q))
             expected = 0.5 * math.acosh(1.0 + q * q / (2.0 * y * y))
             assert rep.value == pytest.approx(expected, abs=1e-12)
 
     def test_generic_interior_point_positive(self):
-        rep = injectivity_radius(qpoint(0.21, 1.4), r_max=8.0)
+        rep = injectivity_radius(qpoint(0.21, 1.4))
         assert rep.value > 0.0
+
+    @pytest.mark.parametrize("q", [2, 5, 8, 13, 23, 101])
+    def test_finite_at_every_level(self, q):
+        # for q >= 2 no element of the level-q group has a smaller
+        # Frobenius norm than T^q, which moves i by 2 asinh(q / 2)
+        rep = injectivity_radius(qpoint(0.0, 1.0, q=q))
+        assert rep.value == pytest.approx(math.asinh(q / 2.0), abs=1e-12)
+        assert rep.stabilizer_order == 1
 
 
 class TestUniformSampling:
