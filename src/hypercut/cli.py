@@ -205,7 +205,7 @@ def _tv(cfg, args) -> dict:
     if k_max is None:
         k_max = int(math.ceil(3.2 * R / (consts.alpha * cfg["r1"])))
     cfg["k_max"] = int(k_max)
-    profile = tv_profile(q, _origin_point(q), cfg["r1"],
+    profile = tv_profile(_origin_point(q), cfg["r1"],
                          range(0, int(k_max) + 1), int(cfg["n"]),
                          default_partition(q, cfg["cusp_cap"]),
                          seed=int(cfg["seed"]), workers=_workers(args),
@@ -228,8 +228,7 @@ def _tv(cfg, args) -> dict:
 
 def _histogram(cfg) -> dict:
     """The distance sample that distances and concentration both report."""
-    q = int(cfg["q"])
-    return distance_histogram(q, _origin_point(q), int(cfg["n"]),
+    return distance_histogram(_origin_point(int(cfg["q"])), int(cfg["n"]),
                               cfg["r_max"], seed=int(cfg["seed"]),
                               cusp_cap=cfg["cusp_cap"])
 
@@ -257,9 +256,8 @@ def _concentration(cfg, args) -> dict:
 
 
 def _isoperimetry(cfg, args) -> dict:
-    q = int(cfg["q"])
-    result = isoperimetric_check(q, _origin_point(q), cfg["r0"], cfg["r"],
-                                 cfg["p"], int(cfg["n"]),
+    result = isoperimetric_check(_origin_point(int(cfg["q"])), cfg["r0"],
+                                 cfg["r"], cfg["p"], int(cfg["n"]),
                                  seed=int(cfg["seed"]))
     print(f"c={result['c']:.4f} c'={result['c_prime']:.4f} "
           f"bound={result['bound']:.4f} passes={result['passes']}")

@@ -158,14 +158,14 @@ class TVProfile:
     bias_note: float
 
 
-def _walk_histograms(q, x0, r1, k_grid, n_walkers, partition, seed, workers,
-                     emit):
+def _walk_histograms(x0: QuotientPoint, r1, k_grid, n_walkers, partition,
+                     seed, workers, emit):
     """Advance every walker block one step at a time, on ``workers``
     block threads, and pass each grid step's cell counts, summed over
     blocks, to ``emit`` as soon as that step ends.  Block b draws from
     stream(seed, 2, b) in step order, so the counts do not depend on
     ``workers``.  Returns the sorted grid."""
-    ctx = modq_context(q)
+    ctx = modq_context(x0.q)
     start_sheet = ctx.coset_of(*x0.sheet.key())
     k_grid = sorted(set(int(k) for k in k_grid))
     grid = set(k_grid)
@@ -204,12 +204,10 @@ def _walk_histograms(q, x0, r1, k_grid, n_walkers, partition, seed, workers,
     return k_grid
 
 
-def _check_start(q: int, x0: QuotientPoint):
-    """The start point's certified injectivity radius (finite at every
-    level); a point off the level-q quotient, or one whose radius is below
-    R0_FLOOR, is refused."""
-    if x0.q != q:
-        raise ConfigError(f"start point lives on X_{x0.q}, not X_{q}")
+def _check_start(x0: QuotientPoint):
+    """The start point's certified injectivity radius on its own quotient
+    X_{x0.q} (finite at every level); a point whose radius is below
+    R0_FLOOR is refused."""
     inj = injectivity_radius(x0)
     if inj.value < R0_FLOOR:
         raise ConfigError(
@@ -240,11 +238,12 @@ def _check_tv_capacity(n_walkers: int, n_grid: int = 0,
             f" need {held} bytes, over the cap of {TV_STATE_CAP_BYTES}")
 
 
-def tv_profile(q: int, x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
+def tv_profile(x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
                partition: CellPartition | None = None, seed: int = 0,
                workers: int = 1, n_boot: int = 200) -> TVProfile:
     """Plug-in estimate of || walk law at step k - uniform ||_1 on the
-    level-q quotient, with a walker bootstrap CI per grid point.
+    quotient X_q that x0 lies on, with a walker bootstrap CI per grid
+    point.
 
     The walk runs on ``workers`` block threads, and the bootstrap of each
     grid point on one extra thread while the walk goes on.  Its stream
@@ -253,18 +252,18 @@ def tv_profile(q: int, x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
 
     Preconditions enforced: the walker state, and then the walker state
     with the histograms and bootstrap chunks of the partition, fit in
-    TV_STATE_CAP_BYTES; the start point and the partition are of level q;
+    TV_STATE_CAP_BYTES; the partition is of the start point's level q;
     the start point has injectivity radius at least R0_FLOOR; and no cell
     exceeds mu(X)/1000.
     """
     if n_walkers < 1 or n_boot < 1:
         raise ConfigError("need n_walkers >= 1 and n_boot >= 1")
     _check_tv_capacity(n_walkers)
-    _check_start(q, x0)
+    _check_start(x0)
     if partition is None:
-        partition = default_partition(q)
-    if partition.q != q:
-        raise ConfigError(f"partition covers X_{partition.q}, not X_{q}")
+        partition = default_partition(x0.q)
+    if partition.q != x0.q:
+        raise ConfigError(f"partition covers X_{partition.q}, not X_{x0.q}")
     k_grid = sorted(set(int(k) for k in k_grid))
     _check_tv_capacity(n_walkers, len(k_grid), partition.n_cells)
     if partition.max_cell_fraction() > 1.0 / 1000.0 + 1e-12:
@@ -296,7 +295,7 @@ def tv_profile(q: int, x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
 
     try:
         ks = _walk_histograms(
-            q, x0, r1, k_grid, n_walkers, partition, seed, workers,
+            x0, r1, k_grid, n_walkers, partition, seed, workers,
             lambda counts: futures.append(pool.submit(bootstrap, counts)))
         rows = [f.result() for f in futures]
     finally:
@@ -343,10 +342,10 @@ def cutoff_locator(times, tvs, time_scale: float, R_X: float) -> dict:
     }
 
 
-def distance_histogram(q: int, x0: QuotientPoint, n_samples: int,
-                       r_max: float, seed: int = 0,
-                       cusp_cap: float = CUSP_CAP) -> dict:
-    """Empirical law of the distance from x0 to a uniform sample.
+def distance_histogram(x0: QuotientPoint, n_samples: int, r_max: float,
+                       seed: int = 0, cusp_cap: float = CUSP_CAP) -> dict:
+    """Empirical law of the distance from x0 to a uniform sample of its
+    quotient X_q.
 
     Reports, per gamma of GAMMAS, the mass below R_X - gamma ln R_X scaled by
     R_X^gamma (the ball-volume floor needs no spectral input), the mass
@@ -355,10 +354,11 @@ def distance_histogram(q: int, x0: QuotientPoint, n_samples: int,
     """
     if n_samples < 1:
         raise ConfigError(f"need n_samples >= 1, not {n_samples}")
+    q = x0.q
     R = quotient_R(q)
     if r_max < R + 3.0 * math.log(R):
         raise ConfigError("r_max below R_X + 3 ln R_X cannot resolve the tail")
-    inj = _check_start(q, x0)
+    inj = _check_start(x0)
     rng = stream(seed, tag=4)
     (xs, ys, sheets), trunc = sample_uniform_quotient(q, cusp_cap, rng,
                                                       n_samples)
@@ -450,28 +450,32 @@ def kappa(r: float, p: float) -> float:
     return (r + 1.0) ** 2 * math.exp(-rate)
 
 
-def isoperimetric_check(q: int, center, r0: float, r: float, p: float,
+def isoperimetric_check(center: QuotientPoint, r0: float, r: float, p: float,
                         n_mc: int, seed: int = 0) -> dict:
-    """Monte-Carlo check of mu(Y_r)/mu(X) >= c / (kappa_{r,p} (1-c) + c).
+    """Monte-Carlo check of mu(Y_r)/mu(X) >= c / (kappa_{r,p} (1-c) + c)
+    on the quotient X_q that ``center`` lies on.
 
-    Y is the ball of radius r0 about the QuotientPoint ``center``, whose
-    dilated set is the exact ball of radius r0 + r.  ``p`` must be a
-    certified upper bound for the surface's integrability exponent, so at
-    least 2.  The center is checked as tv_profile checks its start, and
-    r0 above its injectivity radius is refused, so the seed ball embeds.
+    Y is the ball of radius r0 about ``center``, whose dilated set is the
+    exact ball of radius r0 + r.  ``p`` must be a certified upper bound for
+    the surface's integrability exponent, so at least 2.  The center is
+    checked as tv_profile checks its start, and r0 above its injectivity
+    radius is refused, so the seed ball embeds.  The dilation r has no cap
+    of its own: a query radius r0 + r whose enumeration passes
+    _ENUM_BOUND_CAP is refused with CapacityError.
     """
-    if not (r0 > 0.0 and 0.0 <= r <= 5.0 and p >= 2.0 and n_mc >= 1):
-        raise ConfigError(f"need r0 > 0, 0 <= r <= 5, p >= 2 and n_mc >= 1, "
+    if not (r0 > 0.0 and r >= 0.0 and p >= 2.0 and n_mc >= 1):
+        raise ConfigError(f"need r0 > 0, r >= 0, p >= 2 and n_mc >= 1, "
                           f"not {r0}, {r}, {p} and {n_mc}")
-    inj = _check_start(q, center)
+    inj = _check_start(center)
     if r0 > inj.value:
         raise ConfigError("seed ball exceeds the injectivity radius")
+    q = center.q
     vol = quotient_volume(q)
     rng = stream(seed, tag=5)
     (xs, ys, sheets), trunc = sample_uniform_quotient(
         q, ISOPERIMETRY_CUSP_CAP, rng, n_mc)
     c = ball_volume(r0) / vol
-    dists = quotient_distances_from(center, xs, ys, sheets, r0 + r + 0.5)
+    dists = quotient_distances_from(center, xs, ys, sheets, r0 + r)
     hits = dists <= r0 + r
     c_prime = float(hits.mean()) * (1.0 - trunc)
     ci = 3.0 * math.sqrt(max(c_prime * (1.0 - c_prime), 1e-12) / n_mc)

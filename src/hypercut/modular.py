@@ -73,14 +73,7 @@ class CosetModQ:
         return cls(q, 1, 0, 0, 1)
 
     def mul(self, other: "CosetModQ") -> "CosetModQ":
-        q = self.q
-        return CosetModQ(
-            q,
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return CosetModQ(self.q, *_mul(self.key(), other.key()))
 
     def key(self) -> tuple:
         return (self.a, self.b, self.c, self.d)
@@ -367,8 +360,9 @@ class PSLZEnumeration:
 
     Built by exhausting coprime first columns and the integer line of
     completions, so completeness needs no connectivity argument.  The rows
-    a of first columns are worked through in chunks of at most _ENUM_PAIRS
-    disc pairs, each keeping only the packed sort keys of its elements;
+    a of first columns are worked through in spans of whole rows, as many
+    as fit _ENUM_PAIRS disc pairs at the width of the widest row a = 0 (one
+    row at least), each keeping only the packed sort keys of its elements;
     the keys are then sorted and decoded _ENUM_BLOCK elements at a time,
     each key's 8 bytes into its own row's four int16 entries.
     """
@@ -380,8 +374,10 @@ class PSLZEnumeration:
         c_caps = np.array([math.isqrt(int(cap - a * a))
                            for a in range(math.isqrt(int(cap)) + 1)],
                           dtype=np.int64)
+        rows_per_chunk = max(1, _ENUM_PAIRS // (2 * int(c_caps[0]) + 1))
         keys = np.concatenate([_packed_keys(cap, rows.start, c_caps[rows])
-                               for rows in _row_chunks(2 * c_caps + 1)])
+                               for rows in spans(c_caps.size,
+                                                 rows_per_chunk)])
         keys.sort()
         self.size = int(keys.size)
         # row i is the bytes of key i, so decoding a block of keys before
@@ -455,18 +451,6 @@ def _check_bound(bound: float) -> None:
         raise CapacityError(
             f"enumeration bound {bound:.3f} exceeds cap {_ENUM_BOUND_CAP}"
             " (element count grows like e^bound)")
-
-
-def _row_chunks(widths: np.ndarray):
-    """Runs of consecutive rows, each at least one row and otherwise at
-    most _ENUM_PAIRS of the rows' widths in total, as slices."""
-    lo, total = 0, 0
-    for row, width in enumerate(widths.tolist()):
-        if total and total + width > _ENUM_PAIRS:
-            yield slice(lo, row)
-            lo, total = row, 0
-        total += width
-    yield slice(lo, widths.size)
 
 
 def _packed_keys(cap: float, a0: int, c_caps: np.ndarray) -> np.ndarray:

@@ -237,7 +237,7 @@ def test_criterion_08_quotient_geometry():
 
 
 def test_criterion_09_lower_tail_no_spectral_hypothesis():
-    hist = distance_histogram(5, origin(5), 10_000, 8.0, seed=909,
+    hist = distance_histogram(origin(5), 10_000, 8.0, seed=909,
                               cusp_cap=40.0)
     vol_ok = True
     worst_rel = 0.0
@@ -266,7 +266,7 @@ def test_criterion_10_cutoff_trend():
         k_lo = int(0.5 * R / (alpha * r1))
         k_hi = int(math.ceil(3.0 * R / (alpha * r1)))
         k_max = int(math.ceil(3.6 * R / (alpha * r1)))
-        prof = tv_profile(q, origin(q), r1, range(0, k_max + 1), 1_000_000,
+        prof = tv_profile(origin(q), r1, range(0, k_max + 1), 1_000_000,
                           default_partition(q), seed=1010, workers=WORKERS)
         early = prof.tv[prof.ks <= k_lo]
         late = prof.tv[prof.ks >= k_hi]
@@ -285,7 +285,7 @@ def test_criterion_10_cutoff_trend():
 
 
 def test_criterion_11_concentration():
-    hist = distance_histogram(5, origin(5), 10_000, 8.0, seed=1111,
+    hist = distance_histogram(origin(5), 10_000, 8.0, seed=1111,
                               cusp_cap=40.0)
     rep = concentration_fit(hist["distances"], hist["n_exceed"],
                             exceed_floor=8.0)

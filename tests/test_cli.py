@@ -105,6 +105,15 @@ class TestSubcommands:
         rep = strict_json((tmp_path / "isoperimetry.json").read_text())
         assert rep["passes"] or rep["inconclusive"]
 
+    def test_isoperimetry_dilation_up_to_the_enumeration_cap(self, tmp_path,
+                                                             capsys):
+        argv = ["isoperimetry", "--q", "2", "--r0", "0.5", "--n", "2000",
+                "--out", str(tmp_path)]
+        assert main(argv + ["--r", "6"]) == 0
+        assert main(argv + ["--r", "12"]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"enumeration bound 1\d\.\d+ exceeds cap 14\.5", err)
+
     def test_density_families(self, tmp_path):
         assert run(["density"], tmp_path) == 0
         body = csv_body(tmp_path / "density.csv")

@@ -207,7 +207,7 @@ class TestTvPipeline:
         partition = default_partition(2)
         for workers in (1, 2, 3):
             emitted = []
-            ks = mixing._walk_histograms(2, origin(2), 1.0, PIPELINE_KS,
+            ks = mixing._walk_histograms(origin(2), 1.0, PIPELINE_KS,
                                          PIPELINE_N, partition, 21, workers,
                                          emitted.append)
             assert ks == list(PIPELINE_KS)
@@ -215,7 +215,7 @@ class TestTvPipeline:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_bit_identical_to_reference(self, workers, reference_profile):
-        prof = tv_profile(2, origin(2), 1.0, PIPELINE_KS, PIPELINE_N,
+        prof = tv_profile(origin(2), 1.0, PIPELINE_KS, PIPELINE_N,
                           seed=21, workers=workers)
         assert list(prof.ks) == list(PIPELINE_KS)
         assert_same_profile(prof, reference_profile)
@@ -228,7 +228,7 @@ class TestTvPipeline:
 
         def run():
             try:
-                result["prof"] = tv_profile(2, origin(2), 1.0, PIPELINE_KS,
+                result["prof"] = tv_profile(origin(2), 1.0, PIPELINE_KS,
                                             PIPELINE_N, seed=21, workers=4)
             except BaseException as exc:
                 result["error"] = exc
@@ -274,7 +274,7 @@ class TestTvPipeline:
 
         monkeypatch.setattr(mixing, "stream", recording_stream)
         monkeypatch.setattr(mixing, "_walk_histograms", walk_then_emit)
-        prof = tv_profile(2, origin(2), 1.0, PIPELINE_KS, PIPELINE_N,
+        prof = tv_profile(origin(2), 1.0, PIPELINE_KS, PIPELINE_N,
                           seed=21, workers=2)
         assert len(set(threads)) == 1
         assert threading.get_ident() not in threads
@@ -289,7 +289,7 @@ class TestTvPipeline:
 
         monkeypatch.setattr(mixing, "ThreadPoolExecutor", no_threads)
         with pytest.raises(ConfigError):
-            tv_profile(2, origin(2), 1.0, [0, 1], n_walkers, n_boot=n_boot)
+            tv_profile(origin(2), 1.0, [0, 1], n_walkers, n_boot=n_boot)
 
     def test_walker_state_over_cap_refused_before_allocating(self,
                                                               monkeypatch):
@@ -300,9 +300,9 @@ class TestTvPipeline:
         monkeypatch.setattr(mixing, "ThreadPoolExecutor", no_allocation)
         n_max = mixing.TV_STATE_CAP_BYTES // mixing.TV_WALKER_BYTES
         with pytest.raises(CapacityError):
-            tv_profile(2, origin(2), 1.0, [0, 1], n_max + 1)
+            tv_profile(origin(2), 1.0, [0, 1], n_max + 1)
         with pytest.raises(AssertionError, match="capacity check"):
-            tv_profile(2, origin(2), 1.0, [0, 1], n_max)
+            tv_profile(origin(2), 1.0, [0, 1], n_max)
 
     def test_histograms_and_bootstrap_over_cap_refused_before_allocating(
             self, monkeypatch):
@@ -323,10 +323,10 @@ class TestTvPipeline:
                 >= 8 * n_cells * 2 * mixing.BOOT_ROWS)
         monkeypatch.setattr(mixing, "TV_STATE_CAP_BYTES", held - 1)
         with pytest.raises(CapacityError):
-            tv_profile(2, origin(2), 1.0, ks, n)
+            tv_profile(origin(2), 1.0, ks, n)
         monkeypatch.setattr(mixing, "TV_STATE_CAP_BYTES", held)
         with pytest.raises(AssertionError, match="capacity check"):
-            tv_profile(2, origin(2), 1.0, ks, n)
+            tv_profile(origin(2), 1.0, ks, n)
 
     def test_capacity_estimate_at_benchmark_and_cap_sizes(self):
         cap = mixing.TV_STATE_CAP_BYTES
@@ -344,7 +344,7 @@ class TestTvPipeline:
 class TestTvProfile:
     def test_initial_tv_is_point_mass_value(self):
         part = default_partition(2)
-        prof = tv_profile(2, origin(2), 1.0, [0], 5_000, part, seed=3)
+        prof = tv_profile(origin(2), 1.0, [0], 5_000, part, seed=3)
         start_cell = part.cells_of(np.array([0.0]), np.array([1.0]),
                                    np.array([modq_context(2).index[
                                        CosetModQ.identity(2).key()]]))
@@ -352,7 +352,7 @@ class TestTvProfile:
         assert prof.tv[0] == pytest.approx(2.0 * (1.0 - pi0), abs=1e-12)
 
     def test_monotone_within_ci_and_bounds(self):
-        prof = tv_profile(2, origin(2), 1.0, range(0, 9), 40_000, seed=4)
+        prof = tv_profile(origin(2), 1.0, range(0, 9), 40_000, seed=4)
         assert np.all(prof.tv <= 2.0 + 1e-12)
         assert np.all(prof.tv >= 0.0)
         for i in range(len(prof.ks) - 1):
@@ -360,9 +360,9 @@ class TestTvProfile:
                 prof.ci_hi[i + 1] - prof.ci_lo[i + 1]) + 0.02
 
     def test_deterministic_across_workers(self):
-        a = tv_profile(2, origin(2), 1.0, [0, 2, 4], 30_000, seed=9,
+        a = tv_profile(origin(2), 1.0, [0, 2, 4], 30_000, seed=9,
                        workers=1)
-        b = tv_profile(2, origin(2), 1.0, [0, 2, 4], 30_000, seed=9,
+        b = tv_profile(origin(2), 1.0, [0, 2, 4], 30_000, seed=9,
                        workers=3)
         assert np.array_equal(a.tv, b.tv)
         assert np.array_equal(a.ci_lo, b.ci_lo)
@@ -373,35 +373,33 @@ class TestTvProfile:
         # of equal equilibrium probability: same profile, same seed
         ctx = modq_context(2)
         h = ctx.elements[4]
-        a = tv_profile(2, origin(2), 1.0, [1, 3, 5], 20_000, seed=12)
+        a = tv_profile(origin(2), 1.0, [1, 3, 5], 20_000, seed=12)
         moved = QuotientPoint(PointH(0.0, 1.0),
                               h.mul(CosetModQ.identity(2)))
-        b = tv_profile(2, moved, 1.0, [1, 3, 5], 20_000, seed=12)
+        b = tv_profile(moved, 1.0, [1, 3, 5], 20_000, seed=12)
         # identical up to float reassociation: the cell sum is permuted
         np.testing.assert_allclose(a.tv, b.tv, rtol=1e-12)
 
     def test_partition_refinement_stability(self):
         coarse = CellPartition.build(2, 14, 16)
         fine = CellPartition.build(2, 28, 32)
-        a = tv_profile(2, origin(2), 1.0, [6], 60_000, coarse, seed=5)
-        b = tv_profile(2, origin(2), 1.0, [6], 60_000, fine, seed=5)
+        a = tv_profile(origin(2), 1.0, [6], 60_000, coarse, seed=5)
+        b = tv_profile(origin(2), 1.0, [6], 60_000, fine, seed=5)
         ci = (a.ci_hi[0] - a.ci_lo[0]) + (b.ci_hi[0] - b.ci_lo[0])
         assert abs(a.tv[0] - b.tv[0]) <= ci + b.bias_note
 
     def test_precondition_failures(self):
-        with pytest.raises(ConfigError):
-            tv_profile(2, origin(3), 1.0, [0], 100)
         # T^2 moves (0, 40) by acosh(1.00125) ~ 0.05, so its injectivity
         # radius ~ 0.025 lies below R0_FLOOR
         high = QuotientPoint(PointH(0.0, 40.0), CosetModQ.identity(2))
         with pytest.raises(ConfigError, match="injectivity radius"):
-            tv_profile(2, high, 1.0, [0], 100)
+            tv_profile(high, 1.0, [0], 100)
 
     def test_partition_of_another_level_refused(self):
         # a level-5 partition at level 2 read tv 1.80 at k = 30, where the
         # level-2 partition gives 0.24
         with pytest.raises(ConfigError, match="partition covers X_5"):
-            tv_profile(2, origin(2), 1.0, [0], 100, default_partition(5))
+            tv_profile(origin(2), 1.0, [0], 100, default_partition(5))
 
 
 class TestCutoffLocator:
@@ -440,16 +438,12 @@ class TestCutoffLocator:
 class TestDistanceHistogram:
     def test_requires_spanning_r_max(self):
         with pytest.raises(ConfigError):
-            distance_histogram(5, origin(5), 100, 3.0)
-
-    def test_start_of_another_level_refused(self):
-        with pytest.raises(ConfigError, match="lives on X_5, not X_3"):
-            distance_histogram(3, origin(5), 100, 8.0)
+            distance_histogram(origin(5), 100, 3.0)
 
     def test_small_radius_matches_ball_volume(self):
         # valid while the ball embeds: at the level-5 origin the
         # injectivity radius is ~1.65, so compare on r <= 1.6
-        hist = distance_histogram(5, origin(5), 20_000, 8.0, seed=6)
+        hist = distance_histogram(origin(5), 20_000, 8.0, seed=6)
         assert hist["injectivity_radius"] > 1.6
         for row in hist["volume_comparison"]:
             if row["ball_fraction"] >= 2e-2 and row["r"] <= 1.6:
@@ -458,7 +452,7 @@ class TestDistanceHistogram:
 
     def test_gamma_zero_trivial_bound(self, monkeypatch):
         monkeypatch.setattr(mixing, "GAMMAS", (1e-9,))
-        hist = distance_histogram(2, origin(2), 5_000, 8.0, seed=7)
+        hist = distance_histogram(origin(2), 5_000, 8.0, seed=7)
         frac = list(hist["lower_tail"].values())[0]["fraction"]
         assert frac <= ball_volume(quotient_R(2)) / quotient_volume(2) + 0.05
 
@@ -508,7 +502,7 @@ class TestIsoperimetry:
     def test_two_ball_oracle(self):
         # Y = ball(r0): the dilation is the exact ball of radius r0 + r,
         # so c'/c must match the analytic volume ratio
-        rep = isoperimetric_check(5, origin(5), 0.7, 0.6, 4.0, 60_000,
+        rep = isoperimetric_check(origin(5), 0.7, 0.6, 4.0, 60_000,
                                   seed=10)
         expected = ball_volume(1.3) / ball_volume(0.7)
         assert rep["c_prime"] / rep["c"] == pytest.approx(expected, rel=0.05)
@@ -516,31 +510,41 @@ class TestIsoperimetry:
 
     def test_ball_exceeding_injectivity_refused(self):
         with pytest.raises(ConfigError):
-            isoperimetric_check(5, origin(5), 2.5, 0.5, 4.0, 100)
+            isoperimetric_check(origin(5), 2.5, 0.5, 4.0, 100)
 
     def test_seed_ball_refused_at_every_level(self):
         # at level 8 the radius at i is asinh(4) = 2.09, found only by a
         # search reaching 2 asinh(4) = 4.19
         with pytest.raises(ConfigError, match="seed ball exceeds"):
-            isoperimetric_check(8, origin(8), 3.0, 0.5, 4.0, 100)
+            isoperimetric_check(origin(8), 3.0, 0.5, 4.0, 100)
 
     def test_dilation_past_distance_8_counts_its_hits(self):
         # r0 + r = 8.0 against 8.1: the samples between are hits too
-        lo, hi = (isoperimetric_check(23, origin(23), 3.1, r, 4.0, 2000,
+        lo, hi = (isoperimetric_check(origin(23), 3.1, r, 4.0, 2000,
                                       seed=3)["c_prime"] for r in (4.9, 5.0))
         assert hi > lo
 
+    def test_dilation_past_5_runs(self):
+        # r0 + r = 6.5: the enumeration cap, not a fixed bound on r, limits
+        # the dilation
+        rep = isoperimetric_check(origin(2), 0.5, 6.0, 4.0, 500)
+        assert 0.0 < rep["c"] <= rep["c_prime"] <= 1.0
+
+    def test_dilation_past_the_enumeration_cap_refused(self):
+        # r0 + r = 12.5 plus the farthest sample's distance to i needs a
+        # bound past the 14.5 cap
+        with pytest.raises(CapacityError, match="exceeds cap 14.5"):
+            isoperimetric_check(origin(2), 0.5, 12.0, 4.0, 500)
+
     def test_center_of_another_level_refused(self):
-        with pytest.raises(ConfigError, match="lives on X_5, not X_3"):
-            isoperimetric_check(3, origin(5), 0.7, 0.6, 4.0, 100)
-        # the start check of tv_profile holds for the center too
+        # the start check of tv_profile holds for the center
         high = QuotientPoint(PointH(0.0, 40.0), CosetModQ.identity(2))
         with pytest.raises(ConfigError, match="injectivity radius"):
-            isoperimetric_check(2, high, 0.01, 0.6, 4.0, 100)
+            isoperimetric_check(high, 0.01, 0.6, 4.0, 100)
 
     @pytest.mark.parametrize("r0, r, p, n_mc", [
         (0.0, 1.0, 4.0, 100), (0.8, -1.0, 4.0, 100), (0.8, 1.0, 1.5, 100),
         (0.8, 1.0, 4.0, 0)])
     def test_out_of_range_inputs_refused(self, r0, r, p, n_mc):
         with pytest.raises(ConfigError):
-            isoperimetric_check(5, origin(5), r0, r, p, n_mc)
+            isoperimetric_check(origin(5), r0, r, p, n_mc)

@@ -379,3 +379,20 @@ def test_tile_rule_lives_in_quadrature():
                 and rule & (_names_used(tree) | imported):
             readers.append(path.name)
     assert readers == [], f"tile rule read outside quadrature: {readers}"
+
+
+def test_level_comes_from_the_point():
+    """No package function or method takes a parameter named q beside one
+    annotated QuotientPoint: the point carries its level, so a second copy
+    of it could only disagree."""
+    both = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            if "q" in {a.arg for a in params} and any(
+                    "QuotientPoint" in ast.unparse(a.annotation)
+                    for a in params if a.annotation is not None):
+                both.append(f"{path.stem}.{fn.name}")
+    assert both == [], f"take both q and a QuotientPoint: {both}"
