@@ -86,18 +86,8 @@ def _write_csv(path: str, meta: dict, header: list[str], rows) -> None:
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonify)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _jsonify(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
 def _workers(args) -> int:
@@ -268,8 +258,15 @@ def _density(cfg, args) -> dict:
     if cfg["budget_files"]:
         budgets = []
         for path in str(cfg["budget_files"]).split(","):
-            with open(path) as fh:
-                budgets.append(EigenvalueBudget.from_json(fh.read()))
+            try:
+                with open(path) as fh:
+                    budgets.append(EigenvalueBudget.from_json(fh.read()))
+            except OSError as exc:
+                raise ConfigError(f"cannot read budget file {path!r}: "
+                                  f"{exc.strerror}") from exc
+            except (KeyError, TypeError) as exc:
+                raise ConfigError(f'budget file {path!r} is not {{"N", '
+                                  f'"entries": [...]}}: {exc}') from exc
     else:
         ns = [int(v) for v in str(cfg["n_values"]).split(",")]
         makers = {"density": synthetic_density_budget,
@@ -310,8 +307,9 @@ def _torus(cfg, args) -> dict:
 
 def _cover(cfg, args) -> dict:
     cover = random_cover(int(cfg["n"]), stream(int(cfg["seed"]), tag=6))
-    payload = {"n": cover.n, "sigma_A": cover.sigma_a,
-               "sigma_B": cover.sigma_b, "transitive": cover.is_transitive()}
+    payload = {"n": cover.n, "sigma_A": cover.sigma_a.tolist(),
+               "sigma_B": cover.sigma_b.tolist(),
+               "transitive": cover.is_transitive()}
     print(f"n={cfg['n']} transitive={payload['transitive']}")
     return {"cover.json": payload}
 

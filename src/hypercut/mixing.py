@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, ResolutionError
 from .geometry import ball_volume, sphere_step_arrays
-from .modular import (MODULAR_AREA, U_TOP, QuotientPoint,
-                      injectivity_radius, modq_context,
+from .modular import (MODULAR_AREA, U_TOP, QuotientPoint, check_cusp_cap,
+                      check_sampled_bound, injectivity_radius, modq_context,
                       quotient_distances_from, quotient_R, quotient_volume,
                       reduce_points_arrays, sample_uniform_quotient)
 from .quadrature import map_blocks, spans
@@ -103,8 +103,7 @@ class CellPartition:
     @classmethod
     def build(cls, q: int, nx: int, nu: int,
               cusp_cap: float = CUSP_CAP) -> "CellPartition":
-        if cusp_cap < 2.0:
-            raise ConfigError("cusp cap must be >= 2")
+        check_cusp_cap(cusp_cap)
         x_edges = np.linspace(-0.5, 0.5, nx + 1)
         u_edges = np.concatenate([
             np.linspace(0.0, 1.0 / cusp_cap, CUSP_ROWS + 1),
@@ -166,7 +165,7 @@ def _walk_histograms(x0: QuotientPoint, r1, k_grid, n_walkers, partition,
     stream(seed, 2, b) in step order, so the counts do not depend on
     ``workers``.  Returns the sorted grid."""
     ctx = modq_context(x0.q)
-    start_sheet = ctx.coset_of(*x0.sheet.key())
+    start_sheet = int(ctx.labels(*x0.sheet.key()))
     k_grid = sorted(set(int(k) for k in k_grid))
     grid = set(k_grid)
     n_cells = partition.n_cells
@@ -359,6 +358,7 @@ def distance_histogram(x0: QuotientPoint, n_samples: int, r_max: float,
     if r_max < R + 3.0 * math.log(R):
         raise ConfigError("r_max below R_X + 3 ln R_X cannot resolve the tail")
     inj = _check_start(x0)
+    check_sampled_bound(x0, r_max, cusp_cap)
     rng = stream(seed, tag=4)
     (xs, ys, sheets), trunc = sample_uniform_quotient(q, cusp_cap, rng,
                                                       n_samples)
@@ -460,8 +460,8 @@ def isoperimetric_check(center: QuotientPoint, r0: float, r: float, p: float,
     the surface's integrability exponent, so at least 2.  The center is
     checked as tv_profile checks its start, and r0 above its injectivity
     radius is refused, so the seed ball embeds.  The dilation r has no cap
-    of its own: a query radius r0 + r whose enumeration passes
-    _ENUM_BOUND_CAP is refused with CapacityError.
+    of its own: a query radius r0 + r that check_sampled_bound refuses is
+    refused with CapacityError before any sample is drawn.
     """
     if not (r0 > 0.0 and r >= 0.0 and p >= 2.0 and n_mc >= 1):
         raise ConfigError(f"need r0 > 0, r >= 0, p >= 2 and n_mc >= 1, "
@@ -469,6 +469,7 @@ def isoperimetric_check(center: QuotientPoint, r0: float, r: float, p: float,
     inj = _check_start(center)
     if r0 > inj.value:
         raise ConfigError("seed ball exceeds the injectivity radius")
+    check_sampled_bound(center, r0 + r, ISOPERIMETRY_CUSP_CAP)
     q = center.q
     vol = quotient_volume(q)
     rng = stream(seed, tag=5)

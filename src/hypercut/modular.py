@@ -176,6 +176,8 @@ class ModQContext:
         self.q = q
         self.codes = self._enumerate(q)
         self.size = int(self.codes.size)
+        if self.size != psl2q_order(q):
+            raise AssertionError("enumeration disagrees with the closed form")
         self._t_pow = None
         self._s_right = None
 
@@ -218,9 +220,6 @@ class ModQContext:
     def index(self) -> dict:
         return {e.key(): i for i, e in enumerate(self.elements)}
 
-    def coset_of(self, a: int, b: int, c: int, d: int) -> int:
-        return int(self.labels(a, b, c, d))
-
     def _right_mul_table(self, g) -> np.ndarray:
         return self.labels(*_mul(self.rows(), g))
 
@@ -247,15 +246,6 @@ class ModQContext:
 @lru_cache(maxsize=16)
 def modq_context(q: int) -> ModQContext:
     return ModQContext(q)
-
-
-def coset_index(q: int):
-    """(order, element list) of the level-q cover group; the enumeration is
-    exhaustive and must match the closed form."""
-    ctx = modq_context(q)
-    if ctx.size != psl2q_order(q):
-        raise AssertionError("enumeration disagrees with the closed form")
-    return ctx.size, tuple(ctx.elements)
 
 
 def quotient_volume(q: int) -> float:
@@ -625,26 +615,37 @@ def injectivity_radius(p: QuotientPoint) -> InjectivityRadius:
     enum = get_enumeration(2.0 * math.asinh(q / (2.0 * z.y))
                            + 2.0 * distance(ORIGIN, z) + _PRUNE_SLACK)
     ctx = modq_context(q)
-    g = enum.entries[enum.members_of(q, ctx.coset_of(1, 0, 0, 1))]
+    g = enum.entries[enum.members_of(q, int(ctx.labels(1, 0, 0, 1)))]
     dists = np.arccosh(1.0 + _qarg(*g.T.astype(float), z.x, z.y, z.x, z.y))
     fixing = dists < 1e-9
     return InjectivityRadius(float(dists[~fixing].min()) / 2.0,
                              int(np.count_nonzero(fixing)))
 
 
-CUSP_TAIL_OVER = 1.0  # mu{y > Y} inside the domain strip is exactly 1/Y
-
-
 def truncated_domain_fraction(cusp_cap: float) -> float:
-    """Fraction of the base-domain area above the cusp cap: (1/Y)/(pi/3)."""
-    return (CUSP_TAIL_OVER / cusp_cap) / MODULAR_AREA
+    """Fraction of the base-domain area above the cusp cap: (1/Y)/(pi/3),
+    since mu{y > Y} inside the domain strip is exactly 1/Y."""
+    return (1.0 / cusp_cap) / MODULAR_AREA
+
+
+def check_cusp_cap(cusp_cap: float) -> None:
+    if not cusp_cap >= 2.0:
+        raise ConfigError("cusp cap must be >= 2")
+
+
+def check_sampled_bound(p0: QuotientPoint, r_max: float,
+                        cusp_cap: float) -> None:
+    """Refuse, before anything is drawn, a bound r_max + d(i, p0) + d(i, c)
+    past the cap: c = 1/2 + Y i is the domain point below Y farthest from i."""
+    check_cusp_cap(cusp_cap)
+    corner = math.acosh(1.0 + cosh_distance_minus_1(0.0, 1.0, 0.5, cusp_cap))
+    _check_bound(r_max + distance(ORIGIN, p0.base) + corner)
 
 
 def sample_base_domain(n: int, cusp_cap: float, rng):
     """Uniform mu-samples of the fundamental domain truncated at y <= Y,
     by rejection in the (x, 1/y) strip where mu is Lebesgue."""
-    if cusp_cap < 2.0:
-        raise ValueError("cusp cap must be >= 2")
+    check_cusp_cap(cusp_cap)
     u_lo = 1.0 / cusp_cap
     xs = np.empty(n)
     us = np.empty(n)

@@ -1,5 +1,5 @@
-"""Discretized measures over a step radius r, shared by the spectral and
-flat-torus machinery.
+"""Discretized measures over a step radius r, used by the spectral
+machinery.
 
 A RadialMeasure stores per-cell masses on a uniform grid; densities are
 masses divided by cell width.  The law-of-cosines kernel

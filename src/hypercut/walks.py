@@ -1,5 +1,5 @@
 """The sampler for the fixed-step-length walk on the half-plane, with the
-log-height CLT, Hoeffding, horizontal-coordinate, and distance tail checks.
+log-height CLT check and the log-height, x^2 and distance tail checks.
 
 Randomness policy.  Every consumer derives streams from a 64-bit master
 seed by the documented rule
@@ -13,7 +13,7 @@ count and any block scheduling order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,11 +35,8 @@ LAMBDA_GRID = np.linspace(0.25, 3.0, 12)
 
 def stream(seed: int, tag: int, block: int = 0) -> np.random.Generator:
     """The package-wide seed-splitting rule (see module docstring)."""
-    bg = np.random.Philox(key=np.array([seed & (2 ** 64 - 1), tag],
-                                       dtype=np.uint64))
-    if block:
-        bg = bg.jumped(block)
-    return np.random.Generator(bg)
+    key = np.array([seed & (2 ** 64 - 1), tag], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key).jumped(block))
 
 
 @dataclass(frozen=True)
@@ -70,8 +67,8 @@ class WalkStats:
     final_lny: np.ndarray
     final_x: np.ndarray
     final_dist: np.ndarray
-    dist_quantiles: dict = field(default_factory=dict)
-    paths: np.ndarray | None = None
+    dist_quantiles: dict
+    paths: np.ndarray
 
 
 def _distances_log(x, lny):
@@ -108,7 +105,7 @@ def walk_discrete(config: WalkConfig, workers: int = 1,
         m = walkers.stop - walkers.start
         x = np.zeros(m)
         lny = np.zeros(m)
-        sums = np.zeros((max(k, 1), 4))
+        sums = np.zeros((k, 4))
         d = np.zeros(m)
         n_kept = paths if b == 0 else 0
         kept = np.empty((k + 1, 2, n_kept))
@@ -131,8 +128,6 @@ def walk_discrete(config: WalkConfig, workers: int = 1,
     var_lny = sums[:, 1] / n - mean_lny ** 2
     mean_dist = sums[:, 2] / n
     var_dist = sums[:, 3] / n - mean_dist ** 2
-    if k == 0:
-        mean_lny = var_lny = mean_dist = var_dist = np.zeros(0)
     qs = (0.1, 0.25, 0.5, 0.75, 0.9)
     quantiles = dict(zip(qs, np.quantile(final_dist, qs))) if k else {}
     return WalkStats(config, mean_lny, var_lny, mean_dist, var_dist,

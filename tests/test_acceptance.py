@@ -17,8 +17,8 @@ from hypercut.geometry import PointH
 from hypercut.mixing import (concentration_fit, cutoff_locator,
                              default_partition, distance_histogram,
                              tv_profile)
-from hypercut.modular import (CosetModQ, QuotientPoint, coset_index,
-                              get_enumeration, psl2q_order, quotient_R,
+from hypercut.modular import (CosetModQ, QuotientPoint, get_enumeration,
+                              modq_context, psl2q_order, quotient_R,
                               quotient_distance_pairs,
                               sample_uniform_quotient)
 from hypercut.spectral import (clt_constants, complementary_lower_envelope,
@@ -194,7 +194,7 @@ def test_criterion_07_flat_torus_exact():
 
 
 def test_criterion_08_quotient_geometry():
-    closed_ok = all(coset_index(q)[0] == psl2q_order(q)
+    closed_ok = all(modq_context(q).size == psl2q_order(q)
                     for q in (2, 3, 4, 5, 6, 7))
     get_enumeration(12.7)  # shared table for the triple tests
     worst_sym = 0.0
@@ -218,10 +218,8 @@ def test_criterion_08_quotient_geometry():
         worst_tri = max(worst_tri, float(
             np.max((d_ac - d_ab - d_bc)[tri])))
         # deck transformations: left sheet translation preserves distances
-        ctx_elements = coset_index(q)[1]
-        h = ctx_elements[min(3, len(ctx_elements) - 1)]
-        from hypercut.modular import modq_context
         ctx = modq_context(q)
+        h = ctx.elements[min(3, len(ctx.elements) - 1)]
         mul = {i: ctx.index[h.mul(e).key()]
                for i, e in enumerate(ctx.elements)}
         moved1 = np.array([mul[int(i)] for i in sheets[a]])

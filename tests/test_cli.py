@@ -11,6 +11,7 @@ import pytest
 import hypercut
 from hypercut import mixing
 from hypercut.cli import _COMMANDS, main
+from hypercut.covers import synthetic_density_budget
 from hypercut.errors import ConfigError
 from hypercut.geometry import log_sphere_step_arrays
 from hypercut.walks import BLOCK, WalkConfig, stream, walk_discrete
@@ -60,6 +61,12 @@ class TestSubcommands:
         assert payload["config"]["k"] == 8
         assert "tail_checks" not in payload
         assert len(csv_body(tmp_path / "walk_steps.csv")) == 9
+
+    def test_walk_zero_steps(self, tmp_path):
+        assert run(["walk", "--k", "0", "--n", "100", "--workers", "1"],
+                   tmp_path) == 0
+        assert csv_body(tmp_path / "walk_steps.csv") == [
+            "step,mean_lny,var_lny,mean_dist,var_dist\n"]
 
     def test_walk_tail_checks(self, tmp_path):
         assert run(["walk", "--r1", "1.0", "--k", "8", "--n", "2000",
@@ -114,11 +121,40 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert re.search(r"enumeration bound 1\d\.\d+ exceeds cap 14\.5", err)
 
+    def test_isoperimetry_refusal_does_not_depend_on_the_sample(
+            self, tmp_path, capsys):
+        errors = []
+        for n in ("500", "2000"):
+            assert main(["isoperimetry", "--q", "2", "--r0", "0.5", "--r",
+                         "12", "--n", n, "--out", str(tmp_path)]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "enumeration bound 15.901 exceeds cap 14.5" in errors[0]
+        assert list(tmp_path.iterdir()) == []
+
     def test_density_families(self, tmp_path):
         assert run(["density"], tmp_path) == 0
         body = csv_body(tmp_path / "density.csv")
         assert body[0].strip() == "N_q,req0,req_integral,req_limit"
         assert len(body) == 5
+
+    def test_density_budget_files_match_the_synthetic_family(self, tmp_path):
+        # one labelled file per default cover degree reproduces the
+        # default run's body byte for byte
+        ns = _COMMANDS["density"][1]["n_values"][1].split(",")
+        paths = []
+        for n in ns:
+            budget = synthetic_density_budget(int(n))
+            path = tmp_path / f"budget_{n}.json"
+            path.write_text(json.dumps({
+                "label": f"synthetic {n}", "N": budget.n_cover,
+                "entries": [{"p": p, "m": m} for p, m in budget.entries]}))
+            paths.append(str(path))
+        assert run(["density"], tmp_path / "default") == 0
+        assert run(["density", "--budget-files", ",".join(paths)],
+                   tmp_path / "files") == 0
+        assert csv_body(tmp_path / "files" / "density.csv") == \
+            csv_body(tmp_path / "default" / "density.csv")
 
     def test_torus_row_and_profile(self, tmp_path):
         assert run(["torus", "--lam", "1.0", "--t", "5.0", "--no-cutoff",
@@ -257,13 +293,30 @@ class TestExitCodes:
                 case
 
     @pytest.mark.parametrize("argv,code", [
-        (["density", "--family", "foo"], 2), (["torus", "--t", "40"], 4)])
+        (["density", "--family", "foo"], 2), (["torus", "--t", "40"], 4),
+        (["tv", "--q", "2", "--cusp-cap", "nan", "--k-max", "1"], 2)])
     def test_refused_inputs_print_one_line(self, tmp_path, capsys, argv,
                                            code):
         assert main(argv + ["--out", str(tmp_path)]) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text,reason", [
+        (None, "cannot read budget file"),
+        ('{"N": 10}', "'entries'"),
+        ('{"entries": [{"p": 3.0, "m": 1}]}', "'N'")])
+    def test_bad_budget_file_is_config_error(self, tmp_path, capsys, text,
+                                             reason):
+        budget, out = tmp_path / "budget.json", tmp_path / "out"
+        if text is not None:
+            budget.write_text(text)
+        assert main(["density", "--budget-files", str(budget),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and reason in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_tv_walker_state_over_cap_is_capacity_error(self, tmp_path):
         assert main(["tv", "--q", "2", "--k-max", "2", "--n", "50000000",

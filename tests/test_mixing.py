@@ -536,6 +536,18 @@ class TestIsoperimetry:
         with pytest.raises(CapacityError, match="exceeds cap 14.5"):
             isoperimetric_check(origin(2), 0.5, 12.0, 4.0, 500)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_over_cap_refused_before_sampling(self, monkeypatch, seed):
+        # r0 + r = 11.12 plus d(i, 1/2 + 30i) = 3.40 passes the cap; the
+        # refusal comes from the cusp cap, so no seed's sample can pass it
+        def never(*args):
+            raise AssertionError("sampled before the bound was checked")
+        monkeypatch.setattr(mixing, "sample_uniform_quotient", never)
+        with pytest.raises(CapacityError, match="bound 14.521 exceeds"):
+            isoperimetric_check(origin(2), 0.5, 10.62, 4.0, 2000, seed=seed)
+        with pytest.raises(CapacityError, match="exceeds cap 14.5"):
+            distance_histogram(origin(2), 2000, 12.3, seed=seed)
+
     def test_center_of_another_level_refused(self):
         # the start check of tv_profile holds for the center
         high = QuotientPoint(PointH(0.0, 40.0), CosetModQ.identity(2))

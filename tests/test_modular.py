@@ -13,8 +13,8 @@ from scipy import stats as sstats
 from hypercut import modular
 from hypercut.errors import CapacityError, ConfigError, DegeneracyError
 from hypercut.geometry import PointH, distance, sphere_step_arrays
-from hypercut.modular import (CosetModQ, QuotientPoint, RandomCover,
-                              coset_index, PSLZEnumeration, get_enumeration,
+from hypercut.modular import (CosetModQ, ModQContext, QuotientPoint,
+                              RandomCover, PSLZEnumeration, get_enumeration,
                               injectivity_radius, in_fundamental_domain,
                               modq_context, psl2q_order, quotient_R,
                               quotient_distance, quotient_distance_pairs,
@@ -91,7 +91,7 @@ class TestCosetModQ:
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_group_axioms_exhaustive(self, q):
-        _, elements = coset_index(q)
+        elements = modq_context(q).elements
         keys = {e.key() for e in elements}
         for a in elements:
             inv = CosetModQ(q, a.d, -a.b, -a.c, a.a)
@@ -112,19 +112,27 @@ class TestCosetModQ:
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7])
     def test_enumeration_matches_closed_form(self, q):
-        n, elements = coset_index(q)
-        assert n == psl2q_order(q)
-        assert len({e.key() for e in elements}) == n
+        ctx = modq_context(q)
+        assert ctx.size == psl2q_order(q)
+        assert len({e.key() for e in ctx.elements}) == ctx.size
 
     def test_q2_by_raw_count(self):
         # independent brute force over all 2x2 matrices mod 2
         count = sum(1 for a, b, c, d in itertools.product(range(2), repeat=4)
                     if (a * d - b * c) % 2 == 1)
-        assert count == coset_index(2)[0]
+        assert count == modq_context(2).size
 
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
-            coset_index(102)
+            modq_context(102)
+
+    def test_order_checked_at_construction(self, monkeypatch):
+        # every context certifies its order, not only the ones a test
+        # compares with the closed form
+        closed = modular.psl2q_order
+        monkeypatch.setattr(modular, "psl2q_order", lambda q: closed(q) + 1)
+        with pytest.raises(AssertionError, match="closed form"):
+            ModQContext(5)
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 7])
     def test_elements_match_brute_force(self, q):
@@ -144,7 +152,7 @@ class TestCosetModQ:
                              for g in rows])
         assert np.array_equal(enum.coset_labels(q), expected)
         for i in range(0, len(rows), 97):
-            assert ctx.coset_of(*rows[i]) == expected[i]
+            assert int(ctx.labels(*rows[i])) == expected[i]
         for cid in range(ctx.size):
             members = enum.members_of(q, cid)
             assert np.array_equal(np.sort(members),
@@ -153,7 +161,7 @@ class TestCosetModQ:
 
     def test_labels_reject_determinant_off_one(self):
         with pytest.raises(ValueError):
-            modq_context(5).coset_of(1, 0, 0, 2)
+            modq_context(5).labels(1, 0, 0, 2)
 
 
 def brute_force_reduce(z: PointH, depth: int = 40):

@@ -396,3 +396,22 @@ def test_level_comes_from_the_point():
                     for a in params if a.annotation is not None):
                 both.append(f"{path.stem}.{fn.name}")
     assert both == [], f"take both q and a QuotientPoint: {both}"
+
+
+def test_each_stream_tag_has_one_call_site():
+    """Every walks.stream call in the package passes its tag as a literal
+    keyword, and no two call sites share one: two experiments that shared a
+    tag would draw the same numbers for one seed."""
+    sites = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) \
+                    and getattr(node.func, "id", None) == "stream":
+                tags = [k.value for k in node.keywords if k.arg == "tag"]
+                assert len(tags) == 1 and isinstance(tags[0], ast.Constant), \
+                    f"{path.name}:{node.lineno} passes no literal tag="
+                sites.setdefault(tags[0].value, []).append(
+                    f"{path.stem}:{node.lineno}")
+    shared = {tag: where for tag, where in sites.items() if len(where) > 1}
+    assert shared == {}, f"stream tags used at more than one site: {shared}"
+    assert sorted(sites) == [1, 2, 3, 4, 5, 6]

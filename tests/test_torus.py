@@ -166,6 +166,15 @@ class TestMixingTime:
             slack = math.log(math.sqrt(2.0 / -math.expm1(-2.0 * t)))
             assert T <= t <= T + slack + 1e-9
 
+    @pytest.mark.parametrize("T", [-0.69, 0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0,
+                                   12.0, 16.0, 20.0, 25.0, 30.0])
+    def test_upper_bracket_end_is_past_the_root(self, T):
+        # mixing_time searches [.., ln(1/eps) + 2] without widening it:
+        # there the sandwich puts l1 below 0.2 eps
+        eps = math.exp(-T)
+        cfg = TorusConfig(1.0, math.log(1.0 / eps) + 2.0)
+        assert torus_l1(cfg, via_quadrature=False) <= 0.2 * eps
+
     def test_doubling_lambda_doubles_time(self):
         t1 = mixing_time(1.0, math.exp(-1.5))
         t2 = mixing_time(2.0, math.exp(-1.5))

@@ -39,6 +39,10 @@ class TestWalkDiscrete:
         stats = walk_discrete(WalkConfig(1.0, 0, 100, 3))
         assert np.all(stats.final_dist == 0.0)
         assert stats.final_lny == pytest.approx(0.0)
+        for per_step in (stats.mean_lny, stats.var_lny, stats.mean_dist,
+                         stats.var_dist):
+            assert per_step.shape == (0,)
+        assert stats.dist_quantiles == {}
 
     def test_seed_determinism_bitwise(self):
         cfg = WalkConfig(0.7, 25, 40_000, 123)
