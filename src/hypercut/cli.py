@@ -46,6 +46,7 @@ _ACCEPTS = {int: int, float: (int, float), bool: bool, str: str}
 
 
 def _resolve(options: dict, args: argparse.Namespace) -> dict:
+    """Defaults < config file < flags; each value has its declared type."""
     cfg = {key: default for key, (_, default, _) in options.items()}
     if getattr(args, "config", None):
         try:
@@ -134,7 +135,7 @@ def _spherical(cfg, args) -> dict:
 
 
 def _mixture(cfg, args) -> dict:
-    m = radial_mixture(int(cfg["k"]), cfg["r1"], workers=_workers(args))
+    m = radial_mixture(cfg["k"], cfg["r1"], workers=_workers(args))
     print(f"k={cfg['k']} r1={cfg['r1']} mass={m.total_mass():.9f}")
     return {"mixture.csv": (["r", "density"],
                             zip(map(float, m.grid.centers),
@@ -152,9 +153,9 @@ def _heat(cfg, args) -> dict:
 
 
 def _walk(cfg, args) -> dict:
-    wcfg = WalkConfig(r1=cfg["r1"], k=int(cfg["k"]), n_walkers=int(cfg["n"]),
-                      seed=int(cfg["seed"]))
-    n_dump = min(int(cfg["trajectories"]), 512, wcfg.n_walkers)
+    wcfg = WalkConfig(r1=cfg["r1"], k=cfg["k"], n_walkers=cfg["n"],
+                      seed=cfg["seed"])
+    n_dump = min(cfg["trajectories"], 512, wcfg.n_walkers)
     stats = walk_discrete(wcfg, workers=_workers(args), paths=n_dump)
     report = {
         "config": {"r1": wcfg.r1, "k": wcfg.k, "n": wcfg.n_walkers,
@@ -189,17 +190,17 @@ def _tv(cfg, args) -> dict:
     k_max = cfg["k_max"]
     if k_max is not None and k_max < 0:
         raise ConfigError(f"need k_max >= 0, not {k_max}")
-    q = int(cfg["q"])
+    q = cfg["q"]
     consts = clt_constants(cfg["r1"])
     R = quotient_R(q)
     if k_max is None:
-        k_max = int(math.ceil(3.2 * R / (consts.alpha * cfg["r1"])))
-    cfg["k_max"] = int(k_max)
+        k_max = math.ceil(3.2 * R / (consts.alpha * cfg["r1"]))
+    cfg["k_max"] = k_max
     profile = tv_profile(_origin_point(q), cfg["r1"],
-                         range(0, int(k_max) + 1), int(cfg["n"]),
+                         range(0, k_max + 1), cfg["n"],
                          default_partition(q, cfg["cusp_cap"]),
-                         seed=int(cfg["seed"]), workers=_workers(args),
-                         n_boot=int(cfg["n_boot"]))
+                         seed=cfg["seed"], workers=_workers(args),
+                         n_boot=cfg["n_boot"])
     report = {"q": q, "R_X": R, "alpha": consts.alpha,
               "n_cells": profile.n_cells, "starved_cells": profile.starved_cells,
               "bias_note": profile.bias_note}
@@ -218,14 +219,14 @@ def _tv(cfg, args) -> dict:
 
 def _histogram(cfg) -> dict:
     """The distance sample that distances and concentration both report."""
-    return distance_histogram(_origin_point(int(cfg["q"])), int(cfg["n"]),
-                              cfg["r_max"], seed=int(cfg["seed"]),
+    return distance_histogram(_origin_point(cfg["q"]), cfg["n"],
+                              cfg["r_max"], seed=cfg["seed"],
                               cusp_cap=cfg["cusp_cap"])
 
 
 def _distances(cfg, args) -> dict:
     hist = _histogram(cfg)
-    print(f"q={int(cfg['q'])} R_X={hist['R_X']:.4f} "
+    print(f"q={cfg['q']} R_X={hist['R_X']:.4f} "
           f"overflow={hist['n_exceed']}")
     return {"distances.csv": (["d"], ((float(d),)
                                       for d in np.sort(hist["distances"]))),
@@ -234,7 +235,7 @@ def _distances(cfg, args) -> dict:
 
 
 def _concentration(cfg, args) -> dict:
-    q = int(cfg["q"])
+    q = cfg["q"]
     hist = _histogram(cfg)
     rep = concentration_fit(hist["distances"], hist["n_exceed"],
                             exceed_floor=cfg["r_max"])
@@ -246,9 +247,9 @@ def _concentration(cfg, args) -> dict:
 
 
 def _isoperimetry(cfg, args) -> dict:
-    result = isoperimetric_check(_origin_point(int(cfg["q"])), cfg["r0"],
-                                 cfg["r"], cfg["p"], int(cfg["n"]),
-                                 seed=int(cfg["seed"]))
+    result = isoperimetric_check(_origin_point(cfg["q"]), cfg["r0"],
+                                 cfg["r"], cfg["p"], cfg["n"],
+                                 seed=cfg["seed"])
     print(f"c={result['c']:.4f} c'={result['c_prime']:.4f} "
           f"bound={result['bound']:.4f} passes={result['passes']}")
     return {"isoperimetry.json": result}
@@ -257,7 +258,7 @@ def _isoperimetry(cfg, args) -> dict:
 def _density(cfg, args) -> dict:
     if cfg["budget_files"]:
         budgets = []
-        for path in str(cfg["budget_files"]).split(","):
+        for path in cfg["budget_files"].split(","):
             try:
                 with open(path) as fh:
                     budgets.append(EigenvalueBudget.from_json(fh.read()))
@@ -268,7 +269,7 @@ def _density(cfg, args) -> dict:
                 raise ConfigError(f'budget file {path!r} is not {{"N", '
                                   f'"entries": [...]}}: {exc}') from exc
     else:
-        ns = [int(v) for v in str(cfg["n_values"]).split(",")]
+        ns = [int(v) for v in cfg["n_values"].split(",")]
         makers = {"density": synthetic_density_budget,
                   "uniform": uniform_budget}
         if cfg["family"] not in makers:
@@ -286,7 +287,7 @@ def _density(cfg, args) -> dict:
 
 def _torus(cfg, args) -> dict:
     rows = []
-    ts = ([float(v) for v in str(cfg["t_grid"]).split(",")]
+    ts = ([float(v) for v in cfg["t_grid"].split(",")]
           if cfg["t_grid"] else [cfg["t"]])
     for t in ts:
         tc = TorusConfig(cfg["lam"], t)
@@ -294,7 +295,7 @@ def _torus(cfg, args) -> dict:
         rows.append((cfg["lam"], t, torus_l1(tc), lo, hi))
     artifacts = {"torus.csv": (["lambda", "t", "l1", "lower", "upper"], rows)}
     if cfg["no_cutoff"]:
-        tg = [float(v) for v in str(cfg["T_grid"]).split(",")]
+        tg = [float(v) for v in cfg["T_grid"].split(",")]
         prof = no_cutoff_profile([cfg["lam"]], tg)
         artifacts["torus_profile.csv"] = (
             ["lambda", "T", "t", "ratio"],
@@ -306,7 +307,7 @@ def _torus(cfg, args) -> dict:
 
 
 def _cover(cfg, args) -> dict:
-    cover = random_cover(int(cfg["n"]), stream(int(cfg["seed"]), tag=6))
+    cover = random_cover(cfg["n"], stream(cfg["seed"], tag=6))
     payload = {"n": cover.n, "sigma_A": cover.sigma_a.tolist(),
                "sigma_B": cover.sigma_b.tolist(),
                "transitive": cover.is_transitive()}

@@ -48,10 +48,16 @@ class EigenvalueBudget:
 
     @classmethod
     def from_json(cls, text: str) -> "EigenvalueBudget":
-        """Read {"N", "entries": [{"p", "m"}, ...]}; any other key, such as
-        a "label", is ignored."""
+        """Read {"N": int, "entries": [{"p": number, "m": int}, ...]}; any
+        other key, such as a "label", is ignored."""
         obj = json.loads(text)
-        return cls(tuple((e["p"], e["m"]) for e in obj["entries"]), obj["N"])
+        entries = tuple((e["p"], e["m"]) for e in obj["entries"])
+        bad = [v for v in (obj["N"], *(m for _, m in entries))
+               if type(v) is not int]
+        bad += [p for p, _ in entries if type(p) not in (int, float)]
+        if bad:
+            raise TypeError(f"N and m take integers and p numbers, not {bad}")
+        return cls(entries, obj["N"])
 
 
 def synthetic_density_budget(n_cover: int) -> EigenvalueBudget:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, ResolutionError
 from .geometry import ball_volume, sphere_step_arrays
-from .modular import (MODULAR_AREA, U_TOP, QuotientPoint, check_cusp_cap,
+from .modular import (U_TOP, QuotientPoint, check_cusp_cap,
                       check_sampled_bound, injectivity_radius, modq_context,
                       quotient_distances_from, quotient_R, quotient_volume,
                       reduce_points_arrays, sample_uniform_quotient)
@@ -120,7 +120,7 @@ class CellPartition:
         return self.n_base * self.n_sheets
 
     def cell_probabilities(self) -> np.ndarray:
-        pi_base = self.base_measures / (self.n_sheets * MODULAR_AREA)
+        pi_base = self.base_measures / quotient_volume(self.q)
         return np.tile(pi_base, self.n_sheets)
 
     def max_cell_fraction(self) -> float:
@@ -160,13 +160,12 @@ class TVProfile:
 def _walk_histograms(x0: QuotientPoint, r1, k_grid, n_walkers, partition,
                      seed, workers, emit):
     """Advance every walker block one step at a time, on ``workers``
-    block threads, and pass each grid step's cell counts, summed over
-    blocks, to ``emit`` as soon as that step ends.  Block b draws from
-    stream(seed, 2, b) in step order, so the counts do not depend on
-    ``workers``.  Returns the sorted grid."""
+    block threads, and pass each step of ``k_grid`` (sorted, without
+    repeats) its cell counts, summed over blocks, to ``emit`` as soon as
+    that step ends.  Block b draws from stream(seed, 2, b) in step order,
+    so the counts do not depend on ``workers``."""
     ctx = modq_context(x0.q)
     start_sheet = int(ctx.labels(*x0.sheet.key()))
-    k_grid = sorted(set(int(k) for k in k_grid))
     grid = set(k_grid)
     n_cells = partition.n_cells
     states = []
@@ -200,7 +199,6 @@ def _walk_histograms(x0: QuotientPoint, r1, k_grid, n_walkers, partition,
                            workers)
         if step in grid:
             emit(np.sum(parts, axis=0))
-    return k_grid
 
 
 def _check_start(x0: QuotientPoint):
@@ -208,9 +206,9 @@ def _check_start(x0: QuotientPoint):
     X_{x0.q} (finite at every level); a point whose radius is below
     R0_FLOOR is refused."""
     inj = injectivity_radius(x0)
-    if inj.value < R0_FLOOR:
+    if inj < R0_FLOOR:
         raise ConfigError(
-            f"start point has injectivity radius {inj.value:.3g} < {R0_FLOOR}")
+            f"start point has injectivity radius {inj:.3g} < {R0_FLOOR}")
     return inj
 
 
@@ -293,7 +291,7 @@ def tv_profile(x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
     futures = []
 
     try:
-        ks = _walk_histograms(
+        _walk_histograms(
             x0, r1, k_grid, n_walkers, partition, seed, workers,
             lambda counts: futures.append(pool.submit(bootstrap, counts)))
         rows = [f.result() for f in futures]
@@ -303,8 +301,8 @@ def tv_profile(x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
     expected = n * pi
     starved = int(np.count_nonzero((expected < 5.0) & (pi > 0)))
     bias = float(np.sum(np.sqrt(2.0 * pi * (1.0 - pi) / (math.pi * n))))
-    return TVProfile(np.array(ks), tv, lo, hi, partition.n_cells, starved,
-                     bias)
+    return TVProfile(np.array(k_grid), tv, lo, hi, partition.n_cells,
+                     starved, bias)
 
 
 def cutoff_locator(times, tvs, time_scale: float, R_X: float) -> dict:
@@ -391,7 +389,7 @@ def distance_histogram(x0: QuotientPoint, n_samples: int, r_max: float,
                    for r in r_grid]
     return {"q": q, "R_X": R, "distances": finite, "n_exceed": n_exceed,
             "n_samples": n_samples, "truncated_fraction": trunc,
-            "injectivity_radius": inj.value, "lower_tail": lower,
+            "injectivity_radius": inj, "lower_tail": lower,
             "upper_tail": upper, "volume_comparison": volume_rows,
             "r_max": r_max}
 
@@ -467,7 +465,7 @@ def isoperimetric_check(center: QuotientPoint, r0: float, r: float, p: float,
         raise ConfigError(f"need r0 > 0, r >= 0, p >= 2 and n_mc >= 1, "
                           f"not {r0}, {r}, {p} and {n_mc}")
     inj = _check_start(center)
-    if r0 > inj.value:
+    if r0 > inj:
         raise ConfigError("seed ball exceeds the injectivity radius")
     check_sampled_bound(center, r0 + r, ISOPERIMETRY_CUSP_CAP)
     q = center.q

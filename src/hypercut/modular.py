@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +82,6 @@ def psl2q_order(q: int) -> int:
     """|PSL_2(Z/q)| = q^3 prod_{p | q} (1 - p^-2), halved for q > 2."""
     if q < 1:
         raise ValueError("modulus must be >= 1")
-    if q == 1:
-        return 1
     order = q ** 3
     n, p = q, 2
     while p * p <= n:
@@ -593,12 +590,7 @@ def quotient_distance_pairs(q: int, xs1, ys1, sheets1, xs2, ys2, sheets2,
         xs2, ys2, ctx.rows(np.asarray(sheets2, dtype=np.int64)), r_max, enum)
 
 
-class InjectivityRadius(NamedTuple):
-    value: float
-    stabilizer_order: int
-
-
-def injectivity_radius(p: QuotientPoint) -> InjectivityRadius:
+def injectivity_radius(p: QuotientPoint) -> float:
     """Half the smallest displacement of the base point z = x + iy under
     the level-q elements that move it.
 
@@ -607,8 +599,8 @@ def injectivity_radius(p: QuotientPoint) -> InjectivityRadius:
     little has d(i, g i) <= 2 asinh(q / 2y) + 2 d(i, z), and the enumeration
     is complete below that bound (plus a slack for rounding in its norm
     cap), so the value is certified and finite.  Torsion elements fixing
-    the point contribute distance 0 and are excluded; their count, the
-    identity included, is reported as the stabilizer order.
+    the point, the identity included, contribute distance 0 and are
+    excluded.
     """
     z = p.base
     q = p.q
@@ -618,8 +610,7 @@ def injectivity_radius(p: QuotientPoint) -> InjectivityRadius:
     g = enum.entries[enum.members_of(q, int(ctx.labels(1, 0, 0, 1)))]
     dists = np.arccosh(1.0 + _qarg(*g.T.astype(float), z.x, z.y, z.x, z.y))
     fixing = dists < 1e-9
-    return InjectivityRadius(float(dists[~fixing].min()) / 2.0,
-                             int(np.count_nonzero(fixing)))
+    return float(dists[~fixing].min()) / 2.0
 
 
 def truncated_domain_fraction(cusp_cap: float) -> float:
@@ -629,8 +620,8 @@ def truncated_domain_fraction(cusp_cap: float) -> float:
 
 
 def check_cusp_cap(cusp_cap: float) -> None:
-    if not cusp_cap >= 2.0:
-        raise ConfigError("cusp cap must be >= 2")
+    if not 2.0 <= cusp_cap < math.inf:
+        raise ConfigError("cusp cap must be finite and >= 2")
 
 
 def check_sampled_bound(p0: QuotientPoint, r_max: float,
@@ -642,9 +633,12 @@ def check_sampled_bound(p0: QuotientPoint, r_max: float,
     _check_bound(r_max + distance(ORIGIN, p0.base) + corner)
 
 
-def sample_base_domain(n: int, cusp_cap: float, rng):
-    """Uniform mu-samples of the fundamental domain truncated at y <= Y,
-    by rejection in the (x, 1/y) strip where mu is Lebesgue."""
+def sample_uniform_quotient(q: int, cusp_cap: float, rng, n: int):
+    """n uniform samples of the level-q quotient truncated at height Y, as
+    ((x, y, sheet-index) arrays, truncated_fraction).  Bases follow mu on
+    the truncated domain, by rejection in the (x, 1/y) strip where mu is
+    Lebesgue; their sheets, uniform over the cover group, are drawn after
+    them."""
     check_cusp_cap(cusp_cap)
     u_lo = 1.0 / cusp_cap
     xs = np.empty(n)
@@ -659,19 +653,8 @@ def sample_base_domain(n: int, cusp_cap: float, rng):
         xs[got:got + take] = x[ok][:take]
         us[got:got + take] = u[ok][:take]
         got += take
-    return xs, 1.0 / us
-
-
-def sample_uniform_quotient(q: int, cusp_cap: float, rng, n: int):
-    """n uniform samples of the level-q quotient truncated at height Y.
-
-    Sheets are uniform over the cover group; bases follow mu on the
-    truncated domain.  Returns ((x, y, sheet-index) arrays,
-    truncated_fraction).
-    """
-    xs, ys = sample_base_domain(n, cusp_cap, rng)
     sheets = rng.integers(0, modq_context(q).size, n)
-    return (xs, ys, sheets), truncated_domain_fraction(cusp_cap)
+    return (xs, 1.0 / us, sheets), truncated_domain_fraction(cusp_cap)
 
 
 # --- random covers of the level-2 free subgroup -------------------------

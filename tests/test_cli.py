@@ -164,6 +164,11 @@ class TestSubcommands:
         assert lo < l1 < hi
         assert (tmp_path / "torus_profile.csv").exists()
 
+    def test_torus_prints_the_row_and_its_bounds(self, tmp_path, capsys):
+        assert run(["torus"], tmp_path) == 0
+        assert capsys.readouterr().out == \
+            "l1=0.00857902 in [0.00673795, 0.00952911]\n"
+
     def test_cover_file(self, tmp_path):
         assert run(["cover", "--n", "6", "--seed", "9"], tmp_path) == 0
         payload = strict_json((tmp_path / "cover.json").read_text())
@@ -294,7 +299,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,code", [
         (["density", "--family", "foo"], 2), (["torus", "--t", "40"], 4),
-        (["tv", "--q", "2", "--cusp-cap", "nan", "--k-max", "1"], 2)])
+        (["tv", "--q", "2", "--cusp-cap", "nan", "--k-max", "1"], 2),
+        (["tv", "--q", "2", "--cusp-cap", "inf", "--n", "100", "--k-max",
+          "1"], 2),
+        (["distances", "--q", "2", "--cusp-cap", "inf"], 2)])
     def test_refused_inputs_print_one_line(self, tmp_path, capsys, argv,
                                            code):
         assert main(argv + ["--out", str(tmp_path)]) == code
@@ -305,7 +313,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("text,reason", [
         (None, "cannot read budget file"),
         ('{"N": 10}', "'entries'"),
-        ('{"entries": [{"p": 3.0, "m": 1}]}', "'N'")])
+        ('{"entries": [{"p": 3.0, "m": 1}]}', "'N'"),
+        ('{"N": 10.9, "entries": [{"p": 3.0, "m": 2.7}]}', "[10.9, 2.7]"),
+        ('{"N": 10, "entries": [{"p": 3.0, "m": true}]}', "[True]"),
+        ('{"N": 10.9, "entries": [{"p": 3.0, "m": 2}]}', "[10.9]"),
+        ('{"N": 10, "entries": [{"p": "3.0", "m": 2}]}', "['3.0']")])
     def test_bad_budget_file_is_config_error(self, tmp_path, capsys, text,
                                              reason):
         budget, out = tmp_path / "budget.json", tmp_path / "out"
@@ -315,7 +327,7 @@ class TestExitCodes:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and reason in err
-        assert err.count("\n") == 1
+        assert repr(str(budget)) in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_tv_walker_state_over_cap_is_capacity_error(self, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hypercut import mixing
-from hypercut.errors import CapacityError, ConfigError
+from hypercut.errors import CapacityError, ConfigError, ResolutionError
 from hypercut.geometry import PointH, ball_volume, sphere_step_arrays
 from hypercut.mixing import (CellPartition, ConcentrationReport,
                              concentration_fit, cutoff_locator,
@@ -207,10 +207,8 @@ class TestTvPipeline:
         partition = default_partition(2)
         for workers in (1, 2, 3):
             emitted = []
-            ks = mixing._walk_histograms(origin(2), 1.0, PIPELINE_KS,
-                                         PIPELINE_N, partition, 21, workers,
-                                         emitted.append)
-            assert ks == list(PIPELINE_KS)
+            mixing._walk_histograms(origin(2), 1.0, PIPELINE_KS, PIPELINE_N,
+                                    partition, 21, workers, emitted.append)
             assert np.array_equal(np.array(emitted), reference_counts)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -267,10 +265,9 @@ class TestTvPipeline:
         def walk_then_emit(*args):
             *head, emit = args
             held = []
-            ks = real_walk(*head, held.append)
+            real_walk(*head, held.append)
             for counts in held:
                 emit(counts)
-            return ks
 
         monkeypatch.setattr(mixing, "stream", recording_stream)
         monkeypatch.setattr(mixing, "_walk_histograms", walk_then_emit)
@@ -401,6 +398,11 @@ class TestTvProfile:
         with pytest.raises(ConfigError, match="partition covers X_5"):
             tv_profile(origin(2), 1.0, [0], 100, default_partition(5))
 
+    def test_coarse_partition_refused(self):
+        # a 3 x 3 grid at level 2 has cells far above mu(X)/1000
+        with pytest.raises(ResolutionError, match="above mu"):
+            tv_profile(origin(2), 1.0, [0], 100, CellPartition.build(2, 3, 3))
+
 
 class TestCutoffLocator:
     def test_step_profile_zero_width(self):
@@ -475,6 +477,13 @@ class TestConcentrationFit:
             concentration_fit(np.full(20_000, 1.0))
         with pytest.raises(ConfigError):
             concentration_fit(np.array([1.0, 2.0]))
+
+    def test_too_few_tail_samples_refused(self):
+        # 10,000 samples, all but five at the median: every gamma's tail
+        # holds at most 5 < CONCENTRATION_MIN_COUNT samples
+        d = np.concatenate([np.zeros(9_995), np.arange(1.0, 6.0)])
+        with pytest.raises(ConfigError, match="tail counts too small"):
+            concentration_fit(d)
 
     def test_overflow_needs_floor(self):
         rng = np.random.default_rng(6)

@@ -262,6 +262,10 @@ class TestReduceFundamental:
         img = g.apply(PointH(0.1, 0.1))
         assert (img.x, img.y) == pytest.approx((z.x, z.y), abs=1e-9)
 
+    def test_quotient_point_below_the_arc_refused(self):
+        with pytest.raises(ValueError, match="outside the fundamental"):
+            QuotientPoint(PointH(0.0, 0.5), CosetModQ.identity(2))
+
     def test_random_points_land_in_domain_with_exact_witness(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
@@ -786,36 +790,34 @@ class TestDistanceKernel:
 
 class TestInjectivityRadius:
     def test_q2_at_origin(self):
-        rep = injectivity_radius(qpoint(0.0, 1.0, q=2))
-        assert rep.value == pytest.approx(0.5 * math.acosh(3.0), abs=1e-12)
-        assert rep.stabilizer_order == 1
+        radius = injectivity_radius(qpoint(0.0, 1.0, q=2))
+        assert type(radius) is float
+        assert radius == pytest.approx(0.5 * math.acosh(3.0), abs=1e-12)
 
     def test_q1_elliptic_point(self):
-        # i is fixed by the inversion: stabilizer of order 2, radius from
-        # the shortest translation acosh(3/2)
-        rep = injectivity_radius(qpoint(0.0, 1.0))
-        assert rep.stabilizer_order == 2
-        assert rep.value == pytest.approx(0.5 * math.acosh(1.5), abs=1e-12)
+        # i is fixed by the inversion, which is excluded: the radius comes
+        # from the shortest translation acosh(3/2)
+        radius = injectivity_radius(qpoint(0.0, 1.0))
+        assert radius == pytest.approx(0.5 * math.acosh(1.5), abs=1e-12)
 
     def test_cusp_shrinkage(self):
         # high points: radius ~ half the distance of the level-q horizontal
         # translation z -> z + q
         for q, y in ((3, 6.0), (5, 8.0)):
-            rep = injectivity_radius(qpoint(0.0, y, q=q))
+            radius = injectivity_radius(qpoint(0.0, y, q=q))
             expected = 0.5 * math.acosh(1.0 + q * q / (2.0 * y * y))
-            assert rep.value == pytest.approx(expected, abs=1e-12)
+            assert radius == pytest.approx(expected, abs=1e-12)
 
     def test_generic_interior_point_positive(self):
-        rep = injectivity_radius(qpoint(0.21, 1.4))
-        assert rep.value > 0.0
+        radius = injectivity_radius(qpoint(0.21, 1.4))
+        assert radius > 0.0
 
     @pytest.mark.parametrize("q", [2, 5, 8, 13, 23, 101])
     def test_finite_at_every_level(self, q):
         # for q >= 2 no element of the level-q group has a smaller
         # Frobenius norm than T^q, which moves i by 2 asinh(q / 2)
-        rep = injectivity_radius(qpoint(0.0, 1.0, q=q))
-        assert rep.value == pytest.approx(math.asinh(q / 2.0), abs=1e-12)
-        assert rep.stabilizer_order == 1
+        radius = injectivity_radius(qpoint(0.0, 1.0, q=q))
+        assert radius == pytest.approx(math.asinh(q / 2.0), abs=1e-12)
 
 
 class TestUniformSampling:
@@ -835,6 +837,11 @@ class TestUniformSampling:
                        epsabs=1e-12)
         assert area == pytest.approx(math.pi / 3.0, abs=1e-10)
         assert quotient_volume(1) == pytest.approx(area, abs=1e-10)
+
+    @pytest.mark.parametrize("cap", [math.inf, math.nan, 1.5])
+    def test_cusp_cap_must_be_finite_and_at_least_2(self, cap):
+        with pytest.raises(ConfigError, match="finite and >= 2"):
+            sample_uniform_quotient(2, cap, np.random.default_rng(0), 10)
 
     def test_samples_in_domain(self):
         rng = np.random.default_rng(8)

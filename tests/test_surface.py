@@ -25,14 +25,6 @@ METHOD_ORACLES = {
                               "CSVs",
 }
 
-# Fields kept for their documented readers, though only unit tests read
-# them.
-FIELD_ORACLES = {
-    "InjectivityRadius.stabilizer_order": "the documented torsion count of "
-                                          "the start point, read by the "
-                                          "torsion unit tests",
-}
-
 # Defaulted parameters and fields kept for their documented setters, though
 # only unit tests pass them.
 OPTION_ORACLES = {
@@ -132,11 +124,6 @@ def test_every_oracle_is_defined():
     methods = {f"{owner}.{m}" for owner, m, _ in statements if m is not None}
     assert set(METHOD_ORACLES) <= methods, sorted(set(METHOD_ORACLES)
                                                   - methods)
-    fields = {f"{cls.name}.{f}"
-              for path in sorted(PACKAGE.glob("*.py"))
-              for cls in ast.parse(path.read_text()).body
-              if isinstance(cls, ast.ClassDef) for f in _record_fields(cls)}
-    assert set(FIELD_ORACLES) <= fields, sorted(set(FIELD_ORACLES) - fields)
     options = set(_package_options())
     assert set(OPTION_ORACLES) <= options, sorted(set(OPTION_ORACLES)
                                                   - options)
@@ -190,12 +177,10 @@ def test_record_fields_have_readers():
             *(_fields_read(m) for m in cls.body
               if isinstance(m, ast.FunctionDef) and m.name != "__post_init__"))
         unread += [f"{cls.name}.{f}" for f in _record_fields(cls)
-                   if f"{cls.name}.{f}" not in FIELD_ORACLES
-                   and f not in readers]
+                   if f not in readers]
     assert unread == [], (
         f"fields read only in __post_init__ or by unit tests: {unread}; "
-        "give each a reader, list it in FIELD_ORACLES with a reason, or "
-        "delete it")
+        "give each a reader or delete it")
 
 
 def _defaulted(fn, owner=None) -> list:
@@ -415,3 +400,19 @@ def test_each_stream_tag_has_one_call_site():
     shared = {tag: where for tag, where in sites.items() if len(where) > 1}
     assert shared == {}, f"stream tags used at more than one site: {shared}"
     assert sorted(sites) == [1, 2, 3, 4, 5, 6]
+
+
+def test_cli_handlers_trust_the_declared_types():
+    """No call of int, float, str or bool in cli.py takes a cfg[...]
+    subscript as its argument: _resolve gives every option its declared
+    type, so a conversion in a handler could only restate that."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    casts = [f"cli.py:{node.lineno} {ast.unparse(node)}"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) in ("int", "float", "str",
+                                                    "bool")
+             and any(isinstance(arg, ast.Subscript)
+                     and getattr(arg.value, "id", None) == "cfg"
+                     for arg in node.args)]
+    assert casts == [], f"handlers convert resolved options: {casts}"
