@@ -187,17 +187,13 @@ def _walk(cfg, args) -> dict:
 
 
 def _tv(cfg, args) -> dict:
-    k_max = cfg["k_max"]
-    if k_max is not None and k_max < 0:
-        raise ConfigError(f"need k_max >= 0, not {k_max}")
     q = cfg["q"]
     consts = clt_constants(cfg["r1"])
     R = quotient_R(q)
+    k_max = cfg["k_max"]
     if k_max is None:
-        k_max = math.ceil(3.2 * R / (consts.alpha * cfg["r1"]))
-    cfg["k_max"] = k_max
-    profile = tv_profile(_origin_point(q), cfg["r1"],
-                         range(0, k_max + 1), cfg["n"],
+        k_max = cfg["k_max"] = math.ceil(3.2 * R / (consts.alpha * cfg["r1"]))
+    profile = tv_profile(_origin_point(q), cfg["r1"], k_max, cfg["n"],
                          default_partition(q, cfg["cusp_cap"]),
                          seed=cfg["seed"], workers=_workers(args),
                          n_boot=cfg["n_boot"])

@@ -28,8 +28,9 @@ class EigenvalueBudget:
     def __post_init__(self):
         entries = tuple((float(p), int(m)) for p, m in self.entries)
         ps = [p for p, _ in entries]
-        if any(p <= 2.0 for p in ps):
-            raise ValueError("budget exponents must satisfy p > 2")
+        if not all(2.0 < p < math.inf for p in ps):
+            raise ValueError(f"budget exponents must be finite and > 2, "
+                             f"not {ps}")
         if sorted(ps) != ps or len(set(ps)) != len(ps):
             raise ValueError("exponents must be strictly increasing")
         if any(m < 1 for _, m in entries):

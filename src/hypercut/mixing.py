@@ -19,10 +19,11 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, ResolutionError
 from .geometry import ball_volume, sphere_step_arrays
-from .modular import (U_TOP, QuotientPoint, check_cusp_cap,
+from .modular import (U_TOP, QuotientPoint, check_cusp_cap, check_level,
                       check_sampled_bound, injectivity_radius, modq_context,
-                      quotient_distances_from, quotient_R, quotient_volume,
-                      reduce_points_arrays, sample_uniform_quotient)
+                      psl2q_order, quotient_distances_from, quotient_R,
+                      quotient_volume, reduce_points_arrays,
+                      sample_uniform_quotient)
 from .quadrature import map_blocks, spans
 from .walks import log_linear_fit, stream
 
@@ -94,8 +95,7 @@ class CellPartition:
     n_sheets: int = field(init=False)
 
     def __post_init__(self):
-        ctx = modq_context(self.q)
-        self.n_sheets = ctx.size
+        self.n_sheets = psl2q_order(self.q)
         self.base_measures = np.concatenate([
             np.diff(_clip_primitive(self.x_edges, u_lo, u_hi))
             for u_lo, u_hi in zip(self.u_edges[:-1], self.u_edges[1:])])
@@ -157,16 +157,15 @@ class TVProfile:
     bias_note: float
 
 
-def _walk_histograms(x0: QuotientPoint, r1, k_grid, n_walkers, partition,
+def _walk_histograms(x0: QuotientPoint, r1, k_max, n_walkers, partition,
                      seed, workers, emit):
     """Advance every walker block one step at a time, on ``workers``
-    block threads, and pass each step of ``k_grid`` (sorted, without
-    repeats) its cell counts, summed over blocks, to ``emit`` as soon as
-    that step ends.  Block b draws from stream(seed, 2, b) in step order,
-    so the counts do not depend on ``workers``."""
+    block threads, and pass each step 0..k_max its cell counts, summed
+    over blocks, to ``emit`` as soon as that step ends.  Block b draws
+    from stream(seed, 2, b) in step order, so the counts do not depend on
+    ``workers``."""
     ctx = modq_context(x0.q)
     start_sheet = int(ctx.labels(*x0.sheet.key()))
-    grid = set(k_grid)
     n_cells = partition.n_cells
     states = []
     for b, walkers in enumerate(spans(n_walkers, TV_BLOCK)):
@@ -177,28 +176,24 @@ def _walk_histograms(x0: QuotientPoint, r1, k_grid, n_walkers, partition,
 
     def advance(b, step):
         """Take block b to ``step`` (step 0 stays put), TV_SLICE walkers
-        at a time; returns the block's cell counts if ``step`` is on the
-        grid.  The slices' theta draws come out of the block's stream as
-        one draw of the whole block would."""
+        at a time, and return the block's cell counts.  The slices' theta
+        draws come out of the block's stream as one draw of the whole
+        block would."""
         rng, x, y, sheets = states[b]
-        counts = np.zeros(n_cells, dtype=np.int64) if step in grid else None
+        counts = np.zeros(n_cells, dtype=np.int64)
         for s in spans(x.size, TV_SLICE):
             if step:
                 theta = rng.uniform(0.0, math.pi, x[s].size)
                 xs, ys = sphere_step_arrays(x[s], y[s], r1, theta)
                 x[s], y[s], sheets[s] = reduce_points_arrays(xs, ys,
                                                              sheets[s], ctx)
-            if counts is not None:
-                counts += np.bincount(partition.cells_of(x[s], y[s],
-                                                         sheets[s]),
-                                      minlength=n_cells)
+            counts += np.bincount(partition.cells_of(x[s], y[s], sheets[s]),
+                                  minlength=n_cells)
         return counts
 
-    for step in range(max(k_grid, default=-1) + 1):
-        parts = map_blocks(lambda b: advance(b, step), range(len(states)),
-                           workers)
-        if step in grid:
-            emit(np.sum(parts, axis=0))
+    for step in range(k_max + 1):
+        emit(np.sum(map_blocks(lambda b: advance(b, step),
+                               range(len(states)), workers), axis=0))
 
 
 def _check_start(x0: QuotientPoint):
@@ -212,57 +207,59 @@ def _check_start(x0: QuotientPoint):
     return inj
 
 
-def _tv_held_bytes(n_walkers: int, n_grid: int = 0, n_cells: int = 0) -> int:
+def _tv_held_bytes(n_walkers: int, k_max: int,
+                   partition: CellPartition) -> int:
     """Upper bound on what tv_profile holds at once: every walker's state;
-    one step's int64 histograms, one accumulating per block with at most one
-    slice's counts beside it, and then their stacked sum; every grid step's
-    histogram, which may all wait for the bootstrap; the cell probabilities
-    and the bootstrap's p_hat; and one bootstrap chunk of BOOT_ROWS
-    resamples, drawn as int64 and scaled in one reused float64 buffer.
-    The walker's per-slice temporaries, a fixed size per worker thread, are
-    not counted."""
+    the walk's int64 T-power table, q rows of one entry per sheet; one
+    step's int64 histograms, one accumulating per block with at most one
+    slice's counts beside it, and then their stacked sum; the histograms of
+    steps 0..k_max, which may all wait for the bootstrap; the cell
+    probabilities and the bootstrap's p_hat; and one bootstrap chunk of
+    BOOT_ROWS resamples, drawn as int64 and scaled in one reused float64
+    buffer.  The walker's per-slice temporaries, a fixed size per worker
+    thread, are not counted."""
     n_blocks = -(-n_walkers // TV_BLOCK)
     return (n_walkers * TV_WALKER_BYTES
-            + 8 * n_cells * (2 * n_blocks + n_grid + 2 * BOOT_ROWS + 2))
+            + 8 * partition.q * partition.n_sheets
+            + 8 * partition.n_cells
+            * (2 * n_blocks + k_max + 1 + 2 * BOOT_ROWS + 2))
 
 
-def _check_tv_capacity(n_walkers: int, n_grid: int = 0,
-                       n_cells: int = 0) -> None:
-    held = _tv_held_bytes(n_walkers, n_grid, n_cells)
-    if held > TV_STATE_CAP_BYTES:
-        raise CapacityError(
-            f"{n_walkers} walkers, {n_grid} grid points and {n_cells} cells"
-            f" need {held} bytes, over the cap of {TV_STATE_CAP_BYTES}")
-
-
-def tv_profile(x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
+def tv_profile(x0: QuotientPoint, r1: float, k_max: int, n_walkers: int,
                partition: CellPartition | None = None, seed: int = 0,
                workers: int = 1, n_boot: int = 200) -> TVProfile:
     """Plug-in estimate of || walk law at step k - uniform ||_1 on the
-    quotient X_q that x0 lies on, with a walker bootstrap CI per grid
-    point.
+    quotient X_q that x0 lies on, for k = 0..k_max, with a walker
+    bootstrap CI per step.
 
     The walk runs on ``workers`` block threads, and the bootstrap of each
-    grid point on one extra thread while the walk goes on.  Its stream
-    stream(seed, 3) is drawn in grid order, so the result does not depend
+    step on one extra thread while the walk goes on.  Its stream
+    stream(seed, 3) is drawn in step order, so the result does not depend
     on ``workers``.
 
-    Preconditions enforced: the walker state, and then the walker state
-    with the histograms and bootstrap chunks of the partition, fit in
-    TV_STATE_CAP_BYTES; the partition is of the start point's level q;
-    the start point has injectivity radius at least R0_FLOOR; and no cell
+    Preconditions enforced, in this order: the partition is of the start
+    point's level q; q is a level the walk's cover group is built for, and
+    all tv_profile holds (see _tv_held_bytes) fits in TV_STATE_CAP_BYTES,
+    both checked before any group table or enumeration is built; the
+    start point has injectivity radius at least R0_FLOOR; and no cell
     exceeds mu(X)/1000.
     """
     if n_walkers < 1 or n_boot < 1:
         raise ConfigError("need n_walkers >= 1 and n_boot >= 1")
-    _check_tv_capacity(n_walkers)
-    _check_start(x0)
+    if k_max < 0:
+        raise ConfigError(f"need k_max >= 0, not {k_max}")
     if partition is None:
         partition = default_partition(x0.q)
     if partition.q != x0.q:
         raise ConfigError(f"partition covers X_{partition.q}, not X_{x0.q}")
-    k_grid = sorted(set(int(k) for k in k_grid))
-    _check_tv_capacity(n_walkers, len(k_grid), partition.n_cells)
+    check_level(x0.q)
+    held = _tv_held_bytes(n_walkers, k_max, partition)
+    if held > TV_STATE_CAP_BYTES:
+        raise CapacityError(
+            f"{n_walkers} walkers, {k_max + 1} steps and {partition.n_cells}"
+            f" cells at level {x0.q} need {held} bytes, over the cap of"
+            f" {TV_STATE_CAP_BYTES}")
+    _check_start(x0)
     if partition.max_cell_fraction() > 1.0 / 1000.0 + 1e-12:
         raise ResolutionError("partition has a cell above mu(X)/1000")
     pi = partition.cell_probabilities()
@@ -292,16 +289,16 @@ def tv_profile(x0: QuotientPoint, r1: float, k_grid, n_walkers: int,
 
     try:
         _walk_histograms(
-            x0, r1, k_grid, n_walkers, partition, seed, workers,
+            x0, r1, k_max, n_walkers, partition, seed, workers,
             lambda counts: futures.append(pool.submit(bootstrap, counts)))
         rows = [f.result() for f in futures]
     finally:
         pool.shutdown(cancel_futures=True)
-    tv, lo, hi = np.array(rows, dtype=float).reshape(-1, 3).T
+    tv, lo, hi = np.array(rows, dtype=float).T
     expected = n * pi
     starved = int(np.count_nonzero((expected < 5.0) & (pi > 0)))
     bias = float(np.sum(np.sqrt(2.0 * pi * (1.0 - pi) / (math.pi * n))))
-    return TVProfile(np.array(k_grid), tv, lo, hi, partition.n_cells,
+    return TVProfile(np.arange(k_max + 1), tv, lo, hi, partition.n_cells,
                      starved, bias)
 
 
@@ -355,8 +352,8 @@ def distance_histogram(x0: QuotientPoint, n_samples: int, r_max: float,
     R = quotient_R(q)
     if r_max < R + 3.0 * math.log(R):
         raise ConfigError("r_max below R_X + 3 ln R_X cannot resolve the tail")
-    inj = _check_start(x0)
     check_sampled_bound(x0, r_max, cusp_cap)
+    inj = _check_start(x0)
     rng = stream(seed, tag=4)
     (xs, ys, sheets), trunc = sample_uniform_quotient(q, cusp_cap, rng,
                                                       n_samples)
@@ -444,8 +441,7 @@ def concentration_fit(distances, n_exceed: int = 0,
 
 def kappa(r: float, p: float) -> float:
     """The dilation constant (r + 1)^2 e^{-2r/p}."""
-    rate = 0.0 if math.isinf(p) else 2.0 * r / p
-    return (r + 1.0) ** 2 * math.exp(-rate)
+    return (r + 1.0) ** 2 * math.exp(-2.0 * r / p)
 
 
 def isoperimetric_check(center: QuotientPoint, r0: float, r: float, p: float,
@@ -459,15 +455,15 @@ def isoperimetric_check(center: QuotientPoint, r0: float, r: float, p: float,
     checked as tv_profile checks its start, and r0 above its injectivity
     radius is refused, so the seed ball embeds.  The dilation r has no cap
     of its own: a query radius r0 + r that check_sampled_bound refuses is
-    refused with CapacityError before any sample is drawn.
+    refused with CapacityError before the center's enumeration is built or
+    any sample is drawn.
     """
     if not (r0 > 0.0 and r >= 0.0 and p >= 2.0 and n_mc >= 1):
         raise ConfigError(f"need r0 > 0, r >= 0, p >= 2 and n_mc >= 1, "
                           f"not {r0}, {r}, {p} and {n_mc}")
-    inj = _check_start(center)
-    if r0 > inj:
-        raise ConfigError("seed ball exceeds the injectivity radius")
     check_sampled_bound(center, r0 + r, ISOPERIMETRY_CUSP_CAP)
+    if r0 > _check_start(center):
+        raise ConfigError("seed ball exceeds the injectivity radius")
     q = center.q
     vol = quotient_volume(q)
     rng = stream(seed, tag=5)

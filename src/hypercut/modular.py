@@ -159,6 +159,13 @@ def _coset_codes(q: int, a, b, c, d) -> np.ndarray:
     return np.minimum(pos, neg)
 
 
+def check_level(q: int) -> None:
+    """Refuse a level whose cover group ModQContext does not build."""
+    if not 1 <= q <= _Q_CAP:
+        raise CapacityError(f"modulus {q} outside supported range "
+                            f"[1, {_Q_CAP}]")
+
+
 class ModQContext:
     """Enumeration and multiplication tables for the level-q cover group.
 
@@ -167,9 +174,7 @@ class ModQContext:
     """
 
     def __init__(self, q: int):
-        if not 1 <= q <= _Q_CAP:
-            raise CapacityError(f"modulus {q} outside supported range "
-                                f"[1, {_Q_CAP}]")
+        check_level(q)
         self.q = q
         self.codes = self._enumerate(q)
         self.size = int(self.codes.size)
@@ -653,7 +658,7 @@ def sample_uniform_quotient(q: int, cusp_cap: float, rng, n: int):
         xs[got:got + take] = x[ok][:take]
         us[got:got + take] = u[ok][:take]
         got += take
-    sheets = rng.integers(0, modq_context(q).size, n)
+    sheets = rng.integers(0, psl2q_order(q), n)
     return (xs, 1.0 / us, sheets), truncated_domain_fraction(cusp_cap)
 
 

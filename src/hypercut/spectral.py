@@ -152,8 +152,7 @@ def hc_bound(r: float, p: float = 2.0) -> float:
         raise ValueError("radius must be >= 0")
     if p < 2.0:
         raise ValueError("need p >= 2")
-    rate = 0.0 if math.isinf(p) else r / p
-    return (r + 1.0) * math.exp(-rate)
+    return (r + 1.0) * math.exp(-r / p)
 
 
 def clt_constants(r1: float) -> CltConstants:

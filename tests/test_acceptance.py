@@ -264,7 +264,7 @@ def test_criterion_10_cutoff_trend():
         k_lo = int(0.5 * R / (alpha * r1))
         k_hi = int(math.ceil(3.0 * R / (alpha * r1)))
         k_max = int(math.ceil(3.6 * R / (alpha * r1)))
-        prof = tv_profile(origin(q), r1, range(0, k_max + 1), 1_000_000,
+        prof = tv_profile(origin(q), r1, k_max, 1_000_000,
                           default_partition(q), seed=1010, workers=WORKERS)
         early = prof.tv[prof.ks <= k_lo]
         late = prof.tv[prof.ks >= k_hi]

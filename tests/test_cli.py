@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import hypercut
-from hypercut import mixing
+from hypercut import mixing, modular
 from hypercut.cli import _COMMANDS, main
 from hypercut.covers import synthetic_density_budget
 from hypercut.errors import ConfigError
@@ -330,6 +331,22 @@ class TestExitCodes:
         assert repr(str(budget)) in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_non_finite_budget_exponent_is_config_error(self, tmp_path,
+                                                        capsys):
+        # Python's json reads the non-standard NaN; the requirement rows
+        # would read nan
+        paths = []
+        for n in (10, 100, 1000):
+            paths.append(tmp_path / f"budget_{n}.json")
+            paths[-1].write_text(
+                '{"N": %d, "entries": [{"p": NaN, "m": 2}]}' % n)
+        out = tmp_path / "out"
+        assert main(["density", "--budget-files",
+                     ",".join(map(str, paths)), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "finite" in err
+        assert not out.exists()
+
     def test_tv_walker_state_over_cap_is_capacity_error(self, tmp_path):
         assert main(["tv", "--q", "2", "--k-max", "2", "--n", "50000000",
                      "--out", str(tmp_path)]) == 3
@@ -342,6 +359,28 @@ class TestExitCodes:
         assert main(["tv", "--q", "2", "--k-max", "2", "--n", "1000",
                      "--out", str(tmp_path)]) == 3
         assert not (tmp_path / "tv.csv").exists()
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["--q", "101", "--n", "1000"], "over the cap"),
+        (["--q", "102"], "outside supported range [1, 101]")])
+    def test_tv_capacity_gate_builds_nothing(self, tmp_path, capsys,
+                                             monkeypatch, argv, reason):
+        # no cover-group context and no enumeration is built before the
+        # refusal; fresh caches keep an earlier build from hiding one
+        def refuse(self, *args):
+            raise AssertionError(f"built a {type(self).__name__}")
+
+        for cls in (modular.ModQContext, modular.PSLZEnumeration):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        fresh = functools.lru_cache(maxsize=16)(modular.ModQContext)
+        monkeypatch.setattr(modular, "modq_context", fresh)
+        monkeypatch.setattr(mixing, "modq_context", fresh)
+        monkeypatch.setattr(modular, "_enumeration", functools.lru_cache(
+            maxsize=8)(modular._enumeration.__wrapped__))
+        assert main(["tv", *argv, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: ") and reason in err
+        assert list(tmp_path.iterdir()) == []
 
 
 def scipy_modules_after(code, *args):

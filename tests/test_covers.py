@@ -17,6 +17,19 @@ class TestBudget:
         with pytest.raises(ValueError):
             EigenvalueBudget(((3.0, 0),), 100)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_exponent_refused(self, p):
+        # a lone NaN passes both p <= 2 and the increasing check, and a
+        # budget file may hold NaN or Infinity, which json.loads reads
+        with pytest.raises(ValueError, match="finite"):
+            EigenvalueBudget(((3.0, 1), (p, 2)), 100)
+        with pytest.raises(ValueError, match="finite"):
+            EigenvalueBudget(((p, 2),), 100)
+        text = '{"N": 10, "entries": [{"p": %s, "m": 2}]}' % (
+            "NaN" if math.isnan(p) else "Infinity")
+        with pytest.raises(ValueError, match="finite"):
+            EigenvalueBudget.from_json(text)
+
     def test_cumulative_count_examples(self):
         empty = EigenvalueBudget((), 10)
         assert empty.M(3.0) == 0

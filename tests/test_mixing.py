@@ -13,7 +13,7 @@ from hypercut.mixing import (CellPartition, ConcentrationReport,
                              default_partition, distance_histogram,
                              isoperimetric_check, kappa, tv_profile)
 from hypercut.modular import (CosetModQ, QuotientPoint, modq_context,
-                              quotient_R, quotient_volume)
+                              psl2q_order, quotient_R, quotient_volume)
 from hypercut.spectral import clt_constants
 from hypercut.torus import TorusConfig, torus_l1
 from hypercut.walks import stream
@@ -175,18 +175,27 @@ def reference_tv_profile(q, counts, n_walkers, seed, n_boot=200):
     return tv, lo, hi
 
 
+def reference_held_bytes(n_walkers, n_grid, n_cells):
+    """What tv_profile holds besides the walk's T-power table, on a grid
+    of n_grid steps."""
+    n_blocks = -(-n_walkers // mixing.TV_BLOCK)
+    return (n_walkers * mixing.TV_WALKER_BYTES
+            + 8 * n_cells * (2 * n_blocks + n_grid + 2 * mixing.BOOT_ROWS
+                             + 2))
+
+
 # more than two full walker blocks plus a partial one, which ends in a
 # partial slice
 PIPELINE_N = 140_000
-PIPELINE_KS = (0, 1, 3, 6)
+PIPELINE_K_MAX = 6
 
 
 @pytest.fixture(scope="module")
 def reference_counts():
     assert PIPELINE_N > 2 * mixing.TV_BLOCK
     assert PIPELINE_N % mixing.TV_BLOCK % mixing.TV_SLICE
-    return reference_histograms(2, origin(2), 1.0, PIPELINE_KS, PIPELINE_N,
-                                seed=21)
+    return reference_histograms(2, origin(2), 1.0, range(PIPELINE_K_MAX + 1),
+                                PIPELINE_N, seed=21)
 
 
 @pytest.fixture(scope="module")
@@ -207,15 +216,16 @@ class TestTvPipeline:
         partition = default_partition(2)
         for workers in (1, 2, 3):
             emitted = []
-            mixing._walk_histograms(origin(2), 1.0, PIPELINE_KS, PIPELINE_N,
-                                    partition, 21, workers, emitted.append)
+            mixing._walk_histograms(origin(2), 1.0, PIPELINE_K_MAX,
+                                    PIPELINE_N, partition, 21, workers,
+                                    emitted.append)
             assert np.array_equal(np.array(emitted), reference_counts)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_bit_identical_to_reference(self, workers, reference_profile):
-        prof = tv_profile(origin(2), 1.0, PIPELINE_KS, PIPELINE_N,
+        prof = tv_profile(origin(2), 1.0, PIPELINE_K_MAX, PIPELINE_N,
                           seed=21, workers=workers)
-        assert list(prof.ks) == list(PIPELINE_KS)
+        assert list(prof.ks) == list(range(PIPELINE_K_MAX + 1))
         assert_same_profile(prof, reference_profile)
 
     def test_stress_with_short_switch_interval(self, reference_profile):
@@ -226,7 +236,7 @@ class TestTvPipeline:
 
         def run():
             try:
-                result["prof"] = tv_profile(origin(2), 1.0, PIPELINE_KS,
+                result["prof"] = tv_profile(origin(2), 1.0, PIPELINE_K_MAX,
                                             PIPELINE_N, seed=21, workers=4)
             except BaseException as exc:
                 result["error"] = exc
@@ -271,7 +281,7 @@ class TestTvPipeline:
 
         monkeypatch.setattr(mixing, "stream", recording_stream)
         monkeypatch.setattr(mixing, "_walk_histograms", walk_then_emit)
-        prof = tv_profile(origin(2), 1.0, PIPELINE_KS, PIPELINE_N,
+        prof = tv_profile(origin(2), 1.0, PIPELINE_K_MAX, PIPELINE_N,
                           seed=21, workers=2)
         assert len(set(threads)) == 1
         assert threading.get_ident() not in threads
@@ -286,7 +296,17 @@ class TestTvPipeline:
 
         monkeypatch.setattr(mixing, "ThreadPoolExecutor", no_threads)
         with pytest.raises(ConfigError):
-            tv_profile(origin(2), 1.0, [0, 1], n_walkers, n_boot=n_boot)
+            tv_profile(origin(2), 1.0, 1, n_walkers, n_boot=n_boot)
+
+    def test_negative_k_max_refused_before_anything_is_built(self,
+                                                             monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("built before k_max was checked")
+
+        monkeypatch.setattr(mixing, "default_partition", never)
+        monkeypatch.setattr(mixing, "injectivity_radius", never)
+        with pytest.raises(ConfigError, match="need k_max >= 0, not -1"):
+            tv_profile(origin(2), 1.0, -1, 1000)
 
     def test_walker_state_over_cap_refused_before_allocating(self,
                                                               monkeypatch):
@@ -295,53 +315,77 @@ class TestTvPipeline:
 
         monkeypatch.setattr(mixing, "injectivity_radius", no_allocation)
         monkeypatch.setattr(mixing, "ThreadPoolExecutor", no_allocation)
-        n_max = mixing.TV_STATE_CAP_BYTES // mixing.TV_WALKER_BYTES
+        cap, part = mixing.TV_STATE_CAP_BYTES, default_partition(2)
+        # the most walkers that fit beside the cells' histograms at
+        # k_max = 1: fewer than the walker state alone would allow
+        lo, hi = 1, cap // mixing.TV_WALKER_BYTES + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if mixing._tv_held_bytes(mid, 1, part) <= cap:
+                lo = mid
+            else:
+                hi = mid
+        assert hi <= cap // mixing.TV_WALKER_BYTES
         with pytest.raises(CapacityError):
-            tv_profile(origin(2), 1.0, [0, 1], n_max + 1)
+            tv_profile(origin(2), 1.0, 1, hi)
         with pytest.raises(AssertionError, match="capacity check"):
-            tv_profile(origin(2), 1.0, [0, 1], n_max)
+            tv_profile(origin(2), 1.0, 1, lo)
 
     def test_histograms_and_bootstrap_over_cap_refused_before_allocating(
             self, monkeypatch):
         def no_allocation(*args, **kwargs):
             raise AssertionError("tv_profile went past its capacity check")
 
-        monkeypatch.setattr(mixing, "_walk_histograms", no_allocation)
+        monkeypatch.setattr(mixing, "injectivity_radius", no_allocation)
         monkeypatch.setattr(mixing, "ThreadPoolExecutor", no_allocation)
-        n_cells = default_partition(2).n_cells
-        ks, n = range(0, 41), 1000
-        held = mixing._tv_held_bytes(n, len(ks), n_cells)
+        part = default_partition(2)
+        n_cells = part.n_cells
+        k_max, n = 40, 1000
+        held = mixing._tv_held_bytes(n, k_max, part)
         # each queued k-histogram, and one bootstrap chunk of int64 draws
         # with its float64 buffer, count on top of the walker state
-        assert (mixing._tv_held_bytes(n, len(ks) + 1, n_cells) - held
+        assert (mixing._tv_held_bytes(n, k_max + 1, part) - held
                 == 8 * n_cells)
-        assert (mixing._tv_held_bytes(n, 0, n_cells)
+        assert (mixing._tv_held_bytes(n, 0, part)
                 - n * mixing.TV_WALKER_BYTES
                 >= 8 * n_cells * 2 * mixing.BOOT_ROWS)
         monkeypatch.setattr(mixing, "TV_STATE_CAP_BYTES", held - 1)
         with pytest.raises(CapacityError):
-            tv_profile(origin(2), 1.0, ks, n)
+            tv_profile(origin(2), 1.0, k_max, n)
         monkeypatch.setattr(mixing, "TV_STATE_CAP_BYTES", held)
         with pytest.raises(AssertionError, match="capacity check"):
-            tv_profile(origin(2), 1.0, ks, n)
+            tv_profile(origin(2), 1.0, k_max, n)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_held_bytes_count_the_t_power_table(self, q):
+        # on top of everything else it counts, the model holds exactly
+        # the table the walk's reduction reads
+        part = default_partition(q)
+        for n, k_max in ((1, 0), (200_000, 42)):
+            grown = (mixing._tv_held_bytes(n, k_max, part)
+                     - reference_held_bytes(n, k_max + 1, part.n_cells))
+            assert grown == 8 * q * psl2q_order(q)
+            assert grown == modq_context(q).t_pow_tables.nbytes
 
     def test_capacity_estimate_at_benchmark_and_cap_sizes(self):
         cap = mixing.TV_STATE_CAP_BYTES
-        n_cells = default_partition(5).n_cells
-        assert n_cells == 3000
-        # the tv_cutoff benchmark run (2e5 walkers, 43 grid points) and
+        part = default_partition(5)
+        assert part.n_cells == 3000
+        # the tv_cutoff benchmark run (2e5 walkers, 43 steps) and
         # criterion 10's 1e6 walkers sit far below the cap
-        assert mixing._tv_held_bytes(200_000, 43, n_cells) < cap / 100
-        assert mixing._tv_held_bytes(1_000_000, 43, n_cells) < cap / 20
+        assert mixing._tv_held_bytes(200_000, 42, part) < cap / 100
+        assert mixing._tv_held_bytes(1_000_000, 42, part) < cap / 20
         # at q = 101: |PSL2(Z/101)| = 515100 sheets of at least 9 base
         # cells; one bootstrap chunk alone is over the cap
-        assert mixing._tv_held_bytes(1, 1, 515_100 * 9) > cap
+        part = default_partition(101)
+        assert part.n_cells >= 515_100 * 9
+        assert mixing._tv_held_bytes(1, 0, part) > cap
 
 
 class TestTvProfile:
     def test_initial_tv_is_point_mass_value(self):
         part = default_partition(2)
-        prof = tv_profile(origin(2), 1.0, [0], 5_000, part, seed=3)
+        prof = tv_profile(origin(2), 1.0, 0, 5_000, part, seed=3)
         start_cell = part.cells_of(np.array([0.0]), np.array([1.0]),
                                    np.array([modq_context(2).index[
                                        CosetModQ.identity(2).key()]]))
@@ -349,7 +393,7 @@ class TestTvProfile:
         assert prof.tv[0] == pytest.approx(2.0 * (1.0 - pi0), abs=1e-12)
 
     def test_monotone_within_ci_and_bounds(self):
-        prof = tv_profile(origin(2), 1.0, range(0, 9), 40_000, seed=4)
+        prof = tv_profile(origin(2), 1.0, 8, 40_000, seed=4)
         assert np.all(prof.tv <= 2.0 + 1e-12)
         assert np.all(prof.tv >= 0.0)
         for i in range(len(prof.ks) - 1):
@@ -357,10 +401,8 @@ class TestTvProfile:
                 prof.ci_hi[i + 1] - prof.ci_lo[i + 1]) + 0.02
 
     def test_deterministic_across_workers(self):
-        a = tv_profile(origin(2), 1.0, [0, 2, 4], 30_000, seed=9,
-                       workers=1)
-        b = tv_profile(origin(2), 1.0, [0, 2, 4], 30_000, seed=9,
-                       workers=3)
+        a = tv_profile(origin(2), 1.0, 4, 30_000, seed=9, workers=1)
+        b = tv_profile(origin(2), 1.0, 4, 30_000, seed=9, workers=3)
         assert np.array_equal(a.tv, b.tv)
         assert np.array_equal(a.ci_lo, b.ci_lo)
         assert np.array_equal(a.ci_hi, b.ci_hi)
@@ -370,38 +412,38 @@ class TestTvProfile:
         # of equal equilibrium probability: same profile, same seed
         ctx = modq_context(2)
         h = ctx.elements[4]
-        a = tv_profile(origin(2), 1.0, [1, 3, 5], 20_000, seed=12)
+        a = tv_profile(origin(2), 1.0, 5, 20_000, seed=12)
         moved = QuotientPoint(PointH(0.0, 1.0),
                               h.mul(CosetModQ.identity(2)))
-        b = tv_profile(moved, 1.0, [1, 3, 5], 20_000, seed=12)
+        b = tv_profile(moved, 1.0, 5, 20_000, seed=12)
         # identical up to float reassociation: the cell sum is permuted
         np.testing.assert_allclose(a.tv, b.tv, rtol=1e-12)
 
     def test_partition_refinement_stability(self):
         coarse = CellPartition.build(2, 14, 16)
         fine = CellPartition.build(2, 28, 32)
-        a = tv_profile(origin(2), 1.0, [6], 60_000, coarse, seed=5)
-        b = tv_profile(origin(2), 1.0, [6], 60_000, fine, seed=5)
-        ci = (a.ci_hi[0] - a.ci_lo[0]) + (b.ci_hi[0] - b.ci_lo[0])
-        assert abs(a.tv[0] - b.tv[0]) <= ci + b.bias_note
+        a = tv_profile(origin(2), 1.0, 6, 60_000, coarse, seed=5)
+        b = tv_profile(origin(2), 1.0, 6, 60_000, fine, seed=5)
+        ci = (a.ci_hi[6] - a.ci_lo[6]) + (b.ci_hi[6] - b.ci_lo[6])
+        assert abs(a.tv[6] - b.tv[6]) <= ci + b.bias_note
 
     def test_precondition_failures(self):
         # T^2 moves (0, 40) by acosh(1.00125) ~ 0.05, so its injectivity
         # radius ~ 0.025 lies below R0_FLOOR
         high = QuotientPoint(PointH(0.0, 40.0), CosetModQ.identity(2))
         with pytest.raises(ConfigError, match="injectivity radius"):
-            tv_profile(high, 1.0, [0], 100)
+            tv_profile(high, 1.0, 0, 100)
 
     def test_partition_of_another_level_refused(self):
         # a level-5 partition at level 2 read tv 1.80 at k = 30, where the
         # level-2 partition gives 0.24
         with pytest.raises(ConfigError, match="partition covers X_5"):
-            tv_profile(origin(2), 1.0, [0], 100, default_partition(5))
+            tv_profile(origin(2), 1.0, 0, 100, default_partition(5))
 
     def test_coarse_partition_refused(self):
         # a 3 x 3 grid at level 2 has cells far above mu(X)/1000
         with pytest.raises(ResolutionError, match="above mu"):
-            tv_profile(origin(2), 1.0, [0], 100, CellPartition.build(2, 3, 3))
+            tv_profile(origin(2), 1.0, 0, 100, CellPartition.build(2, 3, 3))
 
 
 class TestCutoffLocator:
@@ -507,6 +549,9 @@ class TestConcentrationFit:
 class TestIsoperimetry:
     def test_kappa_value(self):
         assert kappa(2.0, 2.0) == pytest.approx(9.0 * math.exp(-2.0))
+        # r / inf is 0.0 for finite r >= 0, so p = inf needs no branch
+        for r in (0.0, 0.3, 1.0, 2.5, 7.0):
+            assert kappa(r, math.inf) == (r + 1.0) ** 2
 
     def test_two_ball_oracle(self):
         # Y = ball(r0): the dilation is the exact ball of radius r0 + r,
@@ -548,10 +593,13 @@ class TestIsoperimetry:
     @pytest.mark.parametrize("seed", range(6))
     def test_over_cap_refused_before_sampling(self, monkeypatch, seed):
         # r0 + r = 11.12 plus d(i, 1/2 + 30i) = 3.40 passes the cap; the
-        # refusal comes from the cusp cap, so no seed's sample can pass it
+        # refusal comes from the cusp cap, so no seed's sample can pass it,
+        # and it comes before the start point's enumeration is built
         def never(*args):
-            raise AssertionError("sampled before the bound was checked")
+            raise AssertionError("built or sampled before the bound was "
+                                 "checked")
         monkeypatch.setattr(mixing, "sample_uniform_quotient", never)
+        monkeypatch.setattr(mixing, "injectivity_radius", never)
         with pytest.raises(CapacityError, match="bound 14.521 exceeds"):
             isoperimetric_check(origin(2), 0.5, 10.62, 4.0, 2000, seed=seed)
         with pytest.raises(CapacityError, match="exceeds cap 14.5"):

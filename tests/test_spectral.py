@@ -245,6 +245,9 @@ class TestHcBound:
         assert hc_bound(0.0, 3.0) == 1.0
         assert hc_bound(2.0, 2.0) == pytest.approx(3.0 * math.exp(-1.0))
         assert hc_bound(5.0, 4.0) == pytest.approx(6.0 * math.exp(-1.25))
+        # r / inf is 0.0 for finite r >= 0, so p = inf needs no branch
+        for r in (0.0, 0.3, 1.0, 2.5, 7.0):
+            assert hc_bound(r, math.inf) == r + 1.0
 
 
 class TestTechnicalDecay:
