@@ -425,10 +425,10 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except NumericError as exc:
+    except (NumericError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
 

@@ -51,6 +51,12 @@ def distance(z: PointH, w: PointH) -> float:
     return d
 
 
+def check_step_length(r1: float) -> None:
+    """Refuse a walk step, a geodesic length, longer than MAX_DISTANCE."""
+    if r1 > MAX_DISTANCE:
+        raise NumericRangeError(f"step length {r1} exceeds cap {MAX_DISTANCE}")
+
+
 def sphere_step_arrays(x, y, r: float, theta):
     """One sphere step applied to coordinate arrays; returns (x', y').
 

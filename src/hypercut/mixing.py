@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, ConfigError, ResolutionError
-from .geometry import ball_volume, sphere_step_arrays
+from .geometry import ball_volume, check_step_length, sphere_step_arrays
 from .modular import (U_TOP, QuotientPoint, check_cusp_cap, check_level,
                       check_sampled_bound, injectivity_radius, modq_context,
                       psl2q_order, quotient_distances_from, quotient_R,
@@ -165,7 +165,7 @@ def _walk_histograms(x0: QuotientPoint, r1, k_max, n_walkers, partition,
     from stream(seed, 2, b) in step order, so the counts do not depend on
     ``workers``."""
     ctx = modq_context(x0.q)
-    start_sheet = int(ctx.labels(*x0.sheet.key()))
+    start_sheet = x0.label
     n_cells = partition.n_cells
     states = []
     for b, walkers in enumerate(spans(n_walkers, TV_BLOCK)):
@@ -237,17 +237,19 @@ def tv_profile(x0: QuotientPoint, r1: float, k_max: int, n_walkers: int,
     stream(seed, 3) is drawn in step order, so the result does not depend
     on ``workers``.
 
-    Preconditions enforced, in this order: the partition is of the start
-    point's level q; q is a level the walk's cover group is built for, and
-    all tv_profile holds (see _tv_held_bytes) fits in TV_STATE_CAP_BYTES,
-    both checked before any group table or enumeration is built; the
-    start point has injectivity radius at least R0_FLOOR; and no cell
-    exceeds mu(X)/1000.
+    Preconditions enforced, in this order: the step r1, a geodesic length,
+    is at most MAX_DISTANCE; the partition is of the start point's level
+    q; q is a level the walk's cover group is built for, and all
+    tv_profile holds (see _tv_held_bytes) fits in TV_STATE_CAP_BYTES, both
+    checked before any group table or enumeration is built; the start
+    point has injectivity radius at least R0_FLOOR; and no cell exceeds
+    mu(X)/1000.
     """
     if n_walkers < 1 or n_boot < 1:
         raise ConfigError("need n_walkers >= 1 and n_boot >= 1")
     if k_max < 0:
         raise ConfigError(f"need k_max >= 0, not {k_max}")
+    check_step_length(r1)
     if partition is None:
         partition = default_partition(x0.q)
     if partition.q != x0.q:

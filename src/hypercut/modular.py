@@ -58,13 +58,10 @@ class CosetModQ:
         q = self.q
         if q < 1:
             raise ValueError("modulus must be >= 1")
-        a, b, c, d = self.a % q, self.b % q, self.c % q, self.d % q
+        a, b, c, d = map(int, self.key())
         if (a * d - b * c) % q != 1 % q:
             raise ValueError("determinant must be 1 mod q")
-        neg = ((-a) % q, (-b) % q, (-c) % q, (-d) % q)
-        if neg < (a, b, c, d):
-            a, b, c, d = neg
-        for name, v in zip("abcd", (a, b, c, d)):
+        for name, v in zip("abcd", _digits(_coset_codes(q, a, b, c, d), q)):
             object.__setattr__(self, name, v)
 
     @classmethod
@@ -149,14 +146,19 @@ def _inv(g):
     return d, -b, -c, a
 
 
-def _coset_codes(q: int, a, b, c, d) -> np.ndarray:
+def _coset_codes(q: int, a, b, c, d):
     """Base-q code of the canonical representative of each (a, b, c, d) mod
     q.  Digits lie in [0, q), so code order is CosetModQ's lexicographic
-    key order and the canonical sign is the one with the smaller code."""
-    a, b, c, d = (np.asarray(v, dtype=np.int64) for v in (a, b, c, d))
+    key order and the canonical sign is the one with the smaller code,
+    taken without np.minimum so that Python ints stay exact at any q."""
     pos = ((a % q * q + b % q) * q + c % q) * q + d % q
     neg = ((-a % q * q + -b % q) * q + -c % q) * q + -d % q
-    return np.minimum(pos, neg)
+    return pos + (neg < pos) * (neg - pos)
+
+
+def _digits(code, q: int):
+    """The (a, b, c, d) residues of base-q codes, arrays or Python ints."""
+    return code // q ** 3, code // q ** 2 % q, code // q % q, code % q
 
 
 def check_level(q: int) -> None:
@@ -201,7 +203,8 @@ class ModQContext:
     def labels(self, a, b, c, d) -> np.ndarray:
         """Coset index of each integer matrix (a, b, c, d), entries given
         as arrays or ints of any sign; ValueError unless det = 1 mod q."""
-        code = _coset_codes(self.q, a, b, c, d)
+        code = _coset_codes(self.q, *(np.asarray(v, dtype=np.int64)
+                                      for v in (a, b, c, d)))
         idx = np.searchsorted(self.codes, code)
         if not np.array_equal(self.codes[np.minimum(idx, self.size - 1)],
                               code):
@@ -210,8 +213,7 @@ class ModQContext:
 
     def rows(self, idx=slice(None)):
         """(a, b, c, d) residue arrays of the elements at idx."""
-        code, q = self.codes[idx], self.q
-        return code // q ** 3, code // q ** 2 % q, code // q % q, code % q
+        return _digits(self.codes[idx], self.q)
 
     @cached_property
     def elements(self) -> list[CosetModQ]:
@@ -274,6 +276,11 @@ class QuotientPoint:
     @property
     def q(self) -> int:
         return self.sheet.q
+
+    @property
+    def label(self) -> int:
+        """The sheet's index in the level-q cover group."""
+        return int(modq_context(self.q).labels(*self.sheet.key()))
 
 
 def in_fundamental_domain(x: float, y: float) -> bool:
@@ -504,14 +511,14 @@ def _qarg(a, b, c, d, x1, y1, x2, y2):
     return cosh_distance_minus_1(x1, y1, wx, y2 / den2)
 
 
-def _quotient_distances(q: int, x1, y1, sheet1, x2, y2, sheet2, r_max: float,
-                        enum: PSLZEnumeration | None) -> np.ndarray:
-    """The one quotient-distance kernel.
-
-    Pair j joins (x1, y1) on sheet1 to (x2, y2) on sheet2; coordinates are
-    arrays or scalars and sheets are (a, b, c, d) residues, broadcast
-    together.  Its distance is acosh(1 + min qarg) over the enumerated
-    members of the relative coset sheet1^-1 sheet2, or inf beyond r_max.
+def quotient_distance_pairs(q: int, xs1, ys1, sheets1, xs2, ys2, sheets2,
+                            r_max: float,
+                            enum: PSLZEnumeration | None = None) -> np.ndarray:
+    """The one quotient-distance kernel.  Pair j joins (xs1, ys1) on sheet
+    sheets1 to (xs2, ys2) on sheets2: sheets are indices into the level-q
+    cover group, and all arguments are arrays or scalars broadcast together.
+    Its distance is acosh(1 + min qarg) over the enumerated members of the
+    relative coset sheets1^-1 sheets2, or inf beyond r_max.
 
     Samples are grouped by relative coset, and each coset's members are
     walked in ascending Frobenius norm in (members x samples) blocks of at
@@ -523,11 +530,13 @@ def _quotient_distances(q: int, x1, y1, sheet1, x2, y2, sheet2, r_max: float,
     """
     ctx = modq_context(q)
     x1, y1, x2, y2 = np.broadcast_arrays(
-        *(np.array(v, dtype=float, ndmin=1) for v in (x1, y1, x2, y2)))
+        *(np.array(v, dtype=float, ndmin=1) for v in (xs1, ys1, xs2, ys2)))
     best = np.full(x1.shape, math.inf)
     if best.size == 0:
         return best
-    targets = np.broadcast_to(ctx.labels(*_mul(_inv(sheet1), sheet2)),
+    rows1, rows2 = (ctx.rows(np.asarray(s, dtype=np.int64))
+                    for s in (sheets1, sheets2))
+    targets = np.broadcast_to(ctx.labels(*_mul(_inv(rows1), rows2)),
                               best.shape)
     dorig1, dorig2 = (np.arccosh(1.0 + cosh_distance_minus_1(0.0, 1.0, x, y))
                       for x, y in ((x1, y1), (x2, y2)))
@@ -560,6 +569,14 @@ def _quotient_distances(q: int, x1, y1, sheet1, x2, y2, sheet2, r_max: float,
     return np.where(dist <= r_max, dist, math.inf).reshape(best.shape)
 
 
+def quotient_distances_from(p0: QuotientPoint, xs, ys, sheet_ids,
+                            r_max: float) -> np.ndarray:
+    """Distances from a fixed point to many (x, y, sheet-index) samples;
+    entries beyond r_max come back as inf."""
+    return quotient_distance_pairs(p0.q, p0.base.x, p0.base.y, p0.label,
+                                   xs, ys, sheet_ids, r_max)
+
+
 def quotient_distance(p1: QuotientPoint, p2: QuotientPoint,
                       r_max: float) -> float:
     """Distance on the level-q quotient, or math.inf when it exceeds r_max.
@@ -569,30 +586,8 @@ def quotient_distance(p1: QuotientPoint, p2: QuotientPoint,
     """
     if p1.q != p2.q:
         raise ValueError("points live on different quotients")
-    return float(_quotient_distances(
-        p1.q, p1.base.x, p1.base.y, p1.sheet.key(),
-        p2.base.x, p2.base.y, p2.sheet.key(), r_max, None)[0])
-
-
-def quotient_distances_from(p0: QuotientPoint, xs, ys, sheet_ids,
-                            r_max: float) -> np.ndarray:
-    """Distances from a fixed point to many (x, y, sheet-index) samples;
-    entries beyond r_max come back as inf."""
-    ctx = modq_context(p0.q)
-    return _quotient_distances(
-        p0.q, p0.base.x, p0.base.y, p0.sheet.key(), xs, ys,
-        ctx.rows(np.asarray(sheet_ids, dtype=np.int64)), r_max, None)
-
-
-def quotient_distance_pairs(q: int, xs1, ys1, sheets1, xs2, ys2, sheets2,
-                            r_max: float,
-                            enum: PSLZEnumeration | None = None) -> np.ndarray:
-    """Distances between aligned arrays of (x, y, sheet-index) pairs on the
-    level-q quotient; entries beyond r_max come back as inf."""
-    ctx = modq_context(q)
-    return _quotient_distances(
-        q, xs1, ys1, ctx.rows(np.asarray(sheets1, dtype=np.int64)),
-        xs2, ys2, ctx.rows(np.asarray(sheets2, dtype=np.int64)), r_max, enum)
+    return float(quotient_distances_from(p1, p2.base.x, p2.base.y, p2.label,
+                                         r_max)[0])
 
 
 def injectivity_radius(p: QuotientPoint) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import log_sphere_step_arrays
+from .geometry import check_step_length, log_sphere_step_arrays
 from .quadrature import map_blocks, spans
 from .spectral import clt_constants
 
@@ -51,6 +51,7 @@ class WalkConfig:
     def __post_init__(self):
         if self.r1 <= 0.0:
             raise ConfigError("step length must be positive")
+        check_step_length(self.r1)
         if self.n_walkers < 1 or self.k < 0:
             raise ConfigError("need n_walkers >= 1 and k >= 0")
 

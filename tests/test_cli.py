@@ -303,7 +303,12 @@ class TestExitCodes:
         (["tv", "--q", "2", "--cusp-cap", "nan", "--k-max", "1"], 2),
         (["tv", "--q", "2", "--cusp-cap", "inf", "--n", "100", "--k-max",
           "1"], 2),
-        (["distances", "--q", "2", "--cusp-cap", "inf"], 2)])
+        (["distances", "--q", "2", "--cusp-cap", "inf"], 2),
+        # an OverflowError, and a step length past geometry.MAX_DISTANCE
+        (["mixture", "--k", "2", "--r1", "705"], 4),
+        (["constants", "--r1", "1e300"], 4),
+        (["walk", "--k", "3", "--n", "100", "--r1", "800"], 4),
+        (["tv", "--q", "2", "--n", "100", "--r1", "800", "--k-max", "2"], 4)])
     def test_refused_inputs_print_one_line(self, tmp_path, capsys, argv,
                                            code):
         assert main(argv + ["--out", str(tmp_path)]) == code
@@ -346,6 +351,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "finite" in err
         assert not out.exists()
+
+    def test_tv_step_past_max_distance_walks_nothing(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # a step is a geodesic length: one past geometry.MAX_DISTANCE is
+        # refused before the start point is checked or any walker moves
+        def refuse(*args):
+            raise AssertionError("reached the walk")
+
+        monkeypatch.setattr(mixing, "_check_start", refuse)
+        monkeypatch.setattr(mixing, "_walk_histograms", refuse)
+        assert main(["tv", "--q", "2", "--n", "100", "--r1", "800",
+                     "--k-max", "2", "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err == \
+            "numeric error: step length 800.0 exceeds cap 700.0\n"
+
+    def test_refused_allocation_is_capacity_error(self, tmp_path):
+        # numpy cannot allocate the 745 GiB parameter grid; the child's
+        # address-space limit makes that certain under any overcommit policy
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (64 << 30, 64 << 30));"
+                " from hypercut.cli import main; sys.exit(main(sys.argv[1:]))")
+        src = os.path.dirname(os.path.dirname(hypercut.__file__))
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-c", code, "spherical", "--s-max", "1e11",
+             "--s-step", "1", "--out", str(out)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == 3
+        assert done.stderr.startswith("capacity error: ")
+        assert done.stderr.count("\n") == 1 and not out.exists()
 
     def test_tv_walker_state_over_cap_is_capacity_error(self, tmp_path):
         assert main(["tv", "--q", "2", "--k-max", "2", "--n", "50000000",

@@ -89,6 +89,21 @@ class TestCosetModQ:
         with pytest.raises(ValueError):
             CosetModQ(5, 1, 0, 0, 2)
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 7, 10 ** 5])
+    def test_canonical_sign_is_the_smaller_key(self, q):
+        # the rule written out: of the two signs mod q, the lexicographically
+        # smaller residue tuple.  At q = 10^5 the base-q codes pass 2^63, so
+        # the rule must stay exact on Python ints
+        rng = np.random.default_rng(q)
+        for _ in range(200):
+            a, b, c = (int(v) for v in rng.integers(-3 * q, 3 * q, 3))
+            if math.gcd(a, q) != 1:
+                continue
+            d = (1 + b * c) * pow(a, -1, q)
+            pos = tuple(v % q for v in (a, b, c, d))
+            neg = tuple(-v % q for v in (a, b, c, d))
+            assert CosetModQ(q, a, b, c, d).key() == min(pos, neg)
+
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_group_axioms_exhaustive(self, q):
         elements = modq_context(q).elements
@@ -777,6 +792,29 @@ class TestDistanceKernel:
             d = quotient_distance(p0, p, 4.0)
             assert d == from_ref[j] or (math.isinf(d)
                                         and math.isinf(from_ref[j]))
+
+    @pytest.mark.parametrize("q,r_max", [(2, 1.0), (5, 3.0)])
+    def test_point_entries_equal_the_pairs_kernel(self, q, r_max):
+        # quotient_distances_from and quotient_distance pass the point's
+        # label to quotient_distance_pairs, so every bit agrees
+        rng = np.random.default_rng(40 + q)
+        (xs, ys, sheets), _ = sample_uniform_quotient(q, 10.0, rng, 60)
+        ctx = modq_context(q)
+        p0 = QuotientPoint(PointH(float(xs[0]), float(ys[0])),
+                           ctx.elements[int(sheets[0])])
+        assert p0.label == int(sheets[0])
+        pairs = quotient_distance_pairs(q, np.full(60, xs[0]),
+                                        np.full(60, ys[0]),
+                                        np.full(60, sheets[0]), xs, ys,
+                                        sheets, r_max)
+        assert np.isfinite(pairs).any() and np.isinf(pairs).any()
+        batch = quotient_distances_from(p0, xs, ys, sheets, r_max)
+        assert batch.tobytes() == pairs.tobytes()
+        for j in range(60):
+            p = QuotientPoint(PointH(float(xs[j]), float(ys[j])),
+                              ctx.elements[int(sheets[j])])
+            assert np.float64(quotient_distance(p0, p, r_max)).tobytes() \
+                == pairs[j].tobytes()
 
     def test_empty_input(self):
         p0 = qpoint(0.0, 1.0, q=5)

@@ -416,3 +416,15 @@ def test_cli_handlers_trust_the_declared_types():
                      and getattr(arg.value, "id", None) == "cfg"
                      for arg in node.args)]
     assert casts == [], f"handlers convert resolved options: {casts}"
+
+
+def test_a_points_label_is_read_in_one_place():
+    """QuotientPoint.label alone turns a point's sheet into its coset
+    index: the package reads .sheet.key() once, in modular.py, and no
+    other module converts a sheet its own way."""
+    readers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "key"
+               and isinstance(node.value, ast.Attribute)
+               and node.value.attr == "sheet"]
+    assert readers == ["modular.py"], readers
